@@ -13,9 +13,9 @@ import argparse
 import json
 import sys
 
-from .encodings import (encode_is, encode_mmo, encode_mwm, random_is_process,
-                        random_mmo_process, random_mwm_process)
-from .engine import SolverConfig, averaged_solution, theory_params, theta_default
+from .encodings import build_encoded
+from .engine import (_ALG1_NODE_CAP, SolverConfig, averaged_solution,
+                     theory_params, theta_default)
 from .errors import (ConfigError, FeasibilityAuditError, OnlinePackError)
 from .model import (LoadedInstance, demo_tree, derive_structure_constants,
                     generate_nrm, generative_payload, load_instance_payload,
@@ -27,16 +27,6 @@ from .policies import (mwm_scaled_epsilon, new_episode_context, policy_is,
 
 _POLICIES = ("lp", "nrm", "is", "mwmlp", "mmo-greedy")
 
-_ENCODING_BUILDERS = {
-    "is": lambda p: encode_is(random_is_process(p["seed"], p["n"], p["delta"],
-                                                p.get("n_scenarios", 3))),
-    "mwm": lambda p: encode_mwm(random_mwm_process(p["seed"], p["n"], p["delta"],
-                                                   p.get("n_scenarios", 3))),
-    "mmo": lambda p: encode_mmo(random_mmo_process(p["seed"], p["n_offline"],
-                                                   p["n_online"], p["delta"],
-                                                   p.get("n_scenarios", 3))),
-}
-
 
 def _load(path: str) -> LoadedInstance:
     try:
@@ -44,14 +34,6 @@ def _load(path: str) -> LoadedInstance:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read instance {path}: {exc}") from exc
-    encoding = payload.get("encoding")
-    if payload.get("kind") == "encoded":
-        family = encoding.get("family") if encoding else None
-        builder = _ENCODING_BUILDERS.get(family)
-        if builder is None:
-            raise ConfigError(f"unknown encoding family {family!r}")
-        _, sim = builder(encoding)
-        return LoadedInstance(sim.instance, sim, sim.tree, payload)
     try:
         return load_instance_payload(payload)
     except OnlinePackError as exc:
@@ -84,14 +66,15 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
                     trace_sink=None):
     """Per-episode decision callables for the named policy.
 
-    On explicit instances the fractional layer is precomputed once by the
-    full-sweep method; by the recursion-equivalence guarantee (tested
-    bitwise) this matches the streaming recursion under the same master
-    seed.  Generative instances run the streaming recursion directly.
+    On explicit instances within the full-sweep cap the fractional layer is
+    precomputed once by the full-sweep method; by the recursion-equivalence
+    guarantee (tested bitwise) this matches the streaming recursion under
+    the same master seed.  Larger trees and generative instances run the
+    streaming recursion directly.
     """
     sim = loaded.sim
     solution = None
-    if loaded.tree is not None:
+    if loaded.tree is not None and len(loaded.tree) <= _ALG1_NODE_CAP:
         solution = averaged_solution(loaded.tree, config)
     policy_fn = {
         "lp": policy_lp,
@@ -150,7 +133,7 @@ def cmd_gen(args) -> int:
             encoding["n_online"] = args.n_online
         else:
             encoding["n"] = args.n
-        _ENCODING_BUILDERS[args.kind](encoding)  # validate before writing
+        build_encoded(encoding)  # validate before writing
         payload = {"schema_version": 1, "kind": "encoded", "encoding": encoding}
     else:
         raise ConfigError(f"unknown instance kind {args.kind!r}")

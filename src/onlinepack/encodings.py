@@ -19,6 +19,7 @@ whose full content is revealed at the block start.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from . import keys
@@ -141,17 +142,14 @@ def encode_is(process: BipartiteNodeProcess):
         scenarios.append((prob, periods))
     tree = _mixture_tree(T=n, m=m, L=delta, iota=1.0,
                          b=tuple(1.0 for _ in range(m)), scenarios=scenarios)
-    base = tree_as_simulator(tree)
 
     def partite_of(prefix: Prefix) -> str:
         if len(prefix) == 0:
             raise SupportError("partite lookup needs a nonempty prefix")
         return "L" if prefix.last[1] == 0.0 else "R"
 
-    sim = SimulatorHandle(instance=tree.instance, complete=base.complete,
-                          readout=base.readout, partite_of=partite_of,
-                          tree=tree)
-    return tree.instance, sim
+    return tree.instance, dataclasses.replace(
+        tree_as_simulator(tree), partite_of=partite_of)
 
 
 @dataclass(frozen=True)
@@ -197,10 +195,7 @@ def encode_mwm(process: EdgeArrivalProcess):
         scenarios.append((prob, periods))
     tree = _mixture_tree(T=T, m=n, L=2, iota=1.0,
                          b=tuple(1.0 for _ in range(n)), scenarios=scenarios)
-    base = tree_as_simulator(tree)
-    sim = SimulatorHandle(instance=tree.instance, complete=base.complete,
-                          readout=base.readout, tree=tree)
-    return tree.instance, sim
+    return tree.instance, tree_as_simulator(tree)
 
 
 @dataclass(frozen=True)
@@ -264,7 +259,6 @@ def encode_mmo(process: OnlineNodeProcess):
         scenarios.append((prob, periods))
     tree = _mixture_tree(T=T, m=n, L=2, iota=1.0,
                          b=tuple(1.0 for _ in range(n)), scenarios=scenarios)
-    base = tree_as_simulator(tree)
 
     def block_lookup(prefix: Prefix):
         t = len(prefix)
@@ -291,10 +285,8 @@ def encode_mmo(process: OnlineNodeProcess):
             prefixes.append(cur)
         return t1, t2, offline, tuple(prefixes)
 
-    sim = SimulatorHandle(instance=tree.instance, complete=base.complete,
-                          readout=base.readout, block_lookup=block_lookup,
-                          tree=tree)
-    return tree.instance, sim
+    return tree.instance, dataclasses.replace(
+        tree_as_simulator(tree), block_lookup=block_lookup)
 
 
 def _normalized_probs(gen, count):
@@ -368,6 +360,34 @@ def random_mmo_process(seed: int, n_offline: int, n_online: int, delta: int,
         scenarios.append((p, tuple(neighbor_lists)))
     return OnlineNodeProcess(n_offline=n_offline, n_online=n_online,
                              delta=delta, scenarios=tuple(scenarios))
+
+
+_BUILDERS = {
+    "is": lambda p: encode_is(random_is_process(p["seed"], p["n"], p["delta"],
+                                                p.get("n_scenarios", 3))),
+    "mwm": lambda p: encode_mwm(random_mwm_process(p["seed"], p["n"], p["delta"],
+                                                   p.get("n_scenarios", 3))),
+    "mmo": lambda p: encode_mmo(random_mmo_process(p["seed"], p["n_offline"],
+                                                   p["n_online"], p["delta"],
+                                                   p.get("n_scenarios", 3))),
+}
+
+
+def build_encoded(encoding: dict) -> SimulatorHandle:
+    """The simulator of an encoded instance file's ``encoding`` record.
+
+    The record names the family ("is", "mwm" or "mmo") and the parameters
+    of its random process generator; the handle carries the explicit tree.
+    """
+    family = encoding.get("family") if isinstance(encoding, dict) else None
+    builder = _BUILDERS.get(family)
+    if builder is None:
+        raise InstanceError(f"unknown encoding family {family!r}")
+    try:
+        _, sim = builder(encoding)
+    except KeyError as exc:
+        raise InstanceError(f"{family} encoding record is missing {exc}") from None
+    return sim
 
 
 def is_traditional_reveal_ok(process: BipartiteNodeProcess) -> bool:

@@ -11,9 +11,11 @@ readout of rewards and resource consumption along a path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -56,12 +58,26 @@ class Prefix:
             if len(r) != dim:
                 raise InstanceError("ragged observation matrix")
         flat = [v for r in rows for v in r]
+        self._set(rows, struct.pack("<II", dim, len(rows)) + struct.pack(
+            f"<{len(flat)}d", *flat))
+
+    def _set(self, rows: tuple[Observation, ...], key: bytes) -> None:
         self.obs = rows
-        self.key = struct.pack("<II", dim, len(rows)) + struct.pack(
-            f"<{len(flat)}d", *flat
-        )
-        self._hash = hash(self.key)
+        self.key = key
+        self._hash = hash(key)
         self._heads: dict[int, "Prefix"] | None = None
+
+    @classmethod
+    def _trusted(cls, rows: tuple[Observation, ...], key: bytes) -> "Prefix":
+        """A prefix from rows that are already canonical, with their key.
+
+        Skips validation and re-serialization: only for rows sliced from a
+        canonical prefix or made canonical by the caller (finite floats, no
+        -0.0, constant width), with ``key`` their exact serialization.
+        """
+        p = cls.__new__(cls)
+        p._set(rows, key)
+        return p
 
     def __len__(self) -> int:
         return len(self.obs)
@@ -92,7 +108,14 @@ class Prefix:
             cache = self._heads = {}
         p = cache.get(t)
         if p is None:
-            p = cache[t] = Prefix(self.obs[:t])
+            if t == 0:
+                p = EMPTY_PREFIX
+            else:
+                # same width, shorter length: a slice of the parent's key
+                key = self.key[:4] + struct.pack("<I", t) + \
+                    self.key[8:8 + 8 * len(self.obs[0]) * t]
+                p = Prefix._trusted(self.obs[:t], key)
+            cache[t] = p
         return p
 
     def extend(self, observation: Sequence[float]) -> "Prefix":
@@ -196,8 +219,12 @@ class SimulatorHandle:
     the process conditional on the prefix; the empty prefix yields an
     unconditional draw.  Identical keys give identical trajectories.
     ``readout(prefix)`` returns rewards and r.c.v.s along any in-support
-    prefix.  Matching-style encodings attach ``partite_of`` (IS) or
-    ``block_lookup`` (MMO block window and offline endpoints).
+    prefix.  The optional ``node(prefix)`` returns ``(Z, a)`` of the
+    prefix's final period only -- exactly ``readout(prefix).reward(t)`` and
+    ``.rcv(t)`` with t = len(prefix) -- in time independent of t; without
+    it, ``node_values`` falls back to a full readout.  Matching-style
+    encodings attach ``partite_of`` (IS) or ``block_lookup`` (MMO block
+    window and offline endpoints).
     """
 
     instance: InstanceSpec
@@ -206,10 +233,13 @@ class SimulatorHandle:
     partite_of: Callable[[Prefix], str] | None = None
     block_lookup: Callable[[Prefix], tuple] | None = None
     tree: "ExplicitScenarioTree | None" = None
+    node: Callable[[Prefix], tuple] | None = None
 
 
 def node_values(sim: SimulatorHandle, prefix: Prefix):
     """(Z(S), sparse rcv at S) for the final period of the prefix."""
+    if sim.node is not None:
+        return sim.node(prefix)
     r = sim.readout(prefix)
     t = len(prefix)
     return r.reward(t), r.rcv(t)
@@ -452,11 +482,16 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
             j = len(leaves) - 1
         return leaves[j]
 
+    def node(prefix: Prefix):
+        nd = tree.node(prefix)
+        return nd.z, nd.a
+
     return SimulatorHandle(
         instance=tree.instance,
         complete=complete,
         readout=tree.readout,
         tree=tree,
+        node=node,
     )
 
 
@@ -546,8 +581,9 @@ class _NrmTables:
     Event 0 is a no-show (zero reward and consumption).  Each other event
     consumes at most L resources with values in [iota, 1] and carries a fixed
     reward.  Event probabilities are modulated by a two-state regime (flipped
-    by the last event code) and reinforced by the full history's event
-    counts, which makes the process genuinely non-Markovian.
+    by every occurrence of the last event code) and reinforced by the full
+    history's event counts, which makes the process genuinely non-Markovian.
+    Event e is observed as the one-entry row ``(float(e),)``.
     """
 
     def __init__(self, seed: int, m: int, L: int, iota: float, n_events: int):
@@ -564,25 +600,38 @@ class _NrmTables:
             vals = iota + (1.0 - iota) * gen.random(len(ids))
             self.a.append(tuple((i, float(v)) for i, v in zip(ids, vals)))
             self.z.append(float(0.05 + 0.95 * gen.random()))
-        self.base = 0.2 + gen.random((2, n_events))
+        self.base = [[float(w) for w in row]
+                     for row in 0.2 + gen.random((2, n_events))]
         self.shock_event = n_events - 1
+        self.rows = tuple((float(e),) for e in range(n_events))
+        self._event_of_row = {row: e for e, row in enumerate(self.rows)}
 
-    def law(self, history_events: Sequence[int]) -> list[float]:
-        regime = sum(1 for e in history_events if e == self.shock_event) % 2
-        counts = [0] * self.n_events
-        for e in history_events:
-            counts[e] += 1
+    def law(self, counts: Sequence[int], regime: int) -> list[float]:
+        """Next-event probabilities after a history with these event counts;
+        ``regime`` is the parity of the shock-event count."""
         w = [self.base[regime][e] * (1.0 + _NRM_URN_BONUS * counts[e])
              for e in range(self.n_events)]
-        total = sum(w)
+        # plain left-to-right sum: sum() of floats is compensated on newer
+        # Pythons, which would change the probabilities' bits
+        total = 0.0
+        for x in w:
+            total += x
         return [x / total for x in w]
 
-    def event_of(self, observation: Observation) -> int:
-        e = int(observation[0])
-        if len(observation) != 1 or float(e) != observation[0] or \
-                not 0 <= e < self.n_events:
-            raise SupportError("observation is not a valid event code")
-        return e
+    def events_of(self, rows: Iterable[Observation]) -> list[int]:
+        # prefix rows are canonical, so exactly the rows (float(e),) are valid
+        try:
+            return list(map(self._event_of_row.__getitem__, rows))
+        except KeyError:
+            raise SupportError("observation is not a valid event code") from None
+
+    def counts_of(self, prefix: Prefix) -> tuple[list[int], int]:
+        """(event counts, regime) of a prefix's history, validating its rows."""
+        counts = [0] * self.n_events
+        tally = Counter(prefix.obs)
+        for e, c in zip(self.events_of(tally), tally.values()):
+            counts[e] += c
+        return counts, counts[self.shock_event] % 2
 
 
 def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
@@ -606,29 +655,31 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
             raise CapacityError(
                 f"explicit tree needs {count} nodes, cap is {node_cap}")
         tb = TreeBuilder(T=T, m=m, b=b, L=L, iota=iota)
-        frontier: list[tuple[Prefix | None, tuple[int, ...]]] = [(None, ())]
+        frontier: list[tuple[Prefix | None, tuple[int, ...], int]] = \
+            [(None, (0,) * n_events, 0)]
         for _ in range(T):
             nxt = []
-            for parent, events in frontier:
-                probs = tables.law(events)
+            for parent, counts, regime in frontier:
+                probs = tables.law(counts, regime)
                 for e in range(n_events):
-                    child = tb.add(parent, (float(e),), probs[e],
+                    child = tb.add(parent, tables.rows[e], probs[e],
                                    z=tables.z[e], a=dict(tables.a[e]))
-                    nxt.append((child, events + (e,)))
+                    nxt.append((child,
+                                counts[:e] + (counts[e] + 1,) + counts[e + 1:],
+                                regime ^ (e == tables.shock_event)))
             frontier = nxt
         return tb.build()
 
     instance = InstanceSpec(T=T, m=m, b=b, L=L, iota=iota)
-
-    def _events(prefix: Prefix) -> list[int]:
-        return [tables.event_of(o) for o in prefix.obs]
+    packed = [struct.pack("<d", row[0]) for row in tables.rows]
+    shock = tables.shock_event
 
     def complete(prefix: Prefix, key: tuple) -> Trajectory:
-        events = _events(prefix)
+        counts, regime = tables.counts_of(prefix)
         stream = keys.UniformStream(*key)
-        obs_rows = list(prefix.obs)
-        while len(obs_rows) < T:
-            probs = tables.law(events)
+        new_events = []
+        for _ in range(T - len(prefix)):
+            probs = tables.law(counts, regime)
             u = stream.next()
             acc = 0.0
             e = n_events - 1
@@ -637,16 +688,28 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
                 if u < acc:
                     e = cand
                     break
-            events.append(e)
-            obs_rows.append((float(e),))
-        return Prefix(obs_rows)
+            counts[e] += 1
+            if e == shock:
+                regime ^= 1
+            new_events.append(e)
+        # event rows are canonical one-entry floats, so the trajectory's key
+        # is the prefix's doubles followed by the new ones
+        rows = prefix.obs + tuple(tables.rows[e] for e in new_events)
+        key = struct.pack("<II", 1, len(rows)) + prefix.key[8:] + \
+            b"".join(packed[e] for e in new_events)
+        return Prefix._trusted(rows, key)
 
     def readout(prefix: Prefix) -> Readout:
-        events = _events(prefix)
+        events = tables.events_of(prefix.obs)
         return Readout([tables.z[e] for e in events],
                        [tables.a[e] for e in events])
 
-    return SimulatorHandle(instance=instance, complete=complete, readout=readout)
+    def node(prefix: Prefix):
+        e, = tables.events_of((prefix.last,))
+        return tables.z[e], tables.a[e]
+
+    return SimulatorHandle(instance=instance, complete=complete,
+                           readout=readout, node=node)
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +831,12 @@ def load_instance_payload(payload: dict) -> LoadedInstance:
             spec = InstanceSpec(T=inst.T, m=inst.m, b=inst.b, L=inst.L,
                                 iota=inst.iota, U=structure.get("U"),
                                 V=structure.get("V"), W=structure.get("W"))
-            sim = SimulatorHandle(instance=spec, complete=sim.complete,
-                                  readout=sim.readout)
+            sim = dataclasses.replace(sim, instance=spec)
         return LoadedInstance(sim.instance, sim, None, payload)
+    if kind == "encoded":
+        from .encodings import build_encoded  # encodings imports this module
+        sim = build_encoded(payload.get("encoding"))
+        return LoadedInstance(sim.instance, sim, sim.tree, payload)
     raise InstanceError(f"unknown instance kind {kind!r}")
 
 

@@ -170,7 +170,7 @@ def _record(ctx: EpisodeContext, prefix: Prefix, fractional: float,
     if ctx.trace is not None:
         ctx.trace.append({
             "t": len(prefix),
-            "prefix_id": prefix.key.hex()[:24],
+            "prefix_id": keys.key_digest(prefix.key).hex(),
             "fractional": fractional,
             "decision": decision,
             "remaining": list(ctx.feas.remaining),

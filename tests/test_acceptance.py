@@ -234,6 +234,36 @@ def test_c06_horizon_independence():
            "; ".join(summaries))
 
 
+def test_c06_operation_count_horizon_independent(monkeypatch):
+    """Rows canonicalized inside policy_nrm decisions do not grow with T."""
+    import onlinepack.model as model
+    counted = [0]
+    canonical = model._canonical_observation
+
+    def counting(values):
+        counted[0] += 1
+        return canonical(values)
+
+    rows = {}
+    for T in (25, 200):
+        sim = generate_nrm(seed=5, T=T, m=3, L=2, iota=0.3, budget_ratio=0.5,
+                           mode="generative", n_events=4)
+        cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.1, K=2, eta1=2,
+                           eta2=2, master_seed=7, practical_override=True)
+        ctx = new_episode_context(sim, cfg, 0)
+        traj = sim.complete(EMPTY_PREFIX, (7, "episode", 0))
+        monkeypatch.setattr(model, "_canonical_observation", counting)
+        counted[0] = 0
+        for t in range(1, 4):
+            policy_nrm(ctx, sim, traj.head(t), cfg)
+        rows[T] = counted[0]
+        monkeypatch.setattr(model, "_canonical_observation", canonical)
+    report("criterion 6b (horizon-independent per-decision operations)",
+           rows[25] == rows[200] == 0,
+           f"rows canonicalized in 3 decisions at T=25/200 = "
+           f"{rows[25]}/{rows[200]}")
+
+
 def _gap_check(tree, seed):
     opt_lp, _ = solve_lp_explicit(tree)
     cfg = practical(tree, seed=seed)

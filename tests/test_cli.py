@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from onlinepack import keys, load_instance
 from onlinepack.cli import main
+from onlinepack.encodings import encode_is, random_is_process
+from onlinepack.model import EMPTY_PREFIX, tree_to_payload
 
 
 def run_cli(*argv):
@@ -33,6 +36,18 @@ class TestGen:
                        "--delta", "2", "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         assert payload["kind"] == "encoded"
+
+    def test_encoded_instance_loads_publicly(self, tmp_path):
+        out = tmp_path / "is.json"
+        assert run_cli("gen", "--kind", "is", "--seed", "2", "--n", "5",
+                       "--delta", "2", "--out", str(out)) == 0
+        loaded = load_instance(out)
+        _, direct = encode_is(random_is_process(2, 5, 2))
+        assert loaded.payload == json.loads(out.read_text())
+        assert loaded.spec == direct.instance
+        assert loaded.tree is loaded.sim.tree
+        assert tree_to_payload(loaded.tree) == tree_to_payload(direct.tree)
+        assert loaded.sim.partite_of is not None
 
 
 class TestParams:
@@ -94,6 +109,46 @@ class TestRun:
         for field in ("t", "prefix_id", "fractional", "decision", "remaining",
                       "sim_calls", "writes"):
             assert field in rec
+
+    def test_trace_prefix_ids_distinguish_prefixes(self, tmp_path, capsys):
+        inst = tmp_path / "gen.json"
+        run_cli("gen", "--kind", "nrm", "--mode", "generative", "--seed", "2",
+                "--T", "5", "--out", str(inst))
+        cfg = {"instance": str(inst), "policy": "nrm",
+               "solver": {"epsilon": 0.2, "theta": 0.3, "alpha": 0.1, "K": 2,
+                          "eta1": 2, "eta2": 2, "master_seed": 3,
+                          "practical_override": True},
+               "n_episodes": 3}
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps(cfg))
+        trace = tmp_path / "trace.jsonl"
+        assert run_cli("run", "--config", str(exp), "--trace", str(trace)) == 0
+        recs = [json.loads(line) for line in trace.read_text().splitlines()]
+        sim = load_instance(inst).sim
+        trajs = [sim.complete(EMPTY_PREFIX, (3, "episode", e)) for e in range(3)]
+        keyed = [(trajs[r["episode"]].head(r["t"]).key, r["prefix_id"])
+                 for r in recs]
+        assert len(keyed) == 15
+        # one id per prefix, and at least one period where episodes differ
+        assert len({k for k, _ in keyed}) == len({i for _, i in keyed}) \
+            == len(set(keyed))
+        assert any(len({trajs[e].head(t) for e in range(3)}) > 1
+                   for t in range(1, 6))
+        assert keyed[0][1] == keys.key_digest(keyed[0][0]).hex()
+
+    def test_streams_trees_above_the_sweep_cap(self, tmp_path, capsys,
+                                               monkeypatch):
+        import onlinepack.cli as cli
+        import onlinepack.engine as engine
+        exp = self.write_experiment(tmp_path, episodes=50)
+        replayed, streamed = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("run", "--config", str(exp), "--out", str(replayed)) == 0
+        # the demo tree has 3 nodes; with the cap below that, the full sweep
+        # would refuse it, so the run must stream
+        monkeypatch.setattr(cli, "_ALG1_NODE_CAP", 2)
+        monkeypatch.setattr(engine, "_ALG1_NODE_CAP", 2)
+        assert run_cli("run", "--config", str(exp), "--out", str(streamed)) == 0
+        assert streamed.read_bytes() == replayed.read_bytes()
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 2
