@@ -93,12 +93,16 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
                                   trace=trace_sink is not None)
 
         def decide(prefix):
+            if trace_sink is None:
+                return policy_fn(ctx, sim, prefix, config)
+            before = ctx.memo.counters()
             value = policy_fn(ctx, sim, prefix, config)
-            if trace_sink is not None:
-                rec = dict(ctx.trace[-1])
-                rec["episode"] = episode
-                rec.update(ctx.memo.counters())
-                trace_sink.write(json.dumps(rec, sort_keys=True) + "\n")
+            rec = dict(ctx.trace[-1])
+            rec["episode"] = episode
+            # the work this decision did, not the episode's running totals
+            rec.update((name, count - before[name])
+                       for name, count in ctx.memo.counters().items())
+            trace_sink.write(json.dumps(rec, sort_keys=True) + "\n")
             return value
 
         return decide

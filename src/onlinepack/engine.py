@@ -17,14 +17,14 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import keys
 from .errors import (CapacityError, ContractViolationError, MemoIntegrityError,
                      ParameterError)
-from .model import (ExplicitScenarioTree, Prefix, Readout, SimulatorHandle,
+from .model import (ExplicitScenarioTree, Prefix, SimulatorHandle,
                     node_values, tree_as_simulator)
 from .penalty import huber_deriv
 
@@ -117,24 +117,25 @@ def sample_index_set(config: SolverConfig, T: int, k: int) -> IndexSample:
 
 
 class PathDraw:
-    """One conditional completion, cached together with its readout."""
+    """One conditional completion, indexed at the periods the estimator reads.
 
-    __slots__ = ("traj", "readout", "times")
+    ``terms[i]`` lists the pairs (t, a_i(traj^t)) over the indexed periods t
+    at which the completion requests resource i, in ascending t.  Draws
+    index only the sampled periods of their level, so building one costs
+    O(eta2) node lookups, not O(T).
+    """
 
-    def __init__(self, traj: Prefix, readout: Readout):
+    __slots__ = ("traj", "terms")
+
+    def __init__(self, traj: Prefix,
+                 rcvs: Iterable[tuple[int, Sequence[tuple[int, float]]]]):
+        """``rcvs`` yields (t, sparse r.c.v. of period t) in ascending t."""
+        terms: dict[int, list[tuple[int, float]]] = {}
+        for t, pairs in rcvs:
+            for i, v in pairs:
+                terms.setdefault(i, []).append((t, v))
         self.traj = traj
-        self.readout = readout
-        times: dict[int, list[int]] = {}
-        for t in range(1, len(traj) + 1):
-            for i, _ in readout.rcv(t):
-                times.setdefault(i, []).append(t)
-        self.times = {i: tuple(ts) for i, ts in times.items()}
-
-    def a_value(self, t: int, i: int) -> float:
-        for j, v in self.readout.rcv(t):
-            if j == i:
-                return v
-        return 0.0
+        self.terms = terms
 
 
 class MemoTable:
@@ -142,7 +143,9 @@ class MemoTable:
 
     Entry (prefix, k) stores X^k(prefix) for k >= 1; levels k <= 0 are
     implicitly zero.  Entries are never reassigned, and the draw multiset
-    for (prefix, k) is generated exactly once.  Counters instrument the
+    for (prefix, k) is generated exactly once.  ``_paths`` holds one
+    ``PathDraw`` per (trajectory, sampled periods), so levels whose period
+    subsamples are equal share it.  Counters instrument the
     recursion for the complexity and horizon-independence checks.  A table
     and its recursion belong to one logical task (one policy episode,
     shared across its T decision epochs); parallelism runs independent
@@ -150,19 +153,18 @@ class MemoTable:
     """
 
     __slots__ = ("entries", "draws", "_aleph", "_paths", "prefix_of", "writes",
-                 "hits", "misses", "sim_calls", "draw_misses")
+                 "hits", "misses", "sim_calls")
 
     def __init__(self):
         self.entries: dict[tuple[bytes, int], float] = {}
         self.draws: dict[tuple[bytes, int], tuple[PathDraw, ...]] = {}
-        self._aleph: dict[int, frozenset[int]] = {}
-        self._paths: dict[bytes, PathDraw] = {}
+        self._aleph: dict[int, tuple[int, ...]] = {}
+        self._paths: dict[tuple[bytes, tuple[int, ...]], PathDraw] = {}
         self.prefix_of: dict[bytes, Prefix] = {}
         self.writes = 0
         self.hits = 0
         self.misses = 0
         self.sim_calls = 0
-        self.draw_misses = 0
 
     def has(self, prefix: Prefix, k: int) -> bool:
         return k <= 0 or (prefix.key, k) in self.entries
@@ -182,11 +184,11 @@ class MemoTable:
         self.prefix_of.setdefault(prefix.key, prefix)
         self.writes += 1
 
-    def aleph(self, config: SolverConfig, T: int, k: int) -> frozenset[int]:
+    def aleph(self, config: SolverConfig, T: int, k: int) -> tuple[int, ...]:
+        """The sorted period subsample of level k."""
         cached = self._aleph.get(k)
         if cached is None:
-            cached = frozenset(sample_index_set(config, T, k).indices)
-            self._aleph[k] = cached
+            cached = self._aleph[k] = sample_index_set(config, T, k).indices
         return cached
 
     def counters(self) -> dict[str, int]:
@@ -195,7 +197,6 @@ class MemoTable:
             "hits": self.hits,
             "misses": self.misses,
             "sim_calls": self.sim_calls,
-            "draw_misses": self.draw_misses,
         }
 
 
@@ -206,7 +207,10 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     Draw j uses the key (master_seed, "traj", k, prefix_key, j), encoded
     hierarchically (a digest of the first four parts plus the counter j), so
     the multiset is a pure function of the master seed and is shared with
-    the full-sweep method.  Readouts are deduplicated per trajectory.
+    the full-sweep method.  Each completion is indexed only at the sampled
+    periods aleph_k, through the handle's O(1) ``node`` lookup when it has
+    one (else one readout per completion), and indexed completions are
+    shared per (trajectory, aleph_k).
     """
     if k < 0:
         raise ParameterError("draw level must be >= 0")
@@ -216,20 +220,30 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
         memo.hits += 1
         return cached
     memo.misses += 1
-    memo.draw_misses += 1
     base = keys.key_digest(config.master_seed, "traj", k, prefix.key)
+    aleph = memo.aleph(config, sim.instance.T, k)
     paths = memo._paths
     out = []
     for j in range(1, config.eta1 + 1):
         traj = sim.complete(prefix, (base, j))
         memo.sim_calls += 1
-        pd = paths.get(traj.key)
+        path_key = (traj.key, aleph)
+        pd = paths.get(path_key)
         if pd is None:
-            pd = paths[traj.key] = PathDraw(traj, sim.readout(traj))
+            pd = paths[path_key] = PathDraw(traj, _rcvs_at(sim, traj, aleph))
         out.append(pd)
     drawn = tuple(out)
     memo.draws[cache_key] = drawn
     return drawn
+
+
+def _rcvs_at(sim: SimulatorHandle, traj: Prefix, periods: Sequence[int]):
+    """(t, r.c.v. of period t) along ``traj`` for each of ``periods``."""
+    if sim.node is None:
+        r = sim.readout(traj)
+        return [(t, r.rcv(t)) for t in periods]
+    node = sim.node
+    return [(t, node(traj.head(t))[1]) for t in periods]
 
 
 def _checked_eval(raw: Callable[[Prefix], float]) -> Callable[[Prefix], float]:
@@ -243,7 +257,7 @@ def _checked_eval(raw: Callable[[Prefix], float]) -> Callable[[Prefix], float]:
 
 
 def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
-                   draws: Sequence[PathDraw], aleph: frozenset[int],
+                   draws: Sequence[PathDraw],
                    evalx: Callable[[Prefix], float], b: Sequence[float],
                    T: int, eta1: int, eta2: int, theta: float,
                    iota: float) -> float:
@@ -252,9 +266,11 @@ def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
     Z(S) - (2/iota) sum_{i in a+(S)} a_i(S) * eta1^-1 sum_{draws S'}
     phi'_theta( (T/eta2) sum_{t in aleph ^ T_i(S')} a_i(S'^t) X(S'^t) - b_i ).
 
-    The iteration order (resources ascending, draws in key order, periods
-    ascending) is part of the bitwise-equivalence contract between the
-    full-sweep and on-demand implementations.
+    The draws are indexed at the sampled periods aleph only, so their
+    ``terms`` already range over aleph ^ T_i(S').  The iteration order
+    (resources ascending, draws in key order, periods ascending) is part of
+    the bitwise-equivalence contract between the full-sweep and on-demand
+    implementations.
     """
     if not a_s:
         return z_s
@@ -267,9 +283,8 @@ def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
             phi = by_traj.get(d.traj.key)
             if phi is None:
                 s = 0.0
-                for t in d.times.get(i, ()):
-                    if t in aleph:
-                        s += d.a_value(t, i) * evalx(d.traj.head(t))
+                for t, v in d.terms.get(i, ()):
+                    s += v * evalx(d.traj.head(t))
                 phi = by_traj[d.traj.key] = huber_deriv(scale * s - b[i], theta)
             acc += phi
         total += ai * (acc / eta1)
@@ -287,9 +302,8 @@ def stochastic_grad_component(evalx: Callable[[Prefix], float],
     """
     inst = sim.instance
     draws = conditional_draws(sim, memo, prefix, k, config)
-    aleph = memo.aleph(config, inst.T, k)
     z_s, a_s = node_values(sim, prefix)
-    return grad_component(z_s, a_s, draws, aleph, _checked_eval(evalx),
+    return grad_component(z_s, a_s, draws, _checked_eval(evalx),
                           inst.b, inst.T, config.eta1, config.eta2,
                           config.theta, inst.iota)
 
@@ -305,14 +319,19 @@ def _extrapolation(memo: MemoTable, beta: float, k: int):
 
 
 def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
-                   k: int, config: SolverConfig) -> None:
-    """Fill memo[(prefix, k)] assuming every dependency is already present."""
+                   k: int, config: SolverConfig,
+                   draws: tuple[PathDraw, ...] | None = None) -> None:
+    """Fill memo[(prefix, k)] assuming every dependency is already present.
+
+    ``draws`` is the level-(k-1) draw set of the prefix when the caller
+    already holds it; otherwise it is fetched here.
+    """
     beta = config.beta(k - 1)
-    draws = conditional_draws(sim, memo, prefix, k - 1, config)
-    aleph = memo.aleph(config, sim.instance.T, k - 1)
+    if draws is None:
+        draws = conditional_draws(sim, memo, prefix, k - 1, config)
     z_s, a_s = node_values(sim, prefix)
     evalx = _checked_eval(_extrapolation(memo, beta, k - 1))
-    ghat = grad_component(z_s, a_s, draws, aleph, evalx, sim.instance.b,
+    ghat = grad_component(z_s, a_s, draws, evalx, sim.instance.b,
                           sim.instance.T, config.eta1, config.eta2,
                           config.theta, sim.instance.iota)
     xk = memo.value(prefix, k - 1)
@@ -321,13 +340,12 @@ def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
                                 + config.alpha * ghat))
 
 
-def _needed_times(a_s: Sequence[tuple[int, float]], draw: PathDraw,
-                  aleph: frozenset[int]) -> list[int]:
+def _needed_times(a_s: Sequence[tuple[int, float]],
+                  draw: PathDraw) -> list[int]:
     ts: set[int] = set()
     for i, _ in a_s:
-        for t in draw.times.get(i, ()):
-            if t in aleph:
-                ts.add(t)
+        for t, _ in draw.terms.get(i, ()):
+            ts.add(t)
     return sorted(ts)
 
 
@@ -343,29 +361,27 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
     """
     if k <= 0:
         return 0.0
-    inst = sim.instance
-    stack: list[list] = [[prefix, k, False]]
+    # a frame is [prefix, level, draw set once expanded, else None]
+    stack: list[list] = [[prefix, k, None]]
     while stack:
         frame = stack[-1]
-        S, kk, expanded = frame
+        S, kk, draws = frame
         if memo.has(S, kk):
             stack.pop()
             continue
-        if not expanded:
-            frame[2] = True
-            draws = conditional_draws(sim, memo, S, kk - 1, config)
-            aleph = memo.aleph(config, inst.T, kk - 1)
+        if draws is None:
+            draws = frame[2] = conditional_draws(sim, memo, S, kk - 1, config)
             _, a_s = node_values(sim, S)
             deps: list[tuple[Prefix, int]] = [(S, kk - 1)]
             if a_s:
                 for d in draws:
-                    for t in _needed_times(a_s, d, aleph):
+                    for t in _needed_times(a_s, d):
                         deps.append((d.traj.head(t), kk - 1))
             for dep_prefix, dep_k in reversed(deps):
                 if not memo.has(dep_prefix, dep_k):
-                    stack.append([dep_prefix, dep_k, False])
+                    stack.append([dep_prefix, dep_k, None])
         else:
-            _compute_entry(sim, memo, S, kk, config)
+            _compute_entry(sim, memo, S, kk, config, draws)
             stack.pop()
     return memo.value(prefix, k)
 
@@ -443,14 +459,15 @@ def leaf_grad_table(tree: ExplicitScenarioTree, prefix: Prefix,
     leaf_keys, cond = tree.leaves_under(prefix.key)
     scale = inst.T / config.eta2
     values = []
+    periods = range(1, inst.T + 1)
     for lk in leaf_keys:
         leaf = tree.node(lk).prefix
-        pd = PathDraw(leaf, tree.readout(leaf))
+        pd = PathDraw(leaf, [(t, tree.node(leaf.head(t)).a) for t in periods])
         total = 0.0
         for i, ai in node.a:
             s = 0.0
-            for t in pd.times.get(i, ()):
-                s += pd.a_value(t, i) * x[leaf.head(t).key]
+            for t, v in pd.terms.get(i, ()):
+                s += v * x[leaf.head(t).key]
             acc = huber_deriv(scale * s - inst.b[i], config.theta)
             total += ai * (acc / 1)  # mirrors grad_component's acc / eta1
         values.append(node.z - 2.0 / inst.iota * total)

@@ -89,3 +89,17 @@ class UniformStream:
 def uniform(*parts: KeyPart) -> float:
     """One U[0,1) variate as a pure function of the draw key."""
     return UniformStream(*parts).next()
+
+
+def uniforms(n: int, *parts: KeyPart) -> list[float]:
+    """The first n values of ``UniformStream(*parts).next()``, in one call."""
+    blocks = (n + 3) // 4
+    # block c hashes digest || c; the digest's part of the state is shared
+    seeded = hashlib.blake2b(key_digest(*parts), digest_size=32)
+    raw = []
+    for c in range(blocks):
+        h = seeded.copy()
+        h.update(c.to_bytes(8, "little"))
+        raw.append(h.digest())
+    words = struct.unpack(f"<{4 * blocks}Q", b"".join(raw))
+    return [(w >> 11) * _INV_2_53 for w in words[:n]]

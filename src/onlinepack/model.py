@@ -119,7 +119,13 @@ class Prefix:
         return p
 
     def extend(self, observation: Sequence[float]) -> "Prefix":
-        return Prefix(self.obs + (tuple(observation),))
+        """This prefix and one more row; only the new row is checked."""
+        row = _canonical_observation(observation)
+        if self.obs and len(row) != len(self.obs[0]):
+            raise InstanceError("ragged observation matrix")
+        header = struct.pack("<II", len(row), len(self.obs) + 1)
+        key = header + self.key[8:] + struct.pack(f"<{len(row)}d", *row)
+        return Prefix._trusted(self.obs + (row,), key)
 
     def startswith(self, other: "Prefix") -> bool:
         return self.obs[: len(other.obs)] == other.obs
@@ -221,10 +227,12 @@ class SimulatorHandle:
     ``readout(prefix)`` returns rewards and r.c.v.s along any in-support
     prefix.  The optional ``node(prefix)`` returns ``(Z, a)`` of the
     prefix's final period only -- exactly ``readout(prefix).reward(t)`` and
-    ``.rcv(t)`` with t = len(prefix) -- in time independent of t; without
-    it, ``node_values`` falls back to a full readout.  Matching-style
-    encodings attach ``partite_of`` (IS) or ``block_lookup`` (MMO block
-    window and offline endpoints).
+    ``.rcv(t)`` with t = len(prefix) -- in time independent of t.  The
+    engine indexes each completion through it at the eta2 sampled periods
+    only, which keeps that O(eta2); without it, ``node_values`` falls back
+    to a full readout and a completion is indexed from one readout.
+    Matching-style encodings attach ``partite_of`` (IS) or ``block_lookup``
+    (MMO block window and offline endpoints).
     """
 
     instance: InstanceSpec
@@ -482,8 +490,13 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
             j = len(leaves) - 1
         return leaves[j]
 
+    nodes = tree._nodes
+
     def node(prefix: Prefix):
-        nd = tree.node(prefix)
+        # the hottest lookup on tree decision paths, so tree.node is inlined
+        nd = nodes.get(prefix.key)
+        if nd is None:
+            raise SupportError("prefix not in the support of the tree")
         return nd.z, nd.a
 
     return SimulatorHandle(
@@ -606,11 +619,17 @@ class _NrmTables:
         self.rows = tuple((float(e),) for e in range(n_events))
         self._event_of_row = {row: e for e, row in enumerate(self.rows)}
 
+    def weight(self, regime: int, e: int, count: int) -> float:
+        """Unnormalized weight of event e after ``count`` occurrences of it."""
+        return self.base[regime][e] * (1.0 + _NRM_URN_BONUS * count)
+
+    def weights(self, counts: Sequence[int], regime: int) -> list[float]:
+        return [self.weight(regime, e, c) for e, c in enumerate(counts)]
+
     def law(self, counts: Sequence[int], regime: int) -> list[float]:
         """Next-event probabilities after a history with these event counts;
         ``regime`` is the parity of the shock-event count."""
-        w = [self.base[regime][e] * (1.0 + _NRM_URN_BONUS * counts[e])
-             for e in range(self.n_events)]
+        w = self.weights(counts, regime)
         # plain left-to-right sum: sum() of floats is compensated on newer
         # Pythons, which would change the probabilities' bits
         total = 0.0
@@ -673,30 +692,39 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
     instance = InstanceSpec(T=T, m=m, b=b, L=L, iota=iota)
     packed = [struct.pack("<d", row[0]) for row in tables.rows]
     shock = tables.shock_event
+    weight = tables.weight
 
     def complete(prefix: Prefix, key: tuple) -> Trajectory:
+        # the same arithmetic as sampling from tables.law(counts, regime) at
+        # every step, bit for bit: only the drawn event's weight changes,
+        # except on a regime flip, and each probability is divided out only
+        # as far as the cumulative search reaches
         counts, regime = tables.counts_of(prefix)
-        stream = keys.UniformStream(*key)
+        w = tables.weights(counts, regime)
         new_events = []
-        for _ in range(T - len(prefix)):
-            probs = tables.law(counts, regime)
-            u = stream.next()
+        for u in keys.uniforms(T - len(prefix), *key):
+            total = 0.0
+            for x in w:
+                total += x
             acc = 0.0
             e = n_events - 1
-            for cand, p in enumerate(probs):
-                acc += p
+            for cand, x in enumerate(w):
+                acc += x / total
                 if u < acc:
                     e = cand
                     break
             counts[e] += 1
             if e == shock:
                 regime ^= 1
+                w = tables.weights(counts, regime)
+            else:
+                w[e] = weight(regime, e, counts[e])
             new_events.append(e)
         # event rows are canonical one-entry floats, so the trajectory's key
         # is the prefix's doubles followed by the new ones
-        rows = prefix.obs + tuple(tables.rows[e] for e in new_events)
+        rows = prefix.obs + tuple(map(tables.rows.__getitem__, new_events))
         key = struct.pack("<II", 1, len(rows)) + prefix.key[8:] + \
-            b"".join(packed[e] for e in new_events)
+            b"".join(map(packed.__getitem__, new_events))
         return Prefix._trusted(rows, key)
 
     def readout(prefix: Prefix) -> Readout:

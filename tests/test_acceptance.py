@@ -6,6 +6,7 @@ theory schedules, so acceptance works at desk scale: exact formula checks,
 oracle equivalence, and property audits with pinned tolerances.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from onlinepack.encodings import (encode_is, encode_mmo, encode_mwm,
                                   random_is_process, random_mmo_process,
                                   random_mwm_process)
 from onlinepack.engine import (MemoTable, SolverConfig, averaged_solution,
-                               decide_pen, leaf_grad_table, recursive_R,
+                               conditional_draws, decide_pen, leaf_grad_table,
+                               recursive_R,
                                run_algorithm1_explicit,
                                stochastic_grad_component, theory_params,
                                theta_default)
@@ -262,6 +264,36 @@ def test_c06_operation_count_horizon_independent(monkeypatch):
            rows[25] == rows[200] == 0,
            f"rows canonicalized in 3 decisions at T=25/200 = "
            f"{rows[25]}/{rows[200]}")
+
+
+def test_c06_node_lookups_per_draw_equal_eta2():
+    """Indexing a completion reads its eta2 sampled periods, at any T."""
+    per_draw = {}
+    for T in (25, 200):
+        sim = generate_nrm(seed=5, T=T, m=3, L=2, iota=0.3, budget_ratio=0.5,
+                           mode="generative", n_events=4)
+        lookups = [0]
+
+        def node(prefix, raw=sim.node):
+            lookups[0] += 1
+            return raw(prefix)
+
+        def readout(prefix):
+            raise AssertionError("full readout on the decision path")
+
+        sim = dataclasses.replace(sim, node=node, readout=readout)
+        cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.1, K=3, eta1=2,
+                           eta2=3, master_seed=7, practical_override=True)
+        memo = MemoTable()
+        traj = sim.complete(EMPTY_PREFIX, (7, "episode", 0))
+        for t in range(1, 4):
+            for k in range(3):
+                conditional_draws(sim, memo, traj.head(t), k, cfg)
+        per_draw[T] = lookups[0] / len(memo._paths)
+    report("criterion 6c (horizon-independent completion indexing)",
+           per_draw[25] == per_draw[200] == 3,
+           f"node lookups per indexed completion at T=25/200 = "
+           f"{per_draw[25]}/{per_draw[200]} with eta2 = 3")
 
 
 def _gap_check(tree, seed):

@@ -16,7 +16,8 @@ from onlinepack import keys
 from onlinepack.encodings import (encode_is, encode_mmo, encode_mwm,
                                   random_is_process, random_mmo_process,
                                   random_mwm_process)
-from onlinepack.model import (EMPTY_PREFIX, Prefix, generate_nrm,
+from onlinepack.errors import InstanceError
+from onlinepack.model import (EMPTY_PREFIX, Prefix, _NrmTables, generate_nrm,
                               generative_payload, load_instance_payload,
                               node_values, tree_as_simulator, tree_to_payload)
 
@@ -111,6 +112,38 @@ def test_head_equals_rebuilt_prefix(rows):
         assert h.head(t) is h
 
 
+# -- Prefix.extend ----------------------------------------------------------
+
+_entries = st.one_of(_finite, st.just(-0.0), st.just(float("nan")),
+                     st.just(float("inf")), st.just(float("-inf")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_matrices(), st.lists(_entries, max_size=4))
+def test_extend_equals_rebuilt_prefix(rows, row):
+    p = Prefix(rows)
+    for base in (p, EMPTY_PREFIX):
+        try:
+            ref = Prefix(base.obs + (row,))
+        except InstanceError as exc:  # non-finite entry or ragged row
+            with pytest.raises(InstanceError) as info:
+                base.extend(row)
+            assert str(info.value) == str(exc)
+            continue
+        q = base.extend(row)
+        assert q.key == ref.key
+        assert hash(q) == hash(ref)
+        assert q == ref
+        assert q.obs == ref.obs
+        assert q.head(len(base)) == base
+
+
+def test_extend_collapses_negative_zero():
+    p = Prefix([[1.0, 2.0]]).extend((-0.0, 3.0))
+    assert p == Prefix([[1.0, 2.0], [0.0, 3.0]])
+    assert EMPTY_PREFIX.extend((-0.0,)).key == Prefix([[0.0]]).key
+
+
 # -- node_values ------------------------------------------------------------
 
 
@@ -161,3 +194,64 @@ def test_handles_carry_node_lookup(nrm_tree):
     ]
     for sim in sims:
         assert sim.node is not None
+
+
+# -- generative NRM completion ---------------------------------------------
+
+
+def _reference_nrm_complete(tables, T, prefix, key):
+    """Completion by definition: the full law, then one uniform, per step."""
+    counts, regime = tables.counts_of(prefix)
+    stream = keys.UniformStream(*key)
+    rows = list(prefix.obs)
+    for _ in range(T - len(prefix)):
+        probs = tables.law(counts, regime)
+        u = stream.next()
+        acc = 0.0
+        e = tables.n_events - 1
+        for cand, p in enumerate(probs):
+            acc += p
+            if u < acc:
+                e = cand
+                break
+        counts[e] += 1
+        if e == tables.shock_event:
+            regime ^= 1
+        rows.append(tables.rows[e])
+    return Prefix(rows)
+
+
+@st.composite
+def _nrm_cases(draw):
+    n_events = draw(st.integers(2, 5))
+    T = draw(st.integers(1, 60))
+    # weight the shock event (the last code) heavily so regimes flip often
+    codes = st.one_of(st.just(n_events - 1), st.integers(0, n_events - 1))
+    events = draw(st.lists(codes, max_size=T))
+    key = (draw(st.integers(0, 2**63 - 1)), draw(st.integers(0, 50)))
+    return draw(st.integers(0, 1000)), n_events, T, events, key
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nrm_cases())
+def test_generative_nrm_complete_matches_per_step_law(case):
+    seed, n_events, T, events, key = case
+    sim = generate_nrm(seed=seed, T=T, m=3, L=2, iota=0.3, budget_ratio=0.5,
+                       mode="generative", n_events=n_events)
+    tables = _NrmTables(seed, 3, 2, 0.3, n_events)
+    prefix = Prefix([(float(e),) for e in events])
+    traj = sim.complete(prefix, key)
+    ref = _reference_nrm_complete(tables, T, prefix, key)
+    assert traj.key == ref.key and traj.obs == ref.obs
+
+
+# -- bulk uniforms ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("parts", [(0,), (b"\x01" * 16, 3), (9, "traj", 2)])
+def test_bulk_uniforms_equal_stream(parts):
+    for n in range(41):
+        stream = keys.UniformStream(*parts)
+        expected = [stream.next() for _ in range(n)]
+        got = keys.uniforms(n, *parts)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]

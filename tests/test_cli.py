@@ -5,7 +5,9 @@ import pytest
 from onlinepack import keys, load_instance
 from onlinepack.cli import main
 from onlinepack.encodings import encode_is, random_is_process
+from onlinepack.engine import SolverConfig
 from onlinepack.model import EMPTY_PREFIX, tree_to_payload
+from onlinepack.policies import new_episode_context, policy_nrm
 
 
 def run_cli(*argv):
@@ -109,6 +111,34 @@ class TestRun:
         for field in ("t", "prefix_id", "fractional", "decision", "remaining",
                       "sim_calls", "writes"):
             assert field in rec
+
+    def test_trace_counters_are_per_decision(self, tmp_path, capsys):
+        inst = tmp_path / "gen.json"
+        run_cli("gen", "--kind", "nrm", "--mode", "generative", "--seed", "2",
+                "--T", "6", "--out", str(inst))
+        solver = {"epsilon": 0.2, "theta": 0.3, "alpha": 0.1, "K": 2,
+                  "eta1": 2, "eta2": 2, "master_seed": 3,
+                  "practical_override": True}
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps({"instance": str(inst), "policy": "nrm",
+                                   "solver": solver, "n_episodes": 2}))
+        trace = tmp_path / "trace.jsonl"
+        assert run_cli("run", "--config", str(exp), "--trace", str(trace)) == 0
+        recs = [json.loads(line) for line in trace.read_text().splitlines()]
+        sim = load_instance(inst).sim
+        config = SolverConfig(**solver)
+        for e in range(2):
+            # the same episode replayed in the library gives the memo totals
+            traj = sim.complete(EMPTY_PREFIX, (3, "episode", e))
+            ctx = new_episode_context(sim, config, e)
+            for t in range(1, 7):
+                policy_nrm(ctx, sim, traj.head(t), config)
+            totals = ctx.memo.counters()
+            mine = [r for r in recs if r["episode"] == e]
+            assert len(mine) == 6
+            assert totals["sim_calls"] > 0
+            for name, total in totals.items():
+                assert sum(r[name] for r in mine) == total
 
     def test_trace_prefix_ids_distinguish_prefixes(self, tmp_path, capsys):
         inst = tmp_path / "gen.json"

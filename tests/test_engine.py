@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,6 +133,26 @@ class TestConditionalDraws:
         assert abs(p0 - 0.5) <= 3 * sigma and abs(p1 - 0.5) <= 3 * sigma
         # joint frequency factorizes if the streams are independent
         assert abs(joint / n - p0 * p1) <= 3 * sigma
+
+    def test_handle_without_node_indexes_from_one_readout(self):
+        tree = random_tree(seed=22, T=5, m=2)
+        sim = tree_as_simulator(tree)
+        readouts = [0]
+
+        def readout(prefix):
+            readouts[0] += 1
+            return tree.readout(prefix)
+
+        bare = dataclasses.replace(sim, node=None, readout=readout)
+        cfg = make_config(eta1=3, eta2=3)
+        memo, bare_memo = MemoTable(), MemoTable()
+        for p in tree.prefixes()[:6]:
+            for k in range(4):
+                with_node = conditional_draws(sim, memo, p, k, cfg)
+                without = conditional_draws(bare, bare_memo, p, k, cfg)
+                assert [(d.traj, d.terms) for d in with_node] == \
+                    [(d.traj, d.terms) for d in without]
+        assert readouts[0] == len(bare_memo._paths)
 
     def test_draws_start_with_prefix(self):
         tree = random_tree(seed=21, T=4, m=2)
