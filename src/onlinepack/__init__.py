@@ -14,9 +14,9 @@ from .oracle import (EvalReport, eval_policy_exact, eval_policy_mc,
                      solve_pen_lp)
 from .penalty import (aggregate_violation, eval_f, eval_f_theta,
                       exact_grad_f_theta, huber, huber_deriv)
-from .policies import (EpisodeContext, FeasState, feas_step, feas_table,
-                       floor_policy, mwm_scaled_epsilon, new_episode_context,
-                       policy_is, policy_lp, policy_mmo_greedy, policy_mwmlp,
-                       policy_nrm, round_bernoulli)
+from .policies import (EpisodeContext, FeasState, feas_table, floor_policy,
+                       mwm_scaled_epsilon, new_episode_context, policy_is,
+                       policy_lp, policy_mmo_greedy, policy_mwmlp, policy_nrm,
+                       round_bernoulli)
 
 __version__ = "0.1.0"

@@ -119,21 +119,23 @@ def sample_index_set(config: SolverConfig, T: int, k: int) -> IndexSample:
 class PathDraw:
     """One conditional completion, indexed at the periods the estimator reads.
 
-    ``terms[i]`` lists the pairs (t, a_i(traj^t)) over the indexed periods t
-    at which the completion requests resource i, in ascending t.  Draws
-    index only the sampled periods of their level, so building one costs
-    O(eta2) node lookups, not O(T).
+    ``terms[i]`` lists the pairs (traj^t, a_i(traj^t)) over the indexed
+    periods t at which the completion requests resource i, in ascending t;
+    traj^t is the length-t head of ``traj``, one shared object per period,
+    so readers take the prefixes from the terms.  Draws index only the
+    sampled periods of their level, so building one costs O(eta2) node
+    lookups, not O(T).
     """
 
     __slots__ = ("traj", "terms")
 
     def __init__(self, traj: Prefix,
-                 rcvs: Iterable[tuple[int, Sequence[tuple[int, float]]]]):
-        """``rcvs`` yields (t, sparse r.c.v. of period t) in ascending t."""
-        terms: dict[int, list[tuple[int, float]]] = {}
-        for t, pairs in rcvs:
+                 rcvs: Iterable[tuple[Prefix, Sequence[tuple[int, float]]]]):
+        """``rcvs`` yields (traj^t, sparse r.c.v. of period t), ascending t."""
+        terms: dict[int, list[tuple[Prefix, float]]] = {}
+        for head, pairs in rcvs:
             for i, v in pairs:
-                terms.setdefault(i, []).append((t, v))
+                terms.setdefault(i, []).append((head, v))
         self.traj = traj
         self.terms = terms
 
@@ -152,22 +154,18 @@ class MemoTable:
     (memo, seed) episodes.
     """
 
-    __slots__ = ("entries", "draws", "_aleph", "_paths", "prefix_of", "writes",
-                 "hits", "misses", "sim_calls")
+    __slots__ = ("entries", "draws", "_aleph", "_paths", "writes", "hits",
+                 "misses", "sim_calls")
 
     def __init__(self):
         self.entries: dict[tuple[bytes, int], float] = {}
         self.draws: dict[tuple[bytes, int], tuple[PathDraw, ...]] = {}
         self._aleph: dict[int, tuple[int, ...]] = {}
         self._paths: dict[tuple[bytes, tuple[int, ...]], PathDraw] = {}
-        self.prefix_of: dict[bytes, Prefix] = {}
         self.writes = 0
         self.hits = 0
         self.misses = 0
         self.sim_calls = 0
-
-    def has(self, prefix: Prefix, k: int) -> bool:
-        return k <= 0 or (prefix.key, k) in self.entries
 
     def value(self, prefix: Prefix, k: int) -> float:
         if k <= 0:
@@ -181,7 +179,6 @@ class MemoTable:
         if not -_EVAL_TOL <= value <= 1 + _EVAL_TOL:
             raise MemoIntegrityError(f"iterate {value} escaped [0, 1]")
         self.entries[key] = value
-        self.prefix_of.setdefault(prefix.key, prefix)
         self.writes += 1
 
     def aleph(self, config: SolverConfig, T: int, k: int) -> tuple[int, ...]:
@@ -238,21 +235,25 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
 
 
 def _rcvs_at(sim: SimulatorHandle, traj: Prefix, periods: Sequence[int]):
-    """(t, r.c.v. of period t) along ``traj`` for each of ``periods``."""
+    """(traj^t, r.c.v. of period t) for each of ``periods``."""
+    heads = [traj.head(t) for t in periods]
     if sim.node is None:
         r = sim.readout(traj)
-        return [(t, r.rcv(t)) for t in periods]
+        return [(h, r.rcv(len(h))) for h in heads]
     node = sim.node
-    return [(t, node(traj.head(t))[1]) for t in periods]
+    return [(h, node(h)[1]) for h in heads]
+
+
+def _in_eval_range(v: float) -> float:
+    if not -1.0 - _EVAL_TOL <= v <= 2.0 + _EVAL_TOL:
+        raise ContractViolationError(
+            f"eval value {v} outside the extrapolation range [-1, 2]")
+    return v
 
 
 def _checked_eval(raw: Callable[[Prefix], float]) -> Callable[[Prefix], float]:
     def evalx(p: Prefix) -> float:
-        v = raw(p)
-        if not -1.0 - _EVAL_TOL <= v <= 2.0 + _EVAL_TOL:
-            raise ContractViolationError(
-                f"eval value {v} outside the extrapolation range [-1, 2]")
-        return v
+        return _in_eval_range(raw(p))
     return evalx
 
 
@@ -267,7 +268,8 @@ def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
     phi'_theta( (T/eta2) sum_{t in aleph ^ T_i(S')} a_i(S'^t) X(S'^t) - b_i ).
 
     The draws are indexed at the sampled periods aleph only, so their
-    ``terms`` already range over aleph ^ T_i(S').  The iteration order
+    ``terms`` already range over aleph ^ T_i(S'), and each term carries the
+    prefix S'^t that ``evalx`` reads.  The iteration order
     (resources ascending, draws in key order, periods ascending) is part of
     the bitwise-equivalence contract between the full-sweep and on-demand
     implementations.
@@ -283,8 +285,8 @@ def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
             phi = by_traj.get(d.traj.key)
             if phi is None:
                 s = 0.0
-                for t, v in d.terms.get(i, ()):
-                    s += v * evalx(d.traj.head(t))
+                for head, v in d.terms.get(i, ()):
+                    s += v * evalx(head)
                 phi = by_traj[d.traj.key] = huber_deriv(scale * s - b[i], theta)
             acc += phi
         total += ai * (acc / eta1)
@@ -313,9 +315,14 @@ def _clip01(v: float) -> float:
 
 
 def _extrapolation(memo: MemoTable, beta: float, k: int):
-    def raw(p: Prefix) -> float:
-        return (1.0 + beta) * memo.value(p, k) - beta * memo.value(p, k - 1)
-    return raw
+    """Checked evaluator of (1 + beta) X^k - beta X^(k-1); X^j = 0 for j <= 0."""
+    entries = memo.entries
+
+    def evalx(p: Prefix) -> float:
+        x = entries[(p.key, k)] if k > 0 else 0.0
+        y = entries[(p.key, k - 1)] if k > 1 else 0.0
+        return _in_eval_range((1.0 + beta) * x - beta * y)
+    return evalx
 
 
 def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
@@ -330,7 +337,7 @@ def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     if draws is None:
         draws = conditional_draws(sim, memo, prefix, k - 1, config)
     z_s, a_s = node_values(sim, prefix)
-    evalx = _checked_eval(_extrapolation(memo, beta, k - 1))
+    evalx = _extrapolation(memo, beta, k - 1)
     ghat = grad_component(z_s, a_s, draws, evalx, sim.instance.b,
                           sim.instance.T, config.eta1, config.eta2,
                           config.theta, sim.instance.iota)
@@ -340,13 +347,15 @@ def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
                                 + config.alpha * ghat))
 
 
-def _needed_times(a_s: Sequence[tuple[int, float]],
-                  draw: PathDraw) -> list[int]:
-    ts: set[int] = set()
-    for i, _ in a_s:
-        for t, _ in draw.terms.get(i, ()):
-            ts.add(t)
-    return sorted(ts)
+def _needed_heads(a_s: Sequence[tuple[int, float]],
+                  draw: PathDraw) -> list[Prefix]:
+    """The distinct prefixes in ``draw``'s terms for a_s's resources, by length."""
+    terms = draw.terms
+    if len(a_s) == 1:  # one resource's terms are already distinct and sorted
+        return [head for head, _ in terms.get(a_s[0][0], ())]
+    heads = {len(head.obs): head
+             for i, _ in a_s for head, _ in terms.get(i, ())}
+    return [heads[t] for t in sorted(heads)]
 
 
 def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
@@ -361,25 +370,27 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
     """
     if k <= 0:
         return 0.0
+    entries = memo.entries
     # a frame is [prefix, level, draw set once expanded, else None]
     stack: list[list] = [[prefix, k, None]]
     while stack:
         frame = stack[-1]
         S, kk, draws = frame
-        if memo.has(S, kk):
+        if (S.key, kk) in entries:
             stack.pop()
             continue
         if draws is None:
             draws = frame[2] = conditional_draws(sim, memo, S, kk - 1, config)
-            _, a_s = node_values(sim, S)
-            deps: list[tuple[Prefix, int]] = [(S, kk - 1)]
-            if a_s:
-                for d in draws:
-                    for t in _needed_times(a_s, d):
-                        deps.append((d.traj.head(t), kk - 1))
-            for dep_prefix, dep_k in reversed(deps):
-                if not memo.has(dep_prefix, dep_k):
-                    stack.append([dep_prefix, dep_k, None])
+            k_dep = kk - 1
+            if k_dep > 0:  # level 0 is implicitly zero: nothing to compute
+                _, a_s = node_values(sim, S)
+                deps = [S]
+                if a_s:
+                    for d in draws:
+                        deps += _needed_heads(a_s, d)
+                for dep in reversed(deps):
+                    if (dep.key, k_dep) not in entries:
+                        stack.append([dep, k_dep, None])
         else:
             _compute_entry(sim, memo, S, kk, config, draws)
             stack.pop()
@@ -462,12 +473,13 @@ def leaf_grad_table(tree: ExplicitScenarioTree, prefix: Prefix,
     periods = range(1, inst.T + 1)
     for lk in leaf_keys:
         leaf = tree.node(lk).prefix
-        pd = PathDraw(leaf, [(t, tree.node(leaf.head(t)).a) for t in periods])
+        pd = PathDraw(leaf, [(leaf.head(t), tree.node(leaf.head(t)).a)
+                             for t in periods])
         total = 0.0
         for i, ai in node.a:
             s = 0.0
-            for t, v in pd.terms.get(i, ()):
-                s += v * x[leaf.head(t).key]
+            for head, v in pd.terms.get(i, ()):
+                s += v * x[head.key]
             acc = huber_deriv(scale * s - inst.b[i], config.theta)
             total += ai * (acc / 1)  # mirrors grad_component's acc / eta1
         values.append(node.z - 2.0 / inst.iota * total)

@@ -19,29 +19,47 @@ import numpy as np
 KeyPart = int | str | bytes
 
 _INV_2_53 = 2.0 ** -53
+_blake2b = hashlib.blake2b
+_len4 = struct.Struct("<I").pack
+_word = struct.Struct("<Q").unpack_from
+_BLOCK0 = (0).to_bytes(8, "little")
+
+
+def _subclass_part(part) -> bytes:
+    """Serialization of a part whose type subclasses int, str or bytes."""
+    if isinstance(part, bool):
+        raise TypeError("bool key parts are ambiguous; use int")
+    if isinstance(part, int):
+        return b"i" + part.to_bytes(16, "little", signed=True)
+    if isinstance(part, str):
+        raw = part.encode("utf-8")
+        return b"s" + _len4(len(raw)) + raw
+    if isinstance(part, bytes):
+        return b"b" + _len4(len(part)) + part
+    raise TypeError(f"unsupported key part type: {type(part)!r}")
 
 
 def key_digest(*parts: KeyPart) -> bytes:
-    """16-byte digest of a structured draw key. Ints, strings, and bytes only."""
-    h = hashlib.blake2b(digest_size=16)
+    """16-byte digest of a structured draw key. Ints, strings, and bytes only.
+
+    Each part is tagged and, where its length varies, length-prefixed:
+    ``i`` + 16-byte signed little-endian int, ``s`` + 4-byte length + UTF-8,
+    ``b`` + 4-byte length + raw bytes.  The parts are concatenated and
+    hashed in one call.
+    """
+    buf = b""
     for part in parts:
-        if isinstance(part, bool):
-            raise TypeError("bool key parts are ambiguous; use int")
-        if isinstance(part, int):
-            h.update(b"i")
-            h.update(part.to_bytes(16, "little", signed=True))
-        elif isinstance(part, str):
+        tp = type(part)
+        if tp is bytes:
+            buf += b"b" + _len4(len(part)) + part
+        elif tp is int:
+            buf += b"i" + part.to_bytes(16, "little", signed=True)
+        elif tp is str:
             raw = part.encode("utf-8")
-            h.update(b"s")
-            h.update(len(raw).to_bytes(4, "little"))
-            h.update(raw)
-        elif isinstance(part, bytes):
-            h.update(b"b")
-            h.update(len(part).to_bytes(4, "little"))
-            h.update(part)
+            buf += b"s" + _len4(len(raw)) + raw
         else:
-            raise TypeError(f"unsupported key part type: {type(part)!r}")
-    return h.digest()
+            buf += _subclass_part(part)
+    return _blake2b(buf, digest_size=16).digest()
 
 
 def generator(*parts: KeyPart) -> np.random.Generator:
@@ -87,8 +105,12 @@ class UniformStream:
 
 
 def uniform(*parts: KeyPart) -> float:
-    """One U[0,1) variate as a pure function of the draw key."""
-    return UniformStream(*parts).next()
+    """One U[0,1) variate as a pure function of the draw key.
+
+    Equal to ``UniformStream(*parts).next()``: the first word of block 0.
+    """
+    block = _blake2b(key_digest(*parts) + _BLOCK0, digest_size=32).digest()
+    return (_word(block)[0] >> 11) * _INV_2_53
 
 
 def uniforms(n: int, *parts: KeyPart) -> list[float]:

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import struct
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -455,40 +456,37 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
     """Wrap an explicit tree as a SimulatorHandle.
 
     Completion samples a leaf from the conditional leaf distribution under
-    the prefix (one uniform against the precomputed cumulative weights) and
-    returns the stored leaf prefix; readout returns the stored node values.
-    Zero-probability branches carry zero conditional mass and are never
-    sampled.
+    the prefix (one uniform against the cumulative weights, which are
+    computed once per prefix and kept as a list) and returns the stored
+    leaf prefix; readout returns the stored node values.  Zero-probability
+    branches carry zero conditional mass and are never sampled.
     """
-    cumdist: dict[bytes | None, tuple] = {}
+    T = tree.instance.T
+    cumdist: dict[bytes, tuple[tuple[Prefix, ...], list[float]]] = {}
 
-    def _cumulative(node_key: bytes | None):
-        cached = cumdist.get(node_key)
-        if cached is None:
-            if node_key is None:
-                leaf_keys = tree.leaf_keys
-                probs = np.array([tree.node(k).mu for k in leaf_keys])
-            else:
-                leaf_keys, probs = tree.leaves_under(node_key)
-            cum = np.cumsum(probs)
-            total = cum[-1] if len(cum) else 0.0
-            if total <= 0.0:
-                raise SupportError("no positive-probability continuation")
-            leaves = tuple(tree.node(k).prefix for k in leaf_keys)
-            cached = cumdist[node_key] = (leaves, cum, float(total))
-        return cached
+    def _cumulative(prefix: Prefix):
+        if len(prefix) == 0:
+            leaf_keys = tree.leaf_keys
+            probs = np.array([tree.node(k).mu for k in leaf_keys])
+        else:
+            leaf_keys, probs = tree.leaves_under(prefix.key)
+        cum = np.cumsum(probs)
+        if not len(cum) or cum[-1] <= 0.0:
+            raise SupportError("no positive-probability continuation")
+        return tuple(tree.node(k).prefix for k in leaf_keys), cum.tolist()
 
     def complete(prefix: Prefix, key: tuple) -> Trajectory:
-        if len(prefix) == tree.instance.T:
-            tree.node(prefix)  # support check only; nothing left to draw
-            return prefix
-        node_key = None if len(prefix) == 0 else tree.node(prefix).prefix.key
-        leaves, cum, total = _cumulative(node_key)
-        u = keys.UniformStream(*key).next() * total
-        j = int(np.searchsorted(cum, u, side="right"))
-        if j >= len(leaves):
-            j = len(leaves) - 1
-        return leaves[j]
+        cached = cumdist.get(prefix.key)
+        if cached is None:
+            if len(prefix) == T:
+                tree.node(prefix)  # support check only; nothing left to draw
+                return prefix
+            cached = cumdist[prefix.key] = _cumulative(prefix)
+        leaves, cum = cached
+        # bisect_right is searchsorted(side="right"); the clamp catches
+        # u * total rounding up to total
+        j = bisect_right(cum, keys.uniform(*key) * cum[-1])
+        return leaves[j if j < len(leaves) else -1]
 
     nodes = tree._nodes
 

@@ -63,11 +63,6 @@ class FeasState:
         return val
 
 
-def feas_step(state: FeasState, a, x: float) -> float:
-    """Functional alias for FeasState.step."""
-    return state.step(a, x)
-
-
 def feas_table(tree, x: Mapping[bytes, float]) -> dict[bytes, float]:
     """FEAS(X) at every prefix of an explicit tree, by forward recursion.
 

@@ -226,7 +226,7 @@ def test_c06_horizon_independence():
             decisions[T] = decide_pen(sim, memo, prefix, cfg)
             counts[T] = memo.sim_calls
             # the recursion must never leave the consumption window
-            depths = {len(memo.prefix_of[key]) for key, _ in memo.entries}
+            depths = {len(tree.node(key).prefix) for key, _ in memo.entries}
             assert max(depths) <= 4
         ok = ok and len(set(counts.values())) == 1 \
             and len(set(decisions.values())) == 1

@@ -2,24 +2,32 @@
 
 Every draw is a pure function of its key, so completions, truncations and
 node lookups must reproduce the same bits however they are computed.  The
-golden digests below pin the trajectories that fixed draw keys select; the
-properties check that the cheap paths (``Prefix.head``, ``node_values``)
-agree with their from-scratch definitions.
+golden digests below pin key serialization and the trajectories that fixed
+draw keys select; the properties check that the cheap paths
+(``Prefix.head``, ``node_values``, ``keys.uniform``, the tree's ``bisect``
+draw, the prefixes carried by ``PathDraw`` terms) agree with their
+from-scratch definitions.
 """
 
+import bisect
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_tree
 from onlinepack import keys
+from onlinepack.engine import MemoTable, SolverConfig, conditional_draws
 from onlinepack.encodings import (encode_is, encode_mmo, encode_mwm,
                                   random_is_process, random_mmo_process,
                                   random_mwm_process)
-from onlinepack.errors import InstanceError
-from onlinepack.model import (EMPTY_PREFIX, Prefix, _NrmTables, generate_nrm,
-                              generative_payload, load_instance_payload,
-                              node_values, tree_as_simulator, tree_to_payload)
+from onlinepack.errors import InstanceError, SupportError
+from onlinepack.model import (EMPTY_PREFIX, Prefix, TreeBuilder, _NrmTables,
+                              generate_nrm, generative_payload,
+                              load_instance_payload, node_values,
+                              tree_as_simulator, tree_to_payload)
 
 
 def _digest(prefix: Prefix) -> str:
@@ -255,3 +263,154 @@ def test_bulk_uniforms_equal_stream(parts):
         expected = [stream.next() for _ in range(n)]
         got = keys.uniforms(n, *parts)
         assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+# -- key digests and single uniforms -----------------------------------------
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("parts, digest", [
+    ((0,), "76f48c88ad3457b8d0fbf732a5583e64"),
+    ((-1,), "9d90b58a4b41f7c283c776ad71c69bd8"),
+    ((-2**127,), "c6765c32e652f334d1edb9ebf32c737a"),
+    ((2**127 - 1,), "acf4809ea5e49e1f661271f38e5770fb"),
+    ((1, -7, 123456789012345678901234567890),
+     "5c0a9f5f0f58fc3a3ac9a9df6d93fc11"),
+    (("",), "18ab59bbcde6ecef01632569fdff8f6c"),
+    (("traj",), "552c5cf653e8b7892e482e38b3815acd"),
+    (("h\u00e9llo \u2713 \u6570",), "988a4699ef2a0f2dbf1a020c30099bcf"),
+    ((b"",), "1916a86a7a659dae7bd3cc01b33b50ee"),
+    ((b"\x00\xff" * 9,), "29355c9e230a840409f9c2dd51ab8856"),
+    ((_Int(5),), "794d12e026556ad88fd7f051119fd1fd"),
+    ((5,), "794d12e026556ad88fd7f051119fd1fd"),
+    ((1, "traj", 3, b"", -4, "\u00e9"), "6bf5c6198137edb34062db30f7b1c1e1"),
+])
+def test_key_digest_golden(parts, digest):
+    assert keys.key_digest(*parts).hex() == digest
+
+
+@pytest.mark.parametrize("bad", [True, False, bytearray(b"ab"), 1.0, None])
+def test_key_digest_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        keys.key_digest(1, bad)
+
+
+_key_parts = st.lists(st.one_of(st.integers(-2**127, 2**127 - 1), st.text(),
+                                st.binary()), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_parts)
+def test_uniform_equals_stream_first_value(parts):
+    expected = keys.UniformStream(*parts).next()
+    assert keys.uniform(*parts).hex() == expected.hex()
+
+
+# -- tree completion ----------------------------------------------------------
+
+
+@st.composite
+def _masses_trees(draw):
+    """A small tree whose children carry random masses, some of them zero."""
+    T = draw(st.integers(1, 3))
+    tb = TreeBuilder(T=T, m=1, b=(1.0,), L=1, iota=1.0)
+    counter = [0]
+
+    def expand(parent, depth):
+        # integer weights 0..4, at least one positive, normalized
+        n = draw(st.integers(1, 4))
+        weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                       .filter(lambda w: sum(w) > 0))
+        total = sum(weights)
+        for w in weights:
+            counter[0] += 1
+            child = tb.add(parent, (float(counter[0]),), w / total, z=0.5,
+                           a={0: 1.0})
+            if depth + 1 < T:
+                expand(child, depth + 1)
+
+    expand(None, 0)
+    return tb.build()
+
+
+def _reference_leaf(tree, prefix, u):
+    """The leaf complete() selects for uniform u, by np.searchsorted."""
+    if len(prefix) == 0:
+        leaf_keys = tree.leaf_keys
+        probs = np.array([tree.node(k).mu for k in leaf_keys])
+    else:
+        leaf_keys, probs = tree.leaves_under(prefix.key)
+    cum = np.cumsum(probs)
+    j = int(np.searchsorted(cum, u * float(cum[-1]), side="right"))
+    return leaf_keys[min(j, len(leaf_keys) - 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_masses_trees(), st.integers(0, 2**63 - 1))
+def test_tree_complete_matches_searchsorted(tree, seed):
+    sim = tree_as_simulator(tree)
+    for prefix in [EMPTY_PREFIX] + tree.prefixes():
+        if len(prefix) == tree.instance.T:
+            continue
+        if len(prefix) and tree.mu(prefix) <= 0.0:
+            with pytest.raises(SupportError):
+                sim.complete(prefix, (seed, 1))
+            continue
+        for j in range(3):
+            key = (keys.key_digest(seed, "traj", 0, prefix.key), j)
+            traj = sim.complete(prefix, key)
+            assert traj.key == _reference_leaf(
+                tree, prefix, keys.UniformStream(*key).next())
+            assert tree.mu(traj) > 0.0
+
+
+def test_tree_complete_on_cumulative_boundary(monkeypatch):
+    # leaf masses 1/4, 0, 1/4, 1/2: u = 1/4 and 1/2 land exactly on the
+    # cumulative weights, and side="right" skips the zero-mass leaf
+    tb = TreeBuilder(T=1, m=1, b=(1.0,), L=1, iota=1.0)
+    leaves = [tb.add(None, (float(c),), p, z=0.5, a={0: 1.0})
+              for c, p in enumerate((0.25, 0.0, 0.25, 0.5))]
+    tree = tb.build()
+    sim = tree_as_simulator(tree)
+    for u, expected in ((0.0, 0), (0.25, 2), (0.5, 3), (0.75, 3),
+                        (1.0 - 2.0 ** -53, 3)):
+        monkeypatch.setattr(keys, "uniform", lambda *parts, u=u: u)
+        traj = sim.complete(EMPTY_PREFIX, (b"k", 1))
+        assert traj == leaves[expected]
+        assert traj.key == _reference_leaf(tree, EMPTY_PREFIX, u)
+        assert bisect.bisect_right([0.25, 0.25, 0.5, 1.0], u) == \
+            np.searchsorted([0.25, 0.25, 0.5, 1.0], u, side="right")
+
+
+# -- PathDraw terms -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("use_node", [True, False])
+def test_path_draw_terms_carry_trajectory_heads(nrm_tree, use_node):
+    sim = tree_as_simulator(nrm_tree)
+    if not use_node:
+        sim = dataclasses.replace(sim, node=None)
+    T = nrm_tree.instance.T
+    cfg = SolverConfig(epsilon=0.1, theta=0.5, alpha=0.1, K=3, eta1=4,
+                       eta2=3, master_seed=1, practical_override=True)
+    memo = MemoTable()
+    seen = 0
+    for prefix in nrm_tree.prefixes()[:40]:
+        for k in range(3):
+            aleph = memo.aleph(cfg, T, k)
+            for d in conditional_draws(sim, memo, prefix, k, cfg):
+                expected: dict[int, list] = {}
+                for t in aleph:
+                    for i, v in nrm_tree.node(d.traj.head(t)).a:
+                        expected.setdefault(i, []).append((t, v))
+                assert {i: [(len(h), v) for h, v in terms]
+                        for i, terms in d.terms.items()} == expected
+                for terms in d.terms.values():
+                    for head, _ in terms:
+                        assert head is d.traj.head(len(head))
+                        assert head.key == Prefix(d.traj.obs[:len(head)]).key
+                        seen += 1
+    assert seen > 0
