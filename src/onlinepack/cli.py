@@ -23,9 +23,11 @@ from .model import (LoadedInstance, demo_tree, derive_structure_constants,
 from .oracle import (eval_policy_mc, reports_to_csv, solve_lp_explicit,
                      solve_pack_dp, solve_pen_lp)
 from .policies import (mwm_scaled_epsilon, new_episode_context, policy_is,
-                       policy_lp, policy_mmo_greedy, policy_mwmlp, policy_nrm)
+                       policy_lp, policy_mmo_greedy, policy_nrm)
 
-_POLICIES = ("lp", "nrm", "is", "mwmlp", "mmo-greedy")
+# policy name -> decision function; mwmlp is lp under mwm_scaled_epsilon
+_POLICIES = {"lp": policy_lp, "nrm": policy_nrm, "is": policy_is,
+             "mwmlp": policy_lp, "mmo-greedy": policy_mmo_greedy}
 
 
 def _load(path: str) -> LoadedInstance:
@@ -76,13 +78,7 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
     solution = None
     if loaded.tree is not None and len(loaded.tree) <= _ALG1_NODE_CAP:
         solution = averaged_solution(loaded.tree, config)
-    policy_fn = {
-        "lp": policy_lp,
-        "nrm": policy_nrm,
-        "is": policy_is,
-        "mwmlp": policy_mwmlp,
-        "mmo-greedy": policy_mmo_greedy,
-    }[name]
+    policy_fn = _POLICIES[name]
     if name == "is" and sim.partite_of is None:
         raise ConfigError("policy 'is' needs an independent-set encoded instance")
     if name == "mmo-greedy" and sim.block_lookup is None:

@@ -83,16 +83,8 @@ class SolverConfig:
         return cls(**json.loads(text))
 
 
-@dataclass(frozen=True)
-class IndexSample:
-    """The shared period subsample for one iteration."""
-
-    k: int
-    indices: tuple[int, ...]
-
-
-def sample_index_set(config: SolverConfig, T: int, k: int) -> IndexSample:
-    """eta2 distinct periods from {1..T}, a pure function of (master_seed, k).
+def sample_index_set(config: SolverConfig, T: int, k: int) -> tuple[int, ...]:
+    """eta2 distinct periods from {1..T}, sorted; pure in (master_seed, k).
 
     Uses Floyd's sampling, so the cost is O(eta2) independent of T.  The
     same set is shared across all prefixes and solution vectors within an
@@ -104,7 +96,7 @@ def sample_index_set(config: SolverConfig, T: int, k: int) -> IndexSample:
     if eta2 > T:
         raise ParameterError(f"eta2 = {eta2} exceeds horizon T = {T}")
     if eta2 == T:
-        return IndexSample(k, tuple(range(1, T + 1)))
+        return tuple(range(1, T + 1))
     gen = keys.generator(config.master_seed, "aleph", k)
     chosen: set[int] = set()
     for j in range(T - eta2 + 1, T + 1):
@@ -113,7 +105,7 @@ def sample_index_set(config: SolverConfig, T: int, k: int) -> IndexSample:
             chosen.add(j)
         else:
             chosen.add(t)
-    return IndexSample(k, tuple(sorted(chosen)))
+    return tuple(sorted(chosen))
 
 
 class PathDraw:
@@ -185,7 +177,7 @@ class MemoTable:
         """The sorted period subsample of level k."""
         cached = self._aleph.get(k)
         if cached is None:
-            cached = self._aleph[k] = sample_index_set(config, T, k).indices
+            cached = self._aleph[k] = sample_index_set(config, T, k)
         return cached
 
     def counters(self) -> dict[str, int]:
@@ -397,16 +389,21 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
     return memo.value(prefix, k)
 
 
+def _averaged(memo: MemoTable, prefix: Prefix, K: int) -> float:
+    """K^-1 sum_j X^j(prefix) over the memo entries, summed over j ascending."""
+    total = 0.0
+    for j in range(1, K + 1):
+        total += memo.value(prefix, j)
+    return _clip01(total / K)
+
+
 def decide_pen(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
                config: SolverConfig) -> float:
     """The penalty policy's fractional decision: the average of the K iterates."""
     if config.K < 1:
         raise ParameterError("decide_pen needs K >= 1")
     recursive_R(sim, memo, prefix, config.K, config)
-    total = 0.0
-    for j in range(1, config.K + 1):
-        total += memo.value(prefix, j)
-    return _clip01(total / config.K)
+    return _averaged(memo, prefix, config.K)
 
 
 def run_algorithm1_explicit(tree: ExplicitScenarioTree, config: SolverConfig,
@@ -435,21 +432,16 @@ def run_algorithm1_explicit(tree: ExplicitScenarioTree, config: SolverConfig,
 
 def averaged_solution(tree: ExplicitScenarioTree,
                       config: SolverConfig) -> dict[bytes, float]:
-    """K^-1 sum of the full-sweep iterates, the solution decide_pen plays.
+    """The solution decide_pen plays, at every positive-mass prefix.
 
-    Summation runs over j first per prefix, matching decide_pen's
-    accumulation order exactly.
+    Runs the full sweep into one ``MemoTable`` and averages each prefix's
+    K iterates from it with decide_pen's own routine, so the table equals
+    the streaming decisions bit for bit.
     """
-    iterates = run_algorithm1_explicit(tree, config)
-    out: dict[bytes, float] = {}
-    for S in tree.prefixes():
-        if tree.mu(S) <= 0.0:
-            continue
-        total = 0.0
-        for it in iterates:
-            total += it[S.key]
-        out[S.key] = _clip01(total / config.K)
-    return out
+    memo = MemoTable()
+    run_algorithm1_explicit(tree, config, memo)
+    return {S.key: _averaged(memo, S, config.K)
+            for S in tree.prefixes() if tree.mu(S) > 0.0}
 
 
 def leaf_grad_table(tree: ExplicitScenarioTree, prefix: Prefix,
@@ -457,32 +449,26 @@ def leaf_grad_table(tree: ExplicitScenarioTree, prefix: Prefix,
     """Per-completion values of the gradient integrand at a fixed solution.
 
     Requires eta2 = T (no period subsampling).  Returns (leaf keys,
-    conditional probabilities, values) where values[j] is exactly what
-    ``grad_component`` yields with eta1 = 1 when the single cached draw is
-    leaf j: the arithmetic mirrors grad_component term for term, so engine
-    draws can be cross-checked bitwise.  Used to scale up unbiasedness
-    statistics without paying the keyed-draw overhead per sample.
+    conditional probabilities, values) where values[j] is
+    ``grad_component`` with eta1 = 1 and leaf j, indexed at every period,
+    as the single draw; the solution is read unchecked.  The leaves are
+    enumerated here, not drawn, so engine draws can be cross-checked
+    against the table bitwise.  Used to scale up unbiasedness statistics
+    without paying the keyed-draw overhead per sample.
     """
     inst = tree.instance
     if config.eta2 != inst.T:
         raise ParameterError("leaf_grad_table requires eta2 = T")
     node = tree.node(prefix)
     leaf_keys, cond = tree.leaves_under(prefix.key)
-    scale = inst.T / config.eta2
     values = []
-    periods = range(1, inst.T + 1)
     for lk in leaf_keys:
         leaf = tree.node(lk).prefix
-        pd = PathDraw(leaf, [(leaf.head(t), tree.node(leaf.head(t)).a)
-                             for t in periods])
-        total = 0.0
-        for i, ai in node.a:
-            s = 0.0
-            for head, v in pd.terms.get(i, ()):
-                s += v * x[head.key]
-            acc = huber_deriv(scale * s - inst.b[i], config.theta)
-            total += ai * (acc / 1)  # mirrors grad_component's acc / eta1
-        values.append(node.z - 2.0 / inst.iota * total)
+        heads = [leaf.head(t) for t in range(1, inst.T + 1)]
+        pd = PathDraw(leaf, [(h, tree.node(h).a) for h in heads])
+        values.append(grad_component(node.z, node.a, (pd,), lambda p: x[p.key],
+                                     inst.b, inst.T, 1, config.eta2,
+                                     config.theta, inst.iota))
     return leaf_keys, cond, np.asarray(values)
 
 

@@ -27,7 +27,7 @@ from .errors import (CapacityError, ConvergenceError, FeasibilityAuditError,
                      InstanceError)
 from .model import (EMPTY_PREFIX, ExplicitScenarioTree, Prefix,
                     SimulatorHandle, derive_structure_constants)
-from .penalty import exact_grad_f_theta, eval_f_theta
+from .penalty import _reward, exact_grad_f_theta, eval_f_theta
 
 _AUDIT_TOL = 1e-9
 _DP_STATE_CAP = 1_000_000
@@ -311,14 +311,10 @@ def solve_pen_explicit(tree: ExplicitScenarioTree, theta: float,
 def eval_policy_exact(tree: ExplicitScenarioTree,
                       decisions: Mapping[bytes, float]) -> float:
     """Expected reward sum_S mu(S) Z(S) X(S) of a deterministic table."""
-    total = 0.0
-    for p in tree.prefixes():
-        node = tree.node(p)
-        try:
-            total += node.mu * node.z * decisions[p.key]
-        except KeyError:
-            raise InstanceError("policy table is missing a prefix") from None
-    return total
+    try:
+        return _reward(tree, decisions)
+    except KeyError:
+        raise InstanceError("policy table is missing a prefix") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ oracle ascent and as the reference for the stochastic estimator.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import ParameterError
 from .model import ExplicitScenarioTree, Prefix
@@ -55,52 +55,44 @@ def _leaf_loads(tree: ExplicitScenarioTree, leaf: Prefix, x: SolutionVector):
     return loads
 
 
-def eval_f_theta(tree: ExplicitScenarioTree, x: SolutionVector, theta: float) -> float:
-    """Smoothed penalty objective on an explicit tree."""
-    t0 = _check_theta(theta)
-    inst = tree.instance
+def _reward(tree: ExplicitScenarioTree, x: SolutionVector) -> float:
+    """Expected reward sum_S mu(S) Z(S) X(S), in prefix order."""
     reward = 0.0
     for p in tree.prefixes():
         node = tree.node(p)
         reward += node.mu * node.z * x[p.key]
-    pen = 0.0
-    for leaf in tree.leaves():
-        mu = tree.mu(leaf)
-        if mu == 0.0:
-            continue
-        loads = _leaf_loads(tree, leaf, x)
-        pen += mu * sum(huber(load - inst.b[i], t0) for i, load in sorted(loads.items()))
-    return reward - 2.0 / inst.iota * pen
+    return reward
 
 
-def eval_f(tree: ExplicitScenarioTree, x: SolutionVector) -> float:
-    """Unsmoothed penalty objective (the hinge penalty)."""
-    inst = tree.instance
-    reward = 0.0
-    for p in tree.prefixes():
-        node = tree.node(p)
-        reward += node.mu * node.z * x[p.key]
-    pen = 0.0
-    for leaf in tree.leaves():
-        mu = tree.mu(leaf)
-        if mu == 0.0:
-            continue
-        loads = _leaf_loads(tree, leaf, x)
-        pen += mu * sum(max(load - inst.b[i], 0.0) for i, load in sorted(loads.items()))
-    return reward - 2.0 / inst.iota * pen
-
-
-def aggregate_violation(tree: ExplicitScenarioTree, x: SolutionVector) -> float:
-    """Expected total hinge violation sum_S mu(S) sum_i (load_i - b_i)^+."""
-    inst = tree.instance
+def _penalty(tree: ExplicitScenarioTree, x: SolutionVector,
+             pen: Callable[[float], float]) -> float:
+    """sum over support leaves of mu * sum_i pen(load_i - b_i), resources ascending."""
+    b = tree.instance.b
     total = 0.0
     for leaf in tree.leaves():
         mu = tree.mu(leaf)
         if mu == 0.0:
             continue
         loads = _leaf_loads(tree, leaf, x)
-        total += mu * sum(max(load - inst.b[i], 0.0) for i, load in loads.items())
+        total += mu * sum(pen(load - b[i]) for i, load in sorted(loads.items()))
     return total
+
+
+def eval_f_theta(tree: ExplicitScenarioTree, x: SolutionVector, theta: float) -> float:
+    """Smoothed penalty objective on an explicit tree."""
+    t0 = _check_theta(theta)
+    return _reward(tree, x) - 2.0 / tree.instance.iota * \
+        _penalty(tree, x, lambda v: huber(v, t0))
+
+
+def eval_f(tree: ExplicitScenarioTree, x: SolutionVector) -> float:
+    """Unsmoothed penalty objective (the hinge penalty)."""
+    return _reward(tree, x) - 2.0 / tree.instance.iota * aggregate_violation(tree, x)
+
+
+def aggregate_violation(tree: ExplicitScenarioTree, x: SolutionVector) -> float:
+    """Expected total hinge violation sum_S mu(S) sum_i (load_i - b_i)^+."""
+    return _penalty(tree, x, lambda v: max(v, 0.0))
 
 
 def exact_grad_f_theta(tree: ExplicitScenarioTree, x: SolutionVector,

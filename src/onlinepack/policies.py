@@ -66,33 +66,20 @@ class FeasState:
 def feas_table(tree, x: Mapping[bytes, float]) -> dict[bytes, float]:
     """FEAS(X) at every prefix of an explicit tree, by forward recursion.
 
-    Each root-to-node path carries its own remaining-budget vector, so the
-    patched value at a node is exact for the (unique) history leading to it.
+    Each root-to-node path carries its own ``FeasState``, copied at every
+    branch, and each node is patched by ``FeasState.step``, so the value at
+    a node is exact for the (unique) history leading to it and ``step``'s
+    checks apply: x outside [0, 1] and an overdrawn counter raise.
     """
     out: dict[bytes, float] = {}
 
-    def walk(node_key: bytes, rem: tuple) -> None:
-        node = tree.node(node_key)
-        val = x[node_key]
-        for i, v in node.a:
-            cap = rem[i] / v
-            if cap < val:
-                val = cap
-        if val < 0.0:
-            val = 0.0
-        out[node_key] = val
-        rem_after = rem
-        if node.a and val > 0.0:
-            rem_list = list(rem)
-            for i, v in node.a:
-                r = rem_list[i] - v * val
-                rem_list[i] = r if r > 0.0 else 0.0
-            rem_after = tuple(rem_list)
+    def walk(node_key: bytes, feas: FeasState) -> None:
+        out[node_key] = feas.step(tree.node(node_key).a, x[node_key])
         for child in tree.children(node_key):
-            walk(child.prefix.key, rem_after)
+            walk(child.prefix.key, FeasState(feas.remaining))
 
     for rk in tree.root_keys:
-        walk(rk, tuple(tree.instance.b))
+        walk(rk, FeasState(tree.instance.b))
     return out
 
 
@@ -223,17 +210,14 @@ def policy_is(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
 
 
 def mwm_scaled_epsilon(epsilon: float, delta: int) -> float:
-    """Accuracy rescaling for matching encodings: eps' = 2 eps / Delta."""
+    """Accuracy rescaling for matching encodings: eps' = 2 eps / Delta.
+
+    The ``mwmlp`` policy is ``policy_lp`` run with a config that carries
+    this rescaled accuracy target.
+    """
     if delta < 1:
         raise InstanceError("degree bound must be >= 1")
     return 2.0 * epsilon / delta
-
-
-def policy_mwmlp(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
-                 config: SolverConfig) -> float:
-    """Fractional matching policy; ``config`` should carry the 2 eps / Delta
-    rescaled accuracy target from ``mwm_scaled_epsilon``."""
-    return policy_lp(ctx, sim, prefix, config)
 
 
 def policy_mmo_greedy(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,

@@ -33,7 +33,7 @@ from onlinepack.penalty import (aggregate_violation, eval_f,
                                 exact_grad_f_theta, huber, huber_deriv)
 from onlinepack.policies import (FeasState, feas_table, new_episode_context,
                                  policy_is, policy_lp, policy_mmo_greedy,
-                                 policy_mwmlp, policy_nrm, round_bernoulli)
+                                 policy_nrm, round_bernoulli)
 
 from test_penalty import finite_difference_grad, solution_away_from_kinks
 
@@ -371,7 +371,7 @@ def test_c08_hard_feasibility():
 
     def factory_mwm(e):
         ctx = new_episode_context(sim_mwm, cfg_mwm, e, solution=sol_mwm)
-        return lambda p: policy_mwmlp(ctx, sim_mwm, p, cfg_mwm)
+        return lambda p: policy_lp(ctx, sim_mwm, p, cfg_mwm)
 
     audited["mwmlp"] = eval_policy_mc(sim_mwm, factory_mwm, n_episodes,
                                       seed=12).violation_count

@@ -6,10 +6,14 @@ golden digests below pin key serialization and the trajectories that fixed
 draw keys select; the properties check that the cheap paths
 (``Prefix.head``, ``node_values``, ``keys.uniform``, the tree's ``bisect``
 draw, the prefixes carried by ``PathDraw`` terms) agree with their
-from-scratch definitions.
+from-scratch definitions.  The last section pins the penalty objectives,
+the exact gradient, FEAS, the leaf gradient table and the averaged
+full-sweep solution on fixed random trees, so that each keeps its bits
+however it is built.
 """
 
 import bisect
+import hashlib
 import dataclasses
 
 import numpy as np
@@ -17,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_tree
+from helpers import random_solution, random_tree
 from onlinepack import keys
-from onlinepack.engine import MemoTable, SolverConfig, conditional_draws
+from onlinepack.engine import (MemoTable, SolverConfig, averaged_solution,
+                               conditional_draws, leaf_grad_table)
 from onlinepack.encodings import (encode_is, encode_mmo, encode_mwm,
                                   random_is_process, random_mmo_process,
                                   random_mwm_process)
@@ -28,6 +33,9 @@ from onlinepack.model import (EMPTY_PREFIX, Prefix, TreeBuilder, _NrmTables,
                               generate_nrm, generative_payload,
                               load_instance_payload, node_values,
                               tree_as_simulator, tree_to_payload)
+from onlinepack.penalty import (aggregate_violation, eval_f, eval_f_theta,
+                                exact_grad_f_theta)
+from onlinepack.policies import FeasState, feas_table
 
 
 def _digest(prefix: Prefix) -> str:
@@ -414,3 +422,142 @@ def test_path_draw_terms_carry_trajectory_heads(nrm_tree, use_node):
                         assert head.key == Prefix(d.traj.obs[:len(head)]).key
                         seen += 1
     assert seen > 0
+
+
+# -- penalty, FEAS, gradient and averaging goldens ----------------------------
+#
+# Hex values and digests computed with the code before the penalty walks,
+# FEAS, the leaf gradient table and the iterate averaging were each folded
+# into one implementation.  Tables are pinned by a digest of their float hex
+# values in prefix order.
+
+
+def _golden_tree(seed, T, m, L):
+    """A seeded random tree whose children carry integer weights 0..3, so
+    some branches have zero mass."""
+    gen = keys.generator(seed, "golden-tree")
+    b = tuple(float(0.3 + 0.9 * gen.random()) for _ in range(m))
+    tb = TreeBuilder(T=T, m=m, b=b, L=L, iota=0.3)
+    counter = [0]
+
+    def expand(parent, depth):
+        weights = [int(gen.integers(0, 4)) for _ in range(int(gen.integers(1, 4)))]
+        weights[-1] += not any(weights)
+        for w in weights:
+            counter[0] += 1
+            ids = gen.choice(m, size=int(gen.integers(0, L + 1)), replace=False)
+            a = {int(i): float(0.3 + 0.7 * gen.random()) for i in ids}
+            child = tb.add(parent, (float(counter[0]),), w / sum(weights),
+                           z=float(gen.random()), a=a)
+            if depth + 1 < T:
+                expand(child, depth + 1)
+
+    expand(None, 0)
+    return tb.build()
+
+
+def _table_digest(values) -> str:
+    text = " ".join(float(v).hex() for v in values)
+    return hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
+
+
+# (seed, T, m, L) -> golden tree; every tree has a zero-mass branch
+_GOLDEN_TREES = {"m2": (3, 3, 2, 2), "m4": (2, 4, 4, 3), "m5": (35, 3, 5, 4)}
+
+
+@pytest.fixture(scope="module", params=sorted(_GOLDEN_TREES))
+def golden(request):
+    tree = _golden_tree(*_GOLDEN_TREES[request.param])
+    assert any(tree.mu(p) == 0.0 for p in tree.prefixes())
+    return request.param, tree, random_solution(tree, 77)
+
+
+_GOLDEN = {
+    "m2": {"eval_f": "0x1.3694584293ef0p-3",
+           "eval_f_theta": "0x1.a93c2732f9702p-1",
+           "aggregate_violation": "0x1.4c163984c42e8p-3",
+           "exact_grad": "0a68aba35399df24a242288a",
+           "exact_grad_ones": "b807abdbad1e79ae6df26ca7",
+           "feas": "4d54df916976aecce27b25e0",
+           "feas_ones": "6c3030cae1b6d3bd0a056d5e",
+           "feas_counters": "24f191c9ed2dcff8d76c3a5f",
+           "leaf_grad": "4ed41a7c147769ccffb77fcc",
+           "averaged": "bb13f303f2b02458eb60b8d1"},
+    "m4": {"eval_f": "-0x1.6f054fdcca875p+2",
+           "eval_f_theta": "-0x1.79b5a3853661ap+1",
+           "aggregate_violation": "0x1.1037bfd898357p+0",
+           "exact_grad": "33fecad778ac1c3bfb00e40d",
+           "exact_grad_ones": "efa0dc69f4f35699544aead3",
+           "feas": "a5af4a164e685bab1a0ca3ff",
+           "feas_ones": "3fcc4d3bae34c62dbd2d9405",
+           "feas_counters": "65683b2dfb26806bad4987b5",
+           "leaf_grad": "1d121d6d70f594925fe06bf7",
+           "averaged": "88c09a233a6b3a21cf6d808e"},
+    "m5": {"eval_f": "-0x1.94293340a8ee9p+1",
+           "eval_f_theta": "-0x1.5bac59c767328p-3",
+           "aggregate_violation": "0x1.5e04861b0356ap-1",
+           "exact_grad": "62a8ab1f370f47831b348a03",
+           "exact_grad_ones": "45e9bed404eb4809370f92b8",
+           "feas": "128f08539e1d8ca480541e22",
+           "feas_ones": "26103b6f1692a24e07eee09a",
+           "feas_counters": "69996009729c5d8f017a91bd",
+           "leaf_grad": "afde02db1cb400a6df62ed9e",
+           "averaged": "f6a47517af60869c03360709"},
+}
+
+
+def test_golden_penalty_objectives(golden):
+    name, tree, x = golden
+    assert eval_f(tree, x).hex() == _GOLDEN[name]["eval_f"]
+    assert eval_f_theta(tree, x, 0.5).hex() == _GOLDEN[name]["eval_f_theta"]
+    assert aggregate_violation(tree, x).hex() == \
+        _GOLDEN[name]["aggregate_violation"]
+
+
+def test_golden_exact_gradient(golden):
+    name, tree, x = golden
+    ones = {p.key: 1.0 for p in tree.prefixes()}
+    for sol, field in ((x, "exact_grad"), (ones, "exact_grad_ones")):
+        g = exact_grad_f_theta(tree, sol, 0.5)
+        assert _table_digest(g[p.key] for p in tree.prefixes()) == \
+            _GOLDEN[name][field]
+
+
+def test_golden_feas_table(golden):
+    name, tree, x = golden
+    ones = {p.key: 1.0 for p in tree.prefixes()}
+    for sol, field in ((x, "feas"), (ones, "feas_ones")):
+        patched = feas_table(tree, sol)
+        assert _table_digest(patched[p.key] for p in tree.prefixes()) == \
+            _GOLDEN[name][field]
+    # the counters FeasState.step leaves along every root-to-leaf path
+    counters = []
+    for leaf in tree.leaves():
+        fs = FeasState(tree.instance.b)
+        for t in range(1, tree.instance.T + 1):
+            fs.step(tree.node(leaf.head(t)).a, 1.0)
+            counters += fs.remaining
+    assert _table_digest(counters) == _GOLDEN[name]["feas_counters"]
+
+
+def test_golden_leaf_grad_table(golden):
+    name, tree, x = golden
+    cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.3, K=1, eta1=1,
+                       eta2=tree.instance.T, practical_override=True)
+    flat = []
+    for p in tree.prefixes():
+        _, cond, values = leaf_grad_table(tree, p, x, cfg)
+        flat += list(cond) + list(values)
+    assert _table_digest(flat) == _GOLDEN[name]["leaf_grad"]
+
+
+def test_golden_averaged_solution(golden):
+    name, tree, _ = golden
+    cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.3, K=4, eta1=2,
+                       eta2=2, master_seed=5, momentum="accelerated",
+                       practical_override=True)
+    avg = averaged_solution(tree, cfg)
+    support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
+    assert list(avg) == [p.key for p in support]
+    assert _table_digest(avg[p.key] for p in support) == \
+        _GOLDEN[name]["averaged"]

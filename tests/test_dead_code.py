@@ -1,0 +1,67 @@
+"""Static checks that ``src/onlinepack`` carries no dead code.
+
+Two kinds of leftovers are caught with the standard-library ``ast`` module:
+an import a module never uses, and a module-private (``_name``) function or
+method that nothing in the package references outside its own body.
+``__init__.py`` only re-exports the public API, so its imports count as used.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "onlinepack"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read as a bare name or as an attribute anywhere under ``node``."""
+    refs: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+    return refs
+
+
+def test_modules_found():
+    assert {"engine.py", "penalty.py", "policies.py", "cli.py"} <= set(_modules())
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, module in _modules().items():
+        if name == "__init__.py":
+            continue
+        refs = _references(module)
+        for node in ast.walk(module):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if not refs[bound]:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    modules = _modules()
+    refs: Counter = Counter()
+    own: Counter = Counter()  # references from inside the function's own body
+    defined = {}
+    for name, module in modules.items():
+        refs.update(_references(module))
+        for node in ast.walk(module):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    node.name.startswith("_") and not node.name.endswith("__"):
+                defined.setdefault(node.name, f"{name}:{node.lineno}")
+                own[node.name] += _references(node)[node.name]
+    dead = [f"{fn} ({where})" for fn, where in sorted(defined.items())
+            if refs[fn] - own[fn] <= 0]
+    assert dead == []

@@ -51,15 +51,15 @@ class TestSolverConfig:
 class TestSampleIndexSet:
     def test_full_horizon(self):
         cfg = make_config(eta2=5)
-        assert sample_index_set(cfg, 5, 0).indices == (1, 2, 3, 4, 5)
+        assert sample_index_set(cfg, 5, 0) == (1, 2, 3, 4, 5)
 
     def test_deterministic(self):
         cfg = make_config(eta2=2)
         a = sample_index_set(cfg, 5, 3)
         b = sample_index_set(cfg, 5, 3)
         assert a == b
-        assert len(set(a.indices)) == 2
-        assert all(1 <= t <= 5 for t in a.indices)
+        assert len(set(a)) == 2
+        assert all(1 <= t <= 5 for t in a)
 
     def test_eta2_exceeds_horizon(self):
         cfg = make_config(eta2=6)
@@ -71,7 +71,7 @@ class TestSampleIndexSet:
         counts = np.zeros(5)
         n = 10_000
         for k in range(n):
-            for t in sample_index_set(cfg, 5, k).indices:
+            for t in sample_index_set(cfg, 5, k):
                 counts[t - 1] += 1
         freqs = counts / n
         assert np.all(np.abs(freqs - 0.4) <= 0.02)

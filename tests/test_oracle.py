@@ -4,7 +4,7 @@ import pytest
 
 from helpers import one_node_tree, random_tree
 from onlinepack.engine import SolverConfig, averaged_solution
-from onlinepack.errors import FeasibilityAuditError
+from onlinepack.errors import FeasibilityAuditError, InstanceError
 from onlinepack.model import TreeBuilder, demo_tree, tree_as_simulator
 from onlinepack.oracle import (EvalReport, enumerate_pack, eval_policy_exact,
                                eval_policy_mc, reports_to_csv,
@@ -118,6 +118,12 @@ class TestEvalPolicyExact:
         tree = demo_tree()
         zeros = {p.key: 0.0 for p in tree.prefixes()}
         assert eval_policy_exact(tree, zeros) == 0.0
+
+    def test_missing_prefix_is_an_instance_error(self):
+        tree = demo_tree()
+        partial = {p.key: 1.0 for p in tree.prefixes()[:-1]}
+        with pytest.raises(InstanceError, match="missing a prefix"):
+            eval_policy_exact(tree, partial)
 
     def test_dp_policy_replay_matches_value(self):
         tree = demo_tree()

@@ -158,13 +158,21 @@ class TestExactGradient:
         assert eval_f_theta(tree, moved, theta) >= eval_f_theta(tree, x, theta)
 
 
+def _assert_exact_decomposition(tree, x):
+    reward = 0.0
+    for p in tree.prefixes():
+        reward += tree.mu(p) * tree.node(p).z * x[p.key]
+    agg = aggregate_violation(tree, x)
+    assert eval_f(tree, x) == reward - 2.0 / tree.instance.iota * agg
+
+
 class TestAggregateViolation:
     def test_matches_objective_decomposition(self):
         tree = random_tree(seed=14, T=3, m=2)
-        x = random_solution(tree, 15)
-        reward = sum(tree.mu(p) * tree.node(p).z * x[p.key]
-                     for p in tree.prefixes())
-        lhs = eval_f(tree, x)
-        agg = aggregate_violation(tree, x)
-        assert lhs == pytest.approx(reward - 2 / tree.instance.iota * agg,
-                                    rel=1e-12, abs=1e-12)
+        _assert_exact_decomposition(tree, random_solution(tree, 15))
+
+    def test_decomposition_exact_with_five_resources(self):
+        # several hinge terms per leaf: the identity holds only when both
+        # sides sum them in the same order (resources ascending)
+        tree = random_tree(seed=17, T=3, m=5, L=4, budgets=(0.4,) * 5)
+        _assert_exact_decomposition(tree, random_solution(tree, 18))

@@ -1,13 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_tree
 from onlinepack.encodings import (BipartiteNodeProcess, OnlineNodeProcess,
                                   encode_is, encode_mmo, random_is_process)
 from onlinepack.engine import SolverConfig, averaged_solution
-from onlinepack.errors import SequencingError
+from onlinepack.errors import InstanceError, SequencingError
 from onlinepack.model import (EMPTY_PREFIX, TreeBuilder, demo_tree,
                               tree_as_simulator)
-from onlinepack.policies import (FeasState, floor_policy,
+from onlinepack.policies import (FeasState, feas_table, floor_policy,
                                  mwm_scaled_epsilon, new_episode_context,
                                  policy_is, policy_lp, policy_mmo_greedy,
                                  policy_nrm, round_bernoulli)
@@ -42,6 +44,62 @@ class TestFeasState:
             out = fs.step(((0, 0.5), (1, 0.9)), x)
             assert 0.0 <= out <= x
         assert all(r >= 0.0 for r in fs.remaining)
+
+
+@st.composite
+def _feas_cases(draw):
+    """A small random tree (budgets may be 0) and a solution in [0, 1]."""
+    T = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    b = draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0, 1.9]),
+                      min_size=m, max_size=m))
+    tb = TreeBuilder(T=T, m=m, b=b, L=m, iota=0.2)
+    unit = st.floats(0.0, 1.0)
+    counter = [0]
+
+    def expand(parent, depth):
+        n = draw(st.integers(1, 3))
+        for _ in range(n):
+            counter[0] += 1
+            ids = draw(st.sets(st.integers(0, m - 1)))
+            a = {i: draw(st.floats(0.2, 1.0)) for i in sorted(ids)}
+            child = tb.add(parent, (float(counter[0]),), 1.0 / n,
+                           z=0.5, a=a)
+            if depth + 1 < T:
+                expand(child, depth + 1)
+
+    expand(None, 0)
+    tree = tb.build()
+    return tree, {p.key: draw(unit) for p in tree.prefixes()}
+
+
+class TestFeasTable:
+    @settings(max_examples=150, deadline=None)
+    @given(_feas_cases())
+    def test_never_overdraws_or_exceeds_x(self, case):
+        tree, x = case
+        patched = feas_table(tree, x)
+        b = tree.instance.b
+        for leaf in tree.leaves():
+            used = [0.0] * tree.instance.m
+            for t in range(1, tree.instance.T + 1):
+                head = leaf.head(t)
+                val = patched[head.key]
+                assert 0.0 <= val <= x[head.key]
+                for i, v in tree.node(head).a:
+                    used[i] += v * val
+                    assert used[i] <= b[i] + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(_feas_cases(), st.data())
+    def test_rejects_x_outside_unit_interval(self, case, data):
+        tree, x = case
+        key = data.draw(st.sampled_from(sorted(x)))
+        x[key] = data.draw(st.one_of(st.floats(max_value=-1e-300),
+                                     st.floats(min_value=1.0 + 1e-12),
+                                     st.just(float("nan"))))
+        with pytest.raises(InstanceError):
+            feas_table(tree, x)
 
 
 class TestRounding:
