@@ -14,8 +14,7 @@ import json
 import sys
 
 from .encodings import build_encoded
-from .engine import (_ALG1_NODE_CAP, SolverConfig, averaged_solution,
-                     theory_params, theta_default)
+from .engine import MemoTable, SolverConfig, theory_params, theta_default
 from .errors import (ConfigError, FeasibilityAuditError, OnlinePackError)
 from .model import (LoadedInstance, demo_tree, derive_structure_constants,
                     generate_nrm, generative_payload, load_instance_payload,
@@ -68,16 +67,14 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
                     trace_sink=None):
     """Per-episode decision callables for the named policy.
 
-    On explicit instances within the full-sweep cap the fractional layer is
-    precomputed once by the full-sweep method; by the recursion-equivalence
-    guarantee (tested bitwise) this matches the streaming recursion under
-    the same master seed.  Larger trees and generative instances run the
-    streaming recursion directly.
+    Every policy takes its fractional values from the streaming recursion.
+    On explicit instances all episodes share one ``MemoTable``: its entries
+    are pure in (master seed, prefix, level), so the table stays within
+    nodes x K and each decision is computed once per run.  Generative
+    instances, whose support is unbounded, get a fresh table per episode.
     """
     sim = loaded.sim
-    solution = None
-    if loaded.tree is not None and len(loaded.tree) <= _ALG1_NODE_CAP:
-        solution = averaged_solution(loaded.tree, config)
+    memo = MemoTable() if loaded.tree is not None else None
     policy_fn = _POLICIES[name]
     if name == "is" and sim.partite_of is None:
         raise ConfigError("policy 'is' needs an independent-set encoded instance")
@@ -85,7 +82,7 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
         raise ConfigError("policy 'mmo-greedy' needs an online-node encoded instance")
 
     def factory(episode: int):
-        ctx = new_episode_context(sim, config, episode, solution=solution,
+        ctx = new_episode_context(sim, config, episode, memo=memo,
                                   trace=trace_sink is not None)
 
         def decide(prefix):

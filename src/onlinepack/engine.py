@@ -2,7 +2,8 @@
 
 Two ways to run the same method live here.  ``run_algorithm1_explicit``
 sweeps every prefix of an explicit tree through K projected stochastic
-gradient iterations (optionally Nesterov-accelerated).  ``recursive_R``
+gradient iterations (optionally Nesterov-accelerated); it is the reference
+the tests hold the recursion to.  ``recursive_R``, which the policies use,
 computes a single iterate value on demand, pulling in only the recursive
 evaluations the estimator actually touches, memoized in a write-once table.
 Both paths share one keyed sampling scheme -- the conditional draw multiset
@@ -133,30 +134,29 @@ class PathDraw:
 
 
 class MemoTable:
-    """Write-once iterate table plus the conditional-draw cache.
+    """Write-once iterate table plus the conditional-draw and decision caches.
 
     Entry (prefix, k) stores X^k(prefix) for k >= 1; levels k <= 0 are
     implicitly zero.  Entries are never reassigned, and the draw multiset
     for (prefix, k) is generated exactly once.  ``_paths`` holds one
     ``PathDraw`` per (trajectory, sampled periods), so levels whose period
-    subsamples are equal share it.  Counters instrument the
-    recursion for the complexity and horizon-independence checks.  A table
-    and its recursion belong to one logical task (one policy episode,
-    shared across its T decision epochs); parallelism runs independent
-    (memo, seed) episodes.
+    subsamples are equal share it.  ``decisions`` caches decide_pen's
+    averaged value per prefix key.  Counters instrument the recursion for
+    the complexity and horizon-independence checks.  Every entry is a pure
+    function of (master seed, prefix, level), so one table may serve any
+    episodes of one (instance, SolverConfig); write-once.
     """
 
-    __slots__ = ("entries", "draws", "_aleph", "_paths", "writes", "hits",
-                 "misses", "sim_calls")
+    __slots__ = ("entries", "draws", "decisions", "_aleph", "_paths",
+                 "writes", "sim_calls")
 
     def __init__(self):
         self.entries: dict[tuple[bytes, int], float] = {}
         self.draws: dict[tuple[bytes, int], tuple[PathDraw, ...]] = {}
+        self.decisions: dict[bytes, float] = {}
         self._aleph: dict[int, tuple[int, ...]] = {}
         self._paths: dict[tuple[bytes, tuple[int, ...]], PathDraw] = {}
         self.writes = 0
-        self.hits = 0
-        self.misses = 0
         self.sim_calls = 0
 
     def value(self, prefix: Prefix, k: int) -> float:
@@ -181,12 +181,7 @@ class MemoTable:
         return cached
 
     def counters(self) -> dict[str, int]:
-        return {
-            "writes": self.writes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "sim_calls": self.sim_calls,
-        }
+        return {"writes": self.writes, "sim_calls": self.sim_calls}
 
 
 def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
@@ -206,9 +201,7 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     cache_key = (prefix.key, k)
     cached = memo.draws.get(cache_key)
     if cached is not None:
-        memo.hits += 1
         return cached
-    memo.misses += 1
     base = keys.key_digest(config.master_seed, "traj", k, prefix.key)
     aleph = memo.aleph(config, sim.instance.T, k)
     paths = memo._paths
@@ -376,11 +369,16 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
             k_dep = kk - 1
             if k_dep > 0:  # level 0 is implicitly zero: nothing to compute
                 _, a_s = node_values(sim, S)
-                deps = [S]
+                # each dependency once, in first-occurrence order: a later
+                # duplicate is computed before its turn comes, so skipping
+                # it does not reorder the memo writes
+                deps = {S.key: S}
                 if a_s:
-                    for d in draws:
-                        deps += _needed_heads(a_s, d)
-                for dep in reversed(deps):
+                    for d in dict.fromkeys(draws):  # repeated draws share one object
+                        for head in _needed_heads(a_s, d):
+                            if head.key not in deps:
+                                deps[head.key] = head
+                for dep in reversed(deps.values()):
                     if (dep.key, k_dep) not in entries:
                         stack.append([dep, k_dep, None])
         else:
@@ -399,11 +397,18 @@ def _averaged(memo: MemoTable, prefix: Prefix, K: int) -> float:
 
 def decide_pen(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
                config: SolverConfig) -> float:
-    """The penalty policy's fractional decision: the average of the K iterates."""
+    """The penalty policy's fractional decision: the average of the K iterates.
+
+    The average is cached per prefix in ``memo.decisions``, so a table that
+    serves several episodes computes each decision once.
+    """
     if config.K < 1:
         raise ParameterError("decide_pen needs K >= 1")
-    recursive_R(sim, memo, prefix, config.K, config)
-    return _averaged(memo, prefix, config.K)
+    x = memo.decisions.get(prefix.key)
+    if x is None:
+        recursive_R(sim, memo, prefix, config.K, config)
+        x = memo.decisions[prefix.key] = _averaged(memo, prefix, config.K)
+    return x
 
 
 def run_algorithm1_explicit(tree: ExplicitScenarioTree, config: SolverConfig,
@@ -432,11 +437,12 @@ def run_algorithm1_explicit(tree: ExplicitScenarioTree, config: SolverConfig,
 
 def averaged_solution(tree: ExplicitScenarioTree,
                       config: SolverConfig) -> dict[bytes, float]:
-    """The solution decide_pen plays, at every positive-mass prefix.
+    """The sweep reference: decide_pen's value at every positive-mass prefix.
 
     Runs the full sweep into one ``MemoTable`` and averages each prefix's
     K iterates from it with decide_pen's own routine, so the table equals
-    the streaming decisions bit for bit.
+    the streaming decisions bit for bit.  Tests use it as the oracle for
+    the recursion; the policies never read it.
     """
     memo = MemoTable()
     run_algorithm1_explicit(tree, config, memo)

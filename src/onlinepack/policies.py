@@ -100,10 +100,10 @@ class EpisodeContext:
     """Per-episode mutable state shared by the streaming policies.
 
     ``shared_uniform`` is drawn exactly once at episode start and drives the
-    independent-set threshold rounding.  ``solution``, when set, is a frozen
-    fractional solution table (prefix key to value) evaluated in place of
-    the on-demand recursion; under a common master seed the two are
-    identical, so this is purely a replay optimization.
+    independent-set threshold rounding.  ``memo`` is the table decide_pen
+    computes the fractional values in; since its entries are pure in
+    (master seed, prefix, level), episodes of one (instance, SolverConfig)
+    may share it.
     """
 
     memo: MemoTable
@@ -112,23 +112,21 @@ class EpisodeContext:
     episode: int
     seed: int
     epoch: int = 0
-    solution: Mapping[bytes, float] | None = None
     pending_block: dict[int, tuple[int, float]] = field(default_factory=dict)
     matched_offline: set[int] = field(default_factory=set)
     trace: list[dict] | None = None
 
 
 def new_episode_context(sim: SimulatorHandle, config: SolverConfig,
-                        episode: int,
-                        solution: Mapping[bytes, float] | None = None,
+                        episode: int, memo: MemoTable | None = None,
                         trace: bool = False) -> EpisodeContext:
+    """A context for ``episode``; a fresh ``MemoTable`` unless one is given."""
     return EpisodeContext(
-        memo=MemoTable(),
+        memo=memo if memo is not None else MemoTable(),
         feas=FeasState(sim.instance.b),
         shared_uniform=keys.uniform(config.master_seed, "is-uniform", episode),
         episode=episode,
         seed=config.master_seed,
-        solution=solution,
         trace=[] if trace else None,
     )
 
@@ -138,13 +136,6 @@ def _advance_epoch(ctx: EpisodeContext, prefix: Prefix) -> None:
         raise SequencingError(
             f"policy called at period {len(prefix)}, expected {ctx.epoch + 1}")
     ctx.epoch += 1
-
-
-def _fractional(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
-                config: SolverConfig) -> float:
-    if ctx.solution is not None:
-        return ctx.solution[prefix.key]
-    return decide_pen(sim, ctx.memo, prefix, config)
 
 
 def _record(ctx: EpisodeContext, prefix: Prefix, fractional: float,
@@ -163,7 +154,7 @@ def policy_lp(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
               config: SolverConfig) -> float:
     """Fractional admissible policy: FEAS applied to the penalty decision."""
     _advance_epoch(ctx, prefix)
-    x = _fractional(ctx, sim, prefix, config)
+    x = decide_pen(sim, ctx.memo, prefix, config)
     _, a = node_values(sim, prefix)
     val = ctx.feas.step(a, x)
     _record(ctx, prefix, x, val)
@@ -179,7 +170,7 @@ def policy_nrm(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
     (T of order iota^-2 eps^-2 m L), which is not enforced here.
     """
     _advance_epoch(ctx, prefix)
-    x = _fractional(ctx, sim, prefix, config)
+    x = decide_pen(sim, ctx.memo, prefix, config)
     r = round_bernoulli(x, (ctx.seed, "round", ctx.episode, len(prefix)))
     _, a = node_values(sim, prefix)
     patched = ctx.feas.step(a, float(r))
@@ -250,7 +241,7 @@ def policy_mmo_greedy(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
             f"block of period {t} starts at {t1}; pending decision missing")
     fracs: list[float] = []
     for ps in block_prefixes:
-        x = _fractional(ctx, sim, ps, config)
+        x = decide_pen(sim, ctx.memo, ps, config)
         _, a = node_values(sim, ps)
         fracs.append(ctx.feas.step(a, x))
     best = None

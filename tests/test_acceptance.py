@@ -18,7 +18,7 @@ from onlinepack import keys
 from onlinepack.encodings import (encode_is, encode_mmo, encode_mwm,
                                   random_is_process, random_mmo_process,
                                   random_mwm_process)
-from onlinepack.engine import (MemoTable, SolverConfig, averaged_solution,
+from onlinepack.engine import (MemoTable, SolverConfig,
                                conditional_draws, decide_pen, leaf_grad_table,
                                recursive_R,
                                run_algorithm1_explicit,
@@ -300,10 +300,10 @@ def _gap_check(tree, seed):
     opt_lp, _ = solve_lp_explicit(tree)
     cfg = practical(tree, seed=seed)
     sim = tree_as_simulator(tree)
-    solution = averaged_solution(tree, cfg)
+    memo = MemoTable()
 
     def factory(e):
-        ctx = new_episode_context(sim, cfg, e, solution=solution)
+        ctx = new_episode_context(sim, cfg, e, memo=memo)
         return lambda p: policy_lp(ctx, sim, p, cfg)
 
     rep = eval_policy_mc(sim, factory, 10_000, seed=seed)
@@ -345,10 +345,10 @@ def test_c08_hard_feasibility():
     tree = generate_nrm(seed=12, T=4, m=3, L=2, iota=0.3, budget_ratio=0.5)
     sim = tree_as_simulator(tree)
     cfg = practical(tree, K=60, eta1=16, seed=5)
-    sol = averaged_solution(tree, cfg)
+    memo = MemoTable()  # lp and nrm share the fractional layer
     for name, fn in (("lp", policy_lp), ("nrm", policy_nrm)):
         def factory(e, fn=fn):
-            ctx = new_episode_context(sim, cfg, e, solution=sol)
+            ctx = new_episode_context(sim, cfg, e, memo=memo)
             return lambda p: fn(ctx, sim, p, cfg)
         rep = eval_policy_mc(sim, factory, n_episodes, seed=10)
         audited[name] = rep.violation_count
@@ -356,10 +356,10 @@ def test_c08_hard_feasibility():
     # is / mwmlp / mmo-greedy on random encoded instances
     _, sim_is = encode_is(random_is_process(seed=41, n=6, delta=2))
     cfg_is = practical(sim_is.tree, K=40, eta1=8, seed=6)
-    sol_is = averaged_solution(sim_is.tree, cfg_is)
+    memo_is = MemoTable()
 
     def factory_is(e):
-        ctx = new_episode_context(sim_is, cfg_is, e, solution=sol_is)
+        ctx = new_episode_context(sim_is, cfg_is, e, memo=memo_is)
         return lambda p: policy_is(ctx, sim_is, p, cfg_is)
 
     audited["is"] = eval_policy_mc(sim_is, factory_is, n_episodes,
@@ -367,10 +367,10 @@ def test_c08_hard_feasibility():
 
     _, sim_mwm = encode_mwm(random_mwm_process(seed=42, n=5, delta=2))
     cfg_mwm = practical(sim_mwm.tree, K=40, eta1=8, seed=7)
-    sol_mwm = averaged_solution(sim_mwm.tree, cfg_mwm)
+    memo_mwm = MemoTable()
 
     def factory_mwm(e):
-        ctx = new_episode_context(sim_mwm, cfg_mwm, e, solution=sol_mwm)
+        ctx = new_episode_context(sim_mwm, cfg_mwm, e, memo=memo_mwm)
         return lambda p: policy_lp(ctx, sim_mwm, p, cfg_mwm)
 
     audited["mwmlp"] = eval_policy_mc(sim_mwm, factory_mwm, n_episodes,
@@ -379,10 +379,10 @@ def test_c08_hard_feasibility():
     _, sim_mmo = encode_mmo(random_mmo_process(seed=43, n_offline=3,
                                                n_online=2, delta=2))
     cfg_mmo = practical(sim_mmo.tree, K=40, eta1=8, seed=8)
-    sol_mmo = averaged_solution(sim_mmo.tree, cfg_mmo)
+    memo_mmo = MemoTable()
 
     def factory_mmo(e):
-        ctx = new_episode_context(sim_mmo, cfg_mmo, e, solution=sol_mmo)
+        ctx = new_episode_context(sim_mmo, cfg_mmo, e, memo=memo_mmo)
         return lambda p: policy_mmo_greedy(ctx, sim_mmo, p, cfg_mmo)
 
     audited["mmo-greedy"] = eval_policy_mc(sim_mmo, factory_mmo, n_episodes,
@@ -476,14 +476,14 @@ def test_c10_rounding_preservation():
     _, sim_is = encode_is(random_is_process(seed=2200, n=6, delta=2))
     tree_is = sim_is.tree
     cfg = practical(tree_is, K=40, eta1=8, seed=9)
-    sol = averaged_solution(tree_is, cfg)
+    memo = MemoTable()
 
     def frac_factory(e):
-        ctx = new_episode_context(sim_is, cfg, e, solution=sol)
+        ctx = new_episode_context(sim_is, cfg, e, memo=memo)
         return lambda p: policy_lp(ctx, sim_is, p, cfg)
 
     def is_factory(e):
-        ctx = new_episode_context(sim_is, cfg, e, solution=sol)
+        ctx = new_episode_context(sim_is, cfg, e, memo=memo)
         return lambda p: policy_is(ctx, sim_is, p, cfg)
 
     frac = eval_policy_mc(sim_is, frac_factory, n, seed=14)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from helpers import random_solution, random_tree
 from onlinepack import keys
 from onlinepack.engine import (MemoTable, SolverConfig, averaged_solution,
-                               conditional_draws, leaf_grad_table)
+                               conditional_draws, decide_pen, leaf_grad_table)
 from onlinepack.encodings import (encode_is, encode_mmo, encode_mwm,
                                   random_is_process, random_mmo_process,
                                   random_mwm_process)
@@ -482,7 +482,8 @@ _GOLDEN = {
            "feas_ones": "6c3030cae1b6d3bd0a056d5e",
            "feas_counters": "24f191c9ed2dcff8d76c3a5f",
            "leaf_grad": "4ed41a7c147769ccffb77fcc",
-           "averaged": "bb13f303f2b02458eb60b8d1"},
+           "averaged": "bb13f303f2b02458eb60b8d1",
+           "shared_writes": ("243b734641a32ba904dd5ddc", 38, 152)},
     "m4": {"eval_f": "-0x1.6f054fdcca875p+2",
            "eval_f_theta": "-0x1.79b5a3853661ap+1",
            "aggregate_violation": "0x1.1037bfd898357p+0",
@@ -492,7 +493,8 @@ _GOLDEN = {
            "feas_ones": "3fcc4d3bae34c62dbd2d9405",
            "feas_counters": "65683b2dfb26806bad4987b5",
            "leaf_grad": "1d121d6d70f594925fe06bf7",
-           "averaged": "88c09a233a6b3a21cf6d808e"},
+           "averaged": "88c09a233a6b3a21cf6d808e",
+           "shared_writes": ("e3bbb3640a04288889f0dbf7", 92, 368)},
     "m5": {"eval_f": "-0x1.94293340a8ee9p+1",
            "eval_f_theta": "-0x1.5bac59c767328p-3",
            "aggregate_violation": "0x1.5e04861b0356ap-1",
@@ -502,7 +504,8 @@ _GOLDEN = {
            "feas_ones": "26103b6f1692a24e07eee09a",
            "feas_counters": "69996009729c5d8f017a91bd",
            "leaf_grad": "afde02db1cb400a6df62ed9e",
-           "averaged": "f6a47517af60869c03360709"},
+           "averaged": "f6a47517af60869c03360709",
+           "shared_writes": ("3b7020214411df6d46863c1e", 24, 96)},
 }
 
 
@@ -561,3 +564,23 @@ def test_golden_averaged_solution(golden):
     assert list(avg) == [p.key for p in support]
     assert _table_digest(avg[p.key] for p in support) == \
         _GOLDEN[name]["averaged"]
+
+
+def test_golden_shared_table_write_order(golden):
+    # six episodes of decisions over one table: every entry, in the order
+    # the recursion wrote it, and the table's counters
+    name, tree, _ = golden
+    sim = tree_as_simulator(tree)
+    cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.3, K=4, eta1=4,
+                       eta2=2, master_seed=5, momentum="accelerated",
+                       practical_override=True)
+    memo = MemoTable()
+    for e in range(6):
+        traj = sim.complete(EMPTY_PREFIX, (5, "episode", e))
+        for t in range(1, tree.instance.T + 1):
+            decide_pen(sim, memo, traj.head(t), cfg)
+    text = " ".join(f"{keys.key_digest(key).hex()}:{k}:{v.hex()}"
+                    for (key, k), v in memo.entries.items())
+    digest = hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
+    assert (digest, memo.writes, memo.sim_calls) == \
+        _GOLDEN[name]["shared_writes"]

@@ -5,9 +5,10 @@ import pytest
 from onlinepack import keys, load_instance
 from onlinepack.cli import main
 from onlinepack.encodings import encode_is, random_is_process
-from onlinepack.engine import SolverConfig
+from onlinepack.engine import MemoTable, SolverConfig
 from onlinepack.model import EMPTY_PREFIX, tree_to_payload
-from onlinepack.policies import new_episode_context, policy_nrm
+from onlinepack.oracle import eval_policy_mc, reports_to_csv
+from onlinepack.policies import new_episode_context, policy_lp, policy_nrm
 
 
 def run_cli(*argv):
@@ -166,19 +167,49 @@ class TestRun:
                    for t in range(1, 6))
         assert keyed[0][1] == keys.key_digest(keyed[0][0]).hex()
 
-    def test_streams_trees_above_the_sweep_cap(self, tmp_path, capsys,
-                                               monkeypatch):
-        import onlinepack.cli as cli
+    def test_run_streams_without_the_sweep(self, tmp_path, capsys,
+                                           monkeypatch):
         import onlinepack.engine as engine
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run called the full sweep")
+
+        monkeypatch.setattr(engine, "run_algorithm1_explicit", no_sweep)
         exp = self.write_experiment(tmp_path, episodes=50)
-        replayed, streamed = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli("run", "--config", str(exp), "--out", str(replayed)) == 0
-        # the demo tree has 3 nodes; with the cap below that, the full sweep
-        # would refuse it, so the run must stream
-        monkeypatch.setattr(cli, "_ALG1_NODE_CAP", 2)
-        monkeypatch.setattr(engine, "_ALG1_NODE_CAP", 2)
-        assert run_cli("run", "--config", str(exp), "--out", str(streamed)) == 0
-        assert streamed.read_bytes() == replayed.read_bytes()
+        out = tmp_path / "r.csv"
+        assert run_cli("run", "--config", str(exp), "--out", str(out)) == 0
+        # the library with a fresh table per episode gives the same bytes
+        spec = json.loads(exp.read_text())
+        sim = load_instance(spec["instance"]).sim
+        config = SolverConfig(**spec["solver"])
+
+        def factory(e):
+            ctx = new_episode_context(sim, config, e)
+            return lambda p: policy_lp(ctx, sim, p, config)
+
+        report = eval_policy_mc(sim, factory, 50, seed=5)
+        row = {"instance": spec["instance"], "policy": "lp", "seed": 5}
+        row.update(report.csv_row())
+        assert out.read_text() == reports_to_csv([row])
+
+    def test_trace_counts_work_on_explicit_trees(self, tmp_path, capsys):
+        exp = self.write_experiment(tmp_path, episodes=10)
+        trace = tmp_path / "trace.jsonl"
+        assert run_cli("run", "--config", str(exp), "--trace", str(trace)) == 0
+        recs = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert recs[0]["sim_calls"] > 0
+        # the same episodes played in the library over one shared table
+        spec = json.loads(exp.read_text())
+        sim = load_instance(spec["instance"]).sim
+        config = SolverConfig(**spec["solver"])
+        memo = MemoTable()
+        for e in range(10):
+            traj = sim.complete(EMPTY_PREFIX, (5, "episode", e))
+            ctx = new_episode_context(sim, config, e, memo=memo)
+            for t in range(1, 3):
+                policy_lp(ctx, sim, traj.head(t), config)
+        for name, total in memo.counters().items():
+            assert sum(r[name] for r in recs) == total
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 2
@@ -271,3 +302,64 @@ class TestVerify:
         assert code == 0
         assert report["gate_applied"] is False
         assert report["violations"] == 0
+
+
+class TestGoldenOutputs:
+    """`run` CSV and `verify` JSON bytes pinned on an NRM tree and an is file.
+
+    The values were computed by the release that replayed a precomputed
+    full-sweep table on explicit trees; the streaming path must keep them.
+    """
+
+    SOLVER = {"epsilon": 0.2, "theta": 0.5, "alpha": 0.1, "K": 12, "eta1": 4,
+              "master_seed": 9, "practical_override": True}
+    RUN = {
+        "lp": "nrm.json,lp,9,300,0.8901238792314203,0.022208812137382336,0,0.0",
+        "is": "is.json,is,9,300,1.3309998940379708,0.03497123688836867,0,0.0",
+    }
+    VERIFY = {
+        "lp": {"OPT_lp": 1.5180876227816023, "OPT_pack": 1.4582542411572175,
+               "OPT_pen": 1.5180876227816023, "audit_ok": True,
+               "episodes": 1000, "eps_T_budget": 0.30000000000000004,
+               "gap": 0.2557142446994911, "gate_applied": True, "ok": True,
+               "policy": "lp", "policy_mean": 1.2623733780821111,
+               "policy_std_error": 0.01761095003804088, "violations": 0},
+        "is": {"OPT_lp": 2.092569495669278, "OPT_pack": 2.092569495669278,
+               "OPT_pen": 2.092569495669278, "audit_ok": True,
+               "episodes": 1000, "eps_T_budget": 0.6000000000000001,
+               "gap": 0.4170650993651548, "gate_applied": True, "ok": True,
+               "policy": "is", "policy_mean": 1.6755043963041234,
+               "policy_std_error": 0.020280246032767138, "violations": 0},
+    }
+
+    @pytest.fixture
+    def instances(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative paths keep the CSV bytes fixed
+        run_cli("gen", "--kind", "nrm", "--seed", "3", "--T", "3", "--m", "2",
+                "--L", "2", "--iota", "0.4", "--rho", "0.6", "--out", "nrm.json")
+        run_cli("gen", "--kind", "is", "--seed", "2", "--n", "6", "--delta",
+                "2", "--out", "is.json")
+        return {"lp": ("nrm.json", 2), "is": ("is.json", 6)}
+
+    @pytest.mark.parametrize("policy", ["lp", "is"])
+    def test_run_csv(self, instances, policy, capsys):
+        instance, eta2 = instances[policy]
+        with open("exp.json", "w", encoding="utf-8") as fh:
+            json.dump({"instance": instance, "policy": policy,
+                       "solver": dict(self.SOLVER, eta2=eta2),
+                       "n_episodes": 300}, fh)
+        capsys.readouterr()
+        assert run_cli("run", "--config", "exp.json") == 0
+        header = "instance,policy,seed,episodes,mean_reward,std_error," \
+            "violation_count,max_violation"
+        assert capsys.readouterr().out == f"{header}\n{self.RUN[policy]}\n"
+
+    @pytest.mark.parametrize("policy", ["lp", "is"])
+    def test_verify_json(self, instances, policy, capsys):
+        capsys.readouterr()
+        code = run_cli("verify", "--instance", instances[policy][0],
+                       "--policy", policy, "--episodes", "1000", "--K", "40",
+                       "--eta1", "8", "--seed", "2")
+        assert code == 0
+        assert capsys.readouterr().out == \
+            json.dumps(self.VERIFY[policy], indent=1, sort_keys=True) + "\n"

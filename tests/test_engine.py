@@ -343,6 +343,28 @@ class TestDecidePen:
         for p in tree.prefixes()[:6]:
             assert 0.0 <= decide_pen(sim, MemoTable(), p, cfg) <= 1.0
 
+    def test_decision_cached_per_prefix(self):
+        tree = random_tree(seed=10, T=3, m=2)
+        sim = tree_as_simulator(tree)
+        cfg = make_config(K=4, eta1=2, eta2=2, master_seed=55)
+        memo = MemoTable()
+        p = tree.prefixes()[-1]
+        first = decide_pen(sim, memo, p, cfg)
+        assert memo.decisions == {p.key: first}
+        before = memo.counters()
+        assert decide_pen(sim, memo, p, cfg) == first
+        assert memo.counters() == before  # no recursion on a warm decision
+
+    def test_prefilled_decision_is_returned(self):
+        tree = random_tree(seed=10, T=3, m=2)
+        sim = tree_as_simulator(tree)
+        cfg = make_config(K=4, eta1=2, eta2=2)
+        memo = MemoTable()
+        p = tree.prefixes()[0]
+        memo.decisions[p.key] = 0.25
+        assert decide_pen(sim, memo, p, cfg) == 0.25
+        assert memo.counters() == {"writes": 0, "sim_calls": 0}
+
     def test_matches_averaged_solution(self):
         tree = random_tree(seed=10, T=3, m=2)
         sim = tree_as_simulator(tree)

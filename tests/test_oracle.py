@@ -3,7 +3,7 @@ import math
 import pytest
 
 from helpers import one_node_tree, random_tree
-from onlinepack.engine import SolverConfig, averaged_solution
+from onlinepack.engine import MemoTable, SolverConfig
 from onlinepack.errors import FeasibilityAuditError, InstanceError
 from onlinepack.model import TreeBuilder, demo_tree, tree_as_simulator
 from onlinepack.oracle import (EvalReport, enumerate_pack, eval_policy_exact,
@@ -166,10 +166,10 @@ class TestEvalPolicyMc:
         sim = tree_as_simulator(tree)
         cfg = SolverConfig(epsilon=0.2, theta=0.2, alpha=0.1, K=10, eta1=4,
                            eta2=2, master_seed=3, practical_override=True)
-        sol = averaged_solution(tree, cfg)
+        memo = MemoTable()
 
         def factory(e):
-            ctx = new_episode_context(sim, cfg, e, solution=sol)
+            ctx = new_episode_context(sim, cfg, e, memo=memo)
             return lambda p: policy_lp(ctx, sim, p, cfg)
 
         r1 = eval_policy_mc(sim, factory, 500, seed=9)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from helpers import random_tree
 from onlinepack.encodings import (BipartiteNodeProcess, OnlineNodeProcess,
                                   encode_is, encode_mmo, random_is_process)
-from onlinepack.engine import SolverConfig, averaged_solution
+from onlinepack.engine import MemoTable, SolverConfig, averaged_solution
 from onlinepack.errors import InstanceError, SequencingError
 from onlinepack.model import (EMPTY_PREFIX, TreeBuilder, demo_tree,
                               tree_as_simulator)
@@ -20,6 +20,13 @@ def practical_config(**kw):
                 master_seed=101, practical_override=True)
     base.update(kw)
     return SolverConfig(**base)
+
+
+def pinned(values):
+    """A table whose decide_pen returns ``values`` (prefix key to fraction)."""
+    memo = MemoTable()
+    memo.decisions.update(values)
+    return memo
 
 
 class TestFeasState:
@@ -126,7 +133,7 @@ class TestPolicyLp:
         cfg = practical_config()
         sol = averaged_solution(tree, cfg)
         traj = sim.complete(EMPTY_PREFIX, (1,))
-        ctx = new_episode_context(sim, cfg, 0, solution=sol)
+        ctx = new_episode_context(sim, cfg, 0)
         for t in range(1, 4):
             p = traj.head(t)
             assert policy_lp(ctx, sim, p, cfg) == sol[p.key]
@@ -142,7 +149,7 @@ class TestPolicyLp:
         sim = tree_as_simulator(tree)
         cfg = practical_config()
         ones = {p.key: 1.0 for p in tree.prefixes()}
-        ctx = new_episode_context(sim, cfg, 0, solution=ones)
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(ones))
         outs = [policy_lp(ctx, sim, p, cfg) for p in (p1, p2, p3)]
         assert outs == [1.0, 0.0, 0.0]
 
@@ -150,9 +157,8 @@ class TestPolicyLp:
         tree = demo_tree()
         sim = tree_as_simulator(tree)
         cfg = practical_config()
-        sol = averaged_solution(tree, cfg)
         traj = sim.complete(EMPTY_PREFIX, (2,))
-        ctx = new_episode_context(sim, cfg, 0, solution=sol)
+        ctx = new_episode_context(sim, cfg, 0)
         with pytest.raises(SequencingError):
             policy_lp(ctx, sim, traj.head(2), cfg)  # skipped period 1
 
@@ -162,10 +168,10 @@ class TestPolicyLp:
         tree = random_tree(seed=6, T=3, m=2)
         sim = tree_as_simulator(tree)
         cfg = practical_config(K=6, eta1=2, eta2=2)
-        sol = averaged_solution(tree, cfg)
+        frozen_memo = pinned(averaged_solution(tree, cfg))
         for e in range(4):
             traj = sim.complete(EMPTY_PREFIX, (3, e))
-            frozen = new_episode_context(sim, cfg, e, solution=sol)
+            frozen = new_episode_context(sim, cfg, e, memo=frozen_memo)
             streaming = new_episode_context(sim, cfg, e)
             for t in range(1, 4):
                 p = traj.head(t)
@@ -180,18 +186,18 @@ class TestPolicyNrm:
         cfg = practical_config()
         zeros = {p.key: 0.0 for p in tree.prefixes()}
         traj = sim.complete(EMPTY_PREFIX, (7,))
-        ctx = new_episode_context(sim, cfg, 0, solution=zeros)
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(zeros))
         assert [policy_nrm(ctx, sim, traj.head(t), cfg) for t in (1, 2)] == [0, 0]
 
     def test_integral_and_feasible(self):
         tree = random_tree(seed=12, T=4, m=2, L=2, iota=1.0, integral_a=True)
         sim = tree_as_simulator(tree)
         cfg = practical_config(K=10, eta1=4)
-        sol = averaged_solution(tree, cfg)
+        memo = MemoTable()
         for e in range(200):
             traj = sim.complete(EMPTY_PREFIX, (11, e))
             r = sim.readout(traj)
-            ctx = new_episode_context(sim, cfg, e, solution=sol)
+            ctx = new_episode_context(sim, cfg, e, memo=memo)
             used = [0.0] * tree.instance.m
             for t in range(1, 5):
                 d = policy_nrm(ctx, sim, traj.head(t), cfg)
@@ -212,10 +218,10 @@ class TestPolicyNrmManyInstances:
             sim = tree_as_simulator(tree)
             cfg = practical_config(K=12, eta1=4, eta2=tree.instance.T,
                                    master_seed=seed)
-            sol = averaged_solution(tree, cfg)
+            memo = MemoTable()
 
             def factory(e):
-                ctx = new_episode_context(sim, cfg, e, solution=sol)
+                ctx = new_episode_context(sim, cfg, e, memo=memo)
                 return lambda p: policy_nrm(ctx, sim, p, cfg)
 
             rep = eval_policy_mc(sim, factory, 400, seed=seed)
@@ -235,7 +241,7 @@ class TestPolicyIs:
         cfg = practical_config()
         traj = sim.complete(EMPTY_PREFIX, (0,))
         table = {traj.head(1).key: 0.6, traj.head(2).key: 0.3}
-        ctx = new_episode_context(sim, cfg, 0, solution=table)
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table))
         ctx.shared_uniform = 0.5
         # skip FEAS interference: budgets are 1 and the values are feasible
         left = policy_is(ctx, sim, traj.head(1), cfg)
@@ -249,19 +255,20 @@ class TestPolicyIs:
         inst, sim = encode_is(proc)
         cfg = practical_config()
         traj = sim.complete(EMPTY_PREFIX, (0,))
+        memo = pinned({traj.head(1).key: 1.0})
         for e in range(50):
-            ctx = new_episode_context(sim, cfg, e, solution={traj.head(1).key: 1.0})
+            ctx = new_episode_context(sim, cfg, e, memo=memo)
             assert policy_is(ctx, sim, traj.head(1), cfg) == 1
 
     def test_no_edge_violations(self):
         proc = random_is_process(seed=77, n=6, delta=2)
         inst, sim = encode_is(proc)
         cfg = practical_config(K=12, eta1=4)
-        sol = averaged_solution(sim.tree, cfg)
+        memo = MemoTable()
         for e in range(300):
             traj = sim.complete(EMPTY_PREFIX, (13, e))
             r = sim.readout(traj)
-            ctx = new_episode_context(sim, cfg, e, solution=sol)
+            ctx = new_episode_context(sim, cfg, e, memo=memo)
             used = {}
             for t in range(1, inst.T + 1):
                 d = policy_is(ctx, sim, traj.head(t), cfg)
@@ -279,7 +286,7 @@ class TestPolicyMmoGreedy:
         cfg = practical_config()
         traj = sim.complete(EMPTY_PREFIX, (0,))
         table = {p.key: 0.9 for p in sim.tree.prefixes()}
-        ctx = new_episode_context(sim, cfg, 0, solution=table)
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table))
         assert policy_mmo_greedy(ctx, sim, traj.head(1), cfg) == 1
 
     def test_unrealized_periods_zero(self):
@@ -289,7 +296,7 @@ class TestPolicyMmoGreedy:
         cfg = practical_config()
         traj = sim.complete(EMPTY_PREFIX, (0,))
         table = {p.key: 0.5 for p in sim.tree.prefixes()}
-        ctx = new_episode_context(sim, cfg, 0, solution=table)
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table))
         decisions = [policy_mmo_greedy(ctx, sim, traj.head(t), cfg)
                      for t in range(1, inst.T + 1)]
         assert decisions[0] == 1
@@ -302,7 +309,7 @@ class TestPolicyMmoGreedy:
         cfg = practical_config()
         traj = sim.complete(EMPTY_PREFIX, (0,))
         table = {p.key: 0.4 for p in sim.tree.prefixes()}
-        ctx = new_episode_context(sim, cfg, 0, solution=table)
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table))
         first = policy_mmo_greedy(ctx, sim, traj.head(1), cfg)
         second = policy_mmo_greedy(ctx, sim, traj.head(2), cfg)
         assert (first, second) == (1, 0)  # edge to offline node 0 wins
@@ -312,11 +319,11 @@ class TestPolicyMmoGreedy:
         proc = random_mmo_process(seed=21, n_offline=3, n_online=3, delta=2)
         inst, sim = encode_mmo(proc)
         cfg = practical_config(K=8, eta1=4)
-        sol = averaged_solution(sim.tree, cfg)
+        memo = MemoTable()
         for e in range(300):
             traj = sim.complete(EMPTY_PREFIX, (15, e))
             r = sim.readout(traj)
-            ctx = new_episode_context(sim, cfg, e, solution=sol)
+            ctx = new_episode_context(sim, cfg, e, memo=memo)
             matched = {}
             for t in range(1, inst.T + 1):
                 d = policy_mmo_greedy(ctx, sim, traj.head(t), cfg)
@@ -351,3 +358,30 @@ class TestStreamingOnGenerativeInstance:
         assert rep1.violation_count == 0
         assert rep1.mean_reward == rep2.mean_reward
         assert rep1.mean_reward > 0.0
+
+
+class TestOneTablePerRun:
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 10_000), T=st.integers(1, 4),
+           m=st.integers(1, 3), master_seed=st.integers(0, 2**31),
+           momentum=st.sampled_from(("unaccelerated", "accelerated")))
+    def test_shared_fresh_and_sweep_tables_agree(self, seed, T, m,
+                                                 master_seed, momentum):
+        # a table shared by every episode, a fresh table per episode and
+        # the sweep reference give bit-identical fractions and decisions
+        tree = random_tree(seed=seed, T=T, m=m, L=min(m, 2), max_children=2)
+        sim = tree_as_simulator(tree)
+        cfg = practical_config(K=4, eta1=3, eta2=min(2, T),
+                               master_seed=master_seed, momentum=momentum)
+        shared, sweep = MemoTable(), pinned(averaged_solution(tree, cfg))
+        for policy in (policy_lp, policy_nrm):
+            for e in range(4):
+                traj = sim.complete(EMPTY_PREFIX, (master_seed, "episode", e))
+                ctxs = [new_episode_context(sim, cfg, e, memo=memo, trace=True)
+                        for memo in (shared, None, sweep)]
+                for t in range(1, T + 1):
+                    for ctx in ctxs:
+                        policy(ctx, sim, traj.head(t), cfg)
+                runs = [[(r["fractional"].hex(), float(r["decision"]).hex())
+                         for r in ctx.trace] for ctx in ctxs]
+                assert runs[0] == runs[1] == runs[2]
