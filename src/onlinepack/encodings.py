@@ -81,7 +81,6 @@ def _mixture_tree(T, m, L, iota, b, scenarios):
     carries them).
     """
     tb = TreeBuilder(T=T, m=m, b=b, L=L, iota=iota)
-    known: set[bytes] = set()
 
     def expand(parent: Prefix | None, group, depth: int):
         by_obs: dict[tuple, list] = {}
@@ -100,14 +99,33 @@ def _mixture_tree(T, m, L, iota, b, scenarios):
                         "scenarios disagree on a shared prefix; "
                         "reward and consumption must be observation-measurable")
             node = tb.add(parent, obs_row, cond, z=z, a=dict(a))
-            if node.key in known:
-                raise InstanceError("duplicate prefix in mixture")
-            known.add(node.key)
             if depth + 1 < T:
                 expand(node, members, depth + 1)
 
     expand(None, [(p, periods) for p, periods in scenarios], 0)
     return tb.build()
+
+
+def _is_rows(process: BipartiteNodeProcess, edges, weights):
+    """Edge ids and per-node (observation row, incident edge ids) of a graph.
+
+    Potential edges are numbered in sorted (low, high) order; node t's row
+    is (weight, partite flag, its incident edge ids padded to Delta).
+    """
+    order = sorted((min(u, v), max(u, v)) for u, v in edges)
+    edge_id = {e: j for j, e in enumerate(order)}
+    incident: list[list[int]] = [[] for _ in range(process.n)]
+    for e, j in edge_id.items():
+        incident[e[0]].append(j)
+        incident[e[1]].append(j)
+    rows = []
+    for t in range(process.n):
+        ids = sorted(incident[t])
+        rows.append(((float(weights[t]),
+                      0.0 if process.partite[t] == "L" else 1.0,
+                      *([float(j) for j in ids] + [_PAD] * (process.delta - len(ids)))),
+                     ids))
+    return edge_id, rows
 
 
 def encode_is(process: BipartiteNodeProcess):
@@ -123,22 +141,11 @@ def encode_is(process: BipartiteNodeProcess):
     scenarios = []
     for prob, edges, weights in process.scenarios:
         _check_graph(n, delta, process.partite, edges, weights)
-        order = sorted((min(u, v), max(u, v)) for u, v in edges)
-        if len(order) > m:
+        edge_id, rows = _is_rows(process, edges, weights)
+        if len(edge_id) > m:
             raise InstanceError("more potential edges than floor(Delta n / 2)")
-        edge_id = {e: j for j, e in enumerate(order)}
-        incident: list[list[int]] = [[] for _ in range(n)]
-        for e, j in edge_id.items():
-            incident[e[0]].append(j)
-            incident[e[1]].append(j)
-        periods = []
-        for t in range(n):
-            ids = sorted(incident[t])
-            obs = (float(weights[t]),
-                   0.0 if process.partite[t] == "L" else 1.0,
-                   *([float(j) for j in ids] + [_PAD] * (delta - len(ids))))
-            a = tuple((j, 1.0) for j in ids)
-            periods.append((obs, float(weights[t]), a))
+        periods = [(obs, float(weights[t]), tuple((j, 1.0) for j in ids))
+                   for t, (obs, ids) in enumerate(rows)]
         scenarios.append((prob, periods))
     tree = _mixture_tree(T=n, m=m, L=delta, iota=1.0,
                          b=tuple(1.0 for _ in range(m)), scenarios=scenarios)
@@ -402,23 +409,11 @@ def is_traditional_reveal_ok(process: BipartiteNodeProcess) -> bool:
     rather than an alternative encoding.
     """
     per_scenario = []
-    for prob, edges, weights in process.scenarios:
-        order = sorted((min(u, v), max(u, v)) for u, v in edges)
-        edge_id = {e: j for j, e in enumerate(order)}
-        incident: list[list[int]] = [[] for _ in range(process.n)]
-        for e, j in edge_id.items():
-            incident[e[0]].append(j)
-            incident[e[1]].append(j)
-        obs_rows = []
-        for t in range(process.n):
-            ids = sorted(incident[t])
-            obs_rows.append((float(weights[t]),
-                             0.0 if process.partite[t] == "L" else 1.0,
-                             *([float(j) for j in ids]
-                               + [_PAD] * (process.delta - len(ids)))))
+    for _, edges, weights in process.scenarios:
+        edge_id, rows = _is_rows(process, edges, weights)
         first = {j: min(e) for e, j in edge_id.items()}
         second = {j: max(e) for e, j in edge_id.items()}
-        per_scenario.append((tuple(obs_rows), first, second))
+        per_scenario.append((tuple(obs for obs, _ in rows), first, second))
     for rows_a, first_a, second_a in per_scenario:
         for rows_b, first_b, second_b in per_scenario:
             for j, tau in first_a.items():

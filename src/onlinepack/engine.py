@@ -469,9 +469,8 @@ def leaf_grad_table(tree: ExplicitScenarioTree, prefix: Prefix,
     leaf_keys, cond = tree.leaves_under(prefix.key)
     values = []
     for lk in leaf_keys:
-        leaf = tree.node(lk).prefix
-        heads = [leaf.head(t) for t in range(1, inst.T + 1)]
-        pd = PathDraw(leaf, [(h, tree.node(h).a) for h in heads])
+        chain = tree.path(lk)
+        pd = PathDraw(chain[-1].prefix, [(nd.prefix, nd.a) for nd in chain])
         values.append(grad_component(node.z, node.a, (pd,), lambda p: x[p.key],
                                      inst.b, inst.T, 1, config.eta2,
                                      config.theta, inst.iota))

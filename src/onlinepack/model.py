@@ -330,14 +330,24 @@ class ExplicitScenarioTree:
         n = self.node(ref)
         return [self._nodes[c] for c in n.children]
 
+    def path(self, ref) -> list[TreeNode]:
+        """The nodes from the root down to ``ref``, one per period.
+
+        The one root-to-node walk: readouts, penalty loads, LP rows, the
+        structure constants and the leaf gradient table all read a
+        trajectory's periods from it.
+        """
+        node = self.node(ref)
+        chain = [node]
+        while node.parent is not None:
+            node = self._nodes[node.parent]
+            chain.append(node)
+        chain.reverse()
+        return chain
+
     def readout(self, prefix: Prefix) -> Readout:
-        node = self.node(prefix)
-        zs, avs = [], []
-        chain = [self.node(prefix.head(t)) for t in range(1, node.depth)] + [node]
-        for nd in chain:
-            zs.append(nd.z)
-            avs.append(nd.a)
-        return Readout(zs, avs)
+        chain = self.path(prefix)
+        return Readout([nd.z for nd in chain], [nd.a for nd in chain])
 
     def leaves_under(self, ref):
         """(leaf keys, conditional probabilities) of the subtree below ref."""
@@ -422,30 +432,35 @@ class TreeBuilder:
     def add(self, parent: Prefix | None, observation: Sequence[float],
             prob: float, z: float, a: Mapping[int, float] | None = None) -> Prefix:
         """Add a node under ``parent`` with conditional probability ``prob``."""
-        a_pairs = _sorted_rcv(a or {})
-        if parent is None:
-            prefix = Prefix((observation,))
-            mu = float(prob)
-            parent_key = None
-            depth = 1
-        else:
+        pnode = None
+        mu = float(prob)
+        if parent is not None:
             pnode = self._nodes.get(parent.key)
             if pnode is None:
                 raise InstanceError("parent prefix not in tree")
-            prefix = parent.extend(observation)
-            mu = pnode.mu * float(prob)
-            parent_key = parent.key
-            depth = pnode.depth + 1
+            mu = pnode.mu * mu
+        return self._attach(pnode, observation, mu, float(z),
+                            _sorted_rcv(a or {})).prefix
+
+    def _attach(self, parent: TreeNode | None, obs: Sequence[float], mu: float,
+                z: float, a_pairs: tuple) -> TreeNode:
+        """Link a node of absolute probability ``mu`` under ``parent``."""
+        if parent is None:
+            prefix = Prefix((obs,))
+        else:
+            prefix = parent.prefix.extend(obs)
         if prefix.key in self._nodes:
             raise InstanceError("duplicate prefix (sibling observations must differ)")
-        node = TreeNode(prefix, mu, float(z), a_pairs, parent_key, depth)
+        node = TreeNode(prefix, mu, z, a_pairs,
+                        None if parent is None else parent.prefix.key,
+                        1 if parent is None else parent.depth + 1)
         self._nodes[prefix.key] = node
         self._order.append(prefix.key)
-        if parent_key is None:
+        if parent is None:
             self._roots.append(prefix.key)
         else:
-            self._nodes[parent_key].children.append(prefix.key)
-        return prefix
+            parent.children.append(prefix.key)
+        return node
 
     def build(self) -> ExplicitScenarioTree:
         return ExplicitScenarioTree(self.instance, self._nodes, self._roots,
@@ -535,13 +550,11 @@ def derive_structure_constants(tree: ExplicitScenarioTree) -> StructureConstants
     L_seen = 0
     iota_seen = 1.0
     for leaf_key in tree.leaf_keys:
-        leaf = tree.node(leaf_key).prefix
-        r = tree.readout(leaf)
-        supports = [frozenset(i for i, _ in r.rcv(t)) for t in range(1, inst.T + 1)]
+        rcvs = [nd.a for nd in tree.path(leaf_key)]
+        supports = [frozenset(i for i, _ in pairs) for pairs in rcvs]
         totals: dict[int, float] = {}
         counts: dict[int, int] = {}
-        for t in range(1, inst.T + 1):
-            pairs = r.rcv(t)
+        for pairs in rcvs:
             L_seen = max(L_seen, len(pairs))
             for i, v in pairs:
                 totals[i] = totals.get(i, 0.0) + v
@@ -550,19 +563,14 @@ def derive_structure_constants(tree: ExplicitScenarioTree) -> StructureConstants
         if counts:
             U = max(U, max(counts.values()))
         V = max(V, sum(1 for i, tot in totals.items() if tot >= inst.b[i] - 1e-12))
-        for r_t in range(1, inst.T + 1):
-            ref = supports[r_t - 1]
+        for ref in supports:
             if not ref:
                 continue
             overlap = sum(len(ref & s) for s in supports)
             W = max(W, overlap)
-    nu = min(inst.b) / inst.T if inst.b else 0.0
-    min_b = min(inst.b) if inst.b else 0.0
-    lam = min(inst.m, inst.L * inst.T / min_b) if min_b > 0 else float(inst.m)
-    v_bound = min(inst.m, math.ceil(inst.L / nu)) if nu > 0 else inst.m
     return StructureConstants(
         U=max(U, 2), V=max(V, 1), W=W, L=L_seen, iota=iota_seen,
-        nu=nu, lam=lam, V_bound=v_bound,
+        nu=inst.nu, lam=inst.lam, V_bound=inst.v_bound(),
     )
 
 
@@ -780,44 +788,24 @@ def tree_to_payload(tree: ExplicitScenarioTree) -> dict:
 
 def payload_to_tree(payload: dict) -> ExplicitScenarioTree:
     structure = payload.get("structure", {})
-    instance = InstanceSpec(
-        T=int(payload["T"]), m=int(payload["m"]),
-        b=tuple(payload["b"]), L=int(payload["L"]),
-        iota=float(payload["iota"]),
-        U=structure.get("U"), V=structure.get("V"), W=structure.get("W"),
-    )
-    nodes: dict[bytes, TreeNode] = {}
-    roots: list[bytes] = []
-    order: list[bytes] = []
+    tb = TreeBuilder(T=int(payload["T"]), m=int(payload["m"]),
+                     b=payload["b"], L=int(payload["L"]),
+                     iota=float(payload["iota"]), U=structure.get("U"),
+                     V=structure.get("V"), W=structure.get("W"))
     by_id: dict[int, TreeNode] = {}
     for rec in payload["tree"]["nodes"]:
-        parent_id = rec["parent_id"]
+        parent = None
+        if rec["parent_id"] is not None:
+            parent = by_id.get(rec["parent_id"])
+            if parent is None:
+                raise InstanceError("node listed before its parent")
         obs = rec.get("obs")
         if obs is None:
             obs = [float(rec["prefix_id"])]  # synthesize a distinct observation
-        if parent_id is None:
-            prefix = Prefix((obs,))
-            depth = 1
-            parent_key = None
-        else:
-            parent = by_id.get(parent_id)
-            if parent is None:
-                raise InstanceError("node listed before its parent")
-            prefix = parent.prefix.extend(obs)
-            depth = parent.depth + 1
-            parent_key = parent.prefix.key
-        if prefix.key in nodes:
-            raise InstanceError("duplicate prefix in instance file")
-        node = TreeNode(prefix, float(rec["prob"]), float(rec["Z"]),
-                        _sorted_rcv(rec.get("a", [])), parent_key, depth)
-        nodes[prefix.key] = node
-        by_id[rec["prefix_id"]] = node
-        order.append(prefix.key)
-        if parent_key is None:
-            roots.append(prefix.key)
-        else:
-            nodes[parent_key].children.append(prefix.key)
-    return ExplicitScenarioTree(instance, nodes, roots, order)
+        by_id[rec["prefix_id"]] = tb._attach(
+            parent, obs, float(rec["prob"]), float(rec["Z"]),
+            _sorted_rcv(rec.get("a", [])))
+    return tb.build()
 
 
 def generative_payload(family: str, params: dict,

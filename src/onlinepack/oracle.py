@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (CapacityError, ConvergenceError, FeasibilityAuditError,
                      InstanceError)
@@ -59,7 +58,6 @@ def _common_grid(values, max_denominator=512) -> Fraction | None:
 class PackSolution:
     value: float
     policy: Mapping[tuple[bytes, tuple], int]
-    exact: bool
     grid: float | None
 
 
@@ -134,7 +132,7 @@ def solve_pack_dp(tree: ExplicitScenarioTree) -> PackSolution:
         root = tree.node(rk)
         if root.mu > 0:
             total += root.mu * best(rk, b_state)
-    return PackSolution(value=total, policy=choice, exact=True, grid=gridf)
+    return PackSolution(value=total, policy=choice, grid=gridf)
 
 
 def enumerate_pack(tree: ExplicitScenarioTree, cap: int = 22) -> float:
@@ -144,13 +142,14 @@ def enumerate_pack(tree: ExplicitScenarioTree, cap: int = 22) -> float:
     if n > cap:
         raise CapacityError(f"{n} decision nodes exceed enumeration cap {cap}")
     inst = tree.instance
+    index = {k: j for j, k in enumerate(tree.order)}
     leaf_rows = []
-    for leaf in tree.leaves():
-        if tree.mu(leaf) == 0.0:  # constraints run over the support only
+    for leaf_key in tree.leaf_keys:
+        chain = tree.path(leaf_key)
+        if chain[-1].mu == 0.0:  # constraints run over the support only
             continue
-        r = tree.readout(leaf)
-        idx = [prefixes.index(leaf.head(t)) for t in range(1, inst.T + 1)]
-        leaf_rows.append((idx, [r.rcv(t) for t in range(1, inst.T + 1)]))
+        leaf_rows.append(([index[nd.prefix.key] for nd in chain],
+                          [nd.a for nd in chain]))
     mu_z = [tree.mu(p) * tree.node(p).z for p in prefixes]
     best_val = 0.0
     for mask in range(1 << n):
@@ -177,45 +176,57 @@ def enumerate_pack(tree: ExplicitScenarioTree, cap: int = 22) -> float:
 
 
 def _lp_arrays(tree: ExplicitScenarioTree):
-    prefixes = tree.prefixes()
-    index = {p.key: j for j, p in enumerate(prefixes)}
-    c = np.array([-tree.mu(p) * tree.node(p).z for p in prefixes])
-    rows = []
-    rhs = []
-    inst = tree.instance
-    for leaf in tree.leaves():
-        if tree.mu(leaf) == 0.0:  # constraints run over the support only
+    """The deterministic-equivalent LP in one pass over the support leaves.
+
+    Columns follow ``tree.order``; each support leaf contributes one budget
+    row per resource it requests, resources ascending.  Returns (objective,
+    sparse CSR A_ub, right-hand sides, leaf mass of each row).
+    """
+    from scipy import sparse
+
+    index = {k: j for j, k in enumerate(tree.order)}
+    c = np.array([-nd.mu * nd.z for nd in map(tree.node, tree.order)])
+    b = tree.instance.b
+    data: list[float] = []
+    cols: list[int] = []
+    indptr = [0]
+    rhs: list[float] = []
+    row_mu: list[float] = []
+    for leaf_key in tree.leaf_keys:
+        chain = tree.path(leaf_key)
+        mu = chain[-1].mu
+        if mu == 0.0:  # constraints run over the support only
             continue
-        r = tree.readout(leaf)
-        per_resource: dict[int, dict[int, float]] = {}
-        for t in range(1, inst.T + 1):
-            col = index[leaf.head(t).key]
-            for i, v in r.rcv(t):
-                per_resource.setdefault(i, {})[col] = \
-                    per_resource.get(i, {}).get(col, 0.0) + v
-        for i, cols in sorted(per_resource.items()):
-            row = np.zeros(len(prefixes))
-            for col, v in cols.items():
-                row[col] = v
-            rows.append(row)
-            rhs.append(inst.b[i])
-    return prefixes, index, c, rows, rhs
+        per_resource: dict[int, list[tuple[int, float]]] = {}
+        for nd in chain:
+            col = index[nd.prefix.key]
+            for i, v in nd.a:
+                per_resource.setdefault(i, []).append((col, v))
+        for i, entries in sorted(per_resource.items()):
+            for col, v in entries:
+                cols.append(col)
+                data.append(v)
+            indptr.append(len(data))
+            rhs.append(b[i])
+            row_mu.append(mu)
+    a_ub = sparse.csr_matrix((data, cols, indptr), shape=(len(rhs), len(c)))
+    return c, a_ub, np.array(rhs), np.array(row_mu)
 
 
-def solve_lp_explicit(tree: ExplicitScenarioTree, tol: float = 1e-9):
+def solve_lp_explicit(tree: ExplicitScenarioTree):
     """Optimal value and solution of the deterministic-equivalent LP."""
-    prefixes, _, c, rows, rhs = _lp_arrays(tree)
-    n = len(prefixes)
-    if n > _LP_DIM_CAP or len(rows) > _LP_DIM_CAP:
+    from scipy.optimize import linprog
+
+    c, a_ub, rhs, _ = _lp_arrays(tree)
+    n, n_rows = len(c), len(rhs)
+    if n > _LP_DIM_CAP or n_rows > _LP_DIM_CAP:
         raise CapacityError("explicit LP exceeds the oracle dimension cap")
-    a_ub = np.vstack(rows) if rows else None
-    b_ub = np.array(rhs) if rows else None
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * n,
-                  method="highs", options={"presolve": True})
+    res = linprog(c, A_ub=a_ub if n_rows else None, b_ub=rhs if n_rows else None,
+                  bounds=[(0.0, 1.0)] * n, method="highs",
+                  options={"presolve": True})
     if not res.success:
         raise ConvergenceError(f"LP solve failed: {res.message}")
-    solution = {p.key: float(np.clip(res.x[j], 0.0, 1.0))
-                for j, p in enumerate(prefixes)}
+    solution = {k: float(np.clip(v, 0.0, 1.0)) for k, v in zip(tree.order, res.x)}
     return float(-res.fun), solution
 
 
@@ -225,34 +236,17 @@ def solve_pen_lp(tree: ExplicitScenarioTree):
     One auxiliary variable per (trajectory, requested resource) carries the
     hinge (load - b_i)^+ with weight 2 mu(S) / iota in the objective.
     """
-    prefixes, index, c, rows, rhs = _lp_arrays(tree)
-    inst = tree.instance
-    n = len(prefixes)
-    leaf_mus = []
-    for leaf in tree.leaves():
-        if tree.mu(leaf) == 0.0:  # aligned with the rows from _lp_arrays
-            continue
-        r = tree.readout(leaf)
-        touched = sorted({i for t in range(1, inst.T + 1) for i, _ in r.rcv(t)})
-        for _ in touched:
-            leaf_mus.append(tree.mu(leaf))
-    # rows were emitted leaf-major, resource-minor, matching leaf_mus order
-    n_aux = len(rows)
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    c, a_ub, rhs, row_mu = _lp_arrays(tree)
+    n, n_aux = len(c), len(rhs)
     if n + n_aux > _LP_DIM_CAP:
         raise CapacityError("penalty LP exceeds the oracle dimension cap")
-    c_full = np.concatenate([c, 2.0 / inst.iota * np.array(leaf_mus)]) \
-        if n_aux else c
-    a_rows = []
-    b_vals = []
-    for j, (row, cap) in enumerate(zip(rows, rhs)):
-        full = np.zeros(n + n_aux)
-        full[:n] = row
-        full[n + j] = -1.0
-        a_rows.append(full)
-        b_vals.append(cap)
+    c_full = np.concatenate([c, 2.0 / tree.instance.iota * row_mu])
+    a_full = sparse.hstack([a_ub, -sparse.identity(n_aux)]) if n_aux else None
     bounds = [(0.0, 1.0)] * n + [(0.0, None)] * n_aux
-    res = linprog(c_full, A_ub=np.vstack(a_rows) if a_rows else None,
-                  b_ub=np.array(b_vals) if a_rows else None,
+    res = linprog(c_full, A_ub=a_full, b_ub=rhs if n_aux else None,
                   bounds=bounds, method="highs")
     if not res.success:
         raise ConvergenceError(f"penalty LP solve failed: {res.message}")

@@ -46,11 +46,10 @@ def huber_deriv(x: float, theta: float) -> float:
 
 def _leaf_loads(tree: ExplicitScenarioTree, leaf: Prefix, x: SolutionVector):
     """Per-resource loads sum_t a_i(S^t) X(S^t) along one trajectory."""
-    r = tree.readout(leaf)
     loads: dict[int, float] = {}
-    for t in range(1, tree.instance.T + 1):
-        xv = x[leaf.head(t).key]
-        for i, v in r.rcv(t):
+    for nd in tree.path(leaf):
+        xv = x[nd.prefix.key]
+        for i, v in nd.a:
             loads[i] = loads.get(i, 0.0) + v * xv
     return loads
 

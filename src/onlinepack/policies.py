@@ -229,8 +229,8 @@ def policy_mmo_greedy(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
         decision, frac = ctx.pending_block.pop(t)
         _record(ctx, prefix, frac, decision)
         return decision
-    r = sim.readout(prefix)
-    if not r.rcv(t):  # unrealized period: no edge, decision zero
+    _, a = node_values(sim, prefix)
+    if not a:  # unrealized period: no edge, decision zero
         _record(ctx, prefix, 0.0, 0)
         return 0
     if sim.block_lookup is None:

@@ -327,7 +327,6 @@ def test_c07_optimality_gap():
         tree = random_tree(seed=3000 + seed, T=T, m=m, L=min(m, 2),
                            iota=1.0, integral_a=True, max_children=2)
         dp = solve_pack_dp(tree)
-        assert dp.exact
         mean, opt, slack, rep = _gap_check(tree, seed=seed + 2)
         assert dp.value <= opt + 1e-9  # relaxation chain holds en route
         assert mean >= slack, (seed, mean, slack)

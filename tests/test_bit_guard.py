@@ -30,9 +30,10 @@ from onlinepack.encodings import (encode_is, encode_mmo, encode_mwm,
                                   random_mwm_process)
 from onlinepack.errors import InstanceError, SupportError
 from onlinepack.model import (EMPTY_PREFIX, Prefix, TreeBuilder, _NrmTables,
-                              generate_nrm, generative_payload,
-                              load_instance_payload, node_values,
-                              tree_as_simulator, tree_to_payload)
+                              derive_structure_constants, generate_nrm,
+                              generative_payload, load_instance_payload,
+                              node_values, tree_as_simulator, tree_to_payload)
+from onlinepack.oracle import solve_lp_explicit, solve_pen_lp
 from onlinepack.penalty import (aggregate_violation, eval_f, eval_f_theta,
                                 exact_grad_f_theta)
 from onlinepack.policies import FeasState, feas_table
@@ -158,6 +159,28 @@ def test_extend_collapses_negative_zero():
     p = Prefix([[1.0, 2.0]]).extend((-0.0, 3.0))
     assert p == Prefix([[1.0, 2.0], [0.0, 3.0]])
     assert EMPTY_PREFIX.extend((-0.0,)).key == Prefix([[0.0]]).key
+
+
+# -- ExplicitScenarioTree.path ---------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_tree_path_equals_head_chain(seed, T):
+    tree = random_tree(seed, T=T, m=2)
+    for key in tree.order:
+        prefix = tree.node(key).prefix
+        heads = [prefix.head(t) for t in range(1, len(prefix) + 1)]
+        chain = tree.path(prefix)
+        assert [nd.prefix for nd in chain] == heads
+        assert all(nd is tree.node(h) for nd, h in zip(chain, heads))
+        assert [nd.prefix for nd in tree.path(key)] == heads
+        # the readout is the chain's node values, as from head(t) lookups
+        r = tree.readout(prefix)
+        assert r.z == tuple(tree.node(h).z for h in heads)
+        assert r.a == tuple(tree.node(h).a for h in heads)
+    with pytest.raises(SupportError):
+        tree.path(Prefix([[-1.0]]))
 
 
 # -- node_values ------------------------------------------------------------
@@ -584,3 +607,28 @@ def test_golden_shared_table_write_order(golden):
     digest = hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
     assert (digest, memo.writes, memo.sim_calls) == \
         _GOLDEN[name]["shared_writes"]
+
+
+# OPT_lp, OPT_pen, the LP solution (digest in prefix order) and the
+# structure constants; they keep their bits however the LP rows and the
+# root-to-leaf paths are assembled
+_GOLDEN_LP = {
+    "m2": ("0x1.68173b9abcd48p+0", "0x1.68173b9abcd48p+0",
+           "31825183b827feec23a61206",
+           (2, 2, 4, 2, 0.3122365357328976, 0.135675140604718, 2, 2)),
+    "m4": ("0x1.1db4f235ae668p+0", "0x1.1db4f235ae668p+0",
+           "c36ccc6b1664ef600341b423",
+           (4, 4, 10, 3, 0.3015031614671491, 0.08320903825170067, 4, 4)),
+    "m5": ("0x1.59cc9b36be1e5p+0", "0x1.59cc9b36be1e5p+0",
+           "6983b0ffdfdd85ad7432cd4b",
+           (2, 4, 6, 4, 0.3298885222533532, 0.13327844970221883, 5, 5)),
+}
+
+
+def test_golden_lp_oracles(golden):
+    name, tree, _ = golden
+    opt_lp, sol = solve_lp_explicit(tree)
+    assert list(sol) == [p.key for p in tree.prefixes()]
+    consts = dataclasses.astuple(derive_structure_constants(tree))
+    assert (opt_lp.hex(), solve_pen_lp(tree).hex(), _table_digest(sol.values()),
+            consts) == _GOLDEN_LP[name]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import onlinepack
 from onlinepack import keys, load_instance
 from onlinepack.cli import main
 from onlinepack.encodings import encode_is, random_is_process
@@ -363,3 +368,13 @@ class TestGoldenOutputs:
         assert code == 0
         assert capsys.readouterr().out == \
             json.dumps(self.VERIFY[policy], indent=1, sort_keys=True) + "\n"
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy serves the LP oracles only, which import it when they run
+    src = str(Path(onlinepack.__file__).resolve().parent.parent)
+    code = "import sys, onlinepack.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

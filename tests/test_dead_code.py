@@ -1,8 +1,9 @@
 """Static checks that ``src/onlinepack`` carries no dead code.
 
-Two kinds of leftovers are caught with the standard-library ``ast`` module:
-an import a module never uses, and a module-private (``_name``) function or
-method that nothing in the package references outside its own body.
+Three kinds of leftovers are caught with the standard-library ``ast`` module:
+an import a module never uses, a module-private (``_name``) function or
+method that nothing in the package references outside its own body, and a
+function parameter (other than ``self`` or ``cls``) that its body never reads.
 ``__init__.py`` only re-exports the public API, so its imports count as used.
 """
 
@@ -65,3 +66,27 @@ def test_no_unreferenced_private_functions():
     dead = [f"{fn} ({where})" for fn, where in sorted(defined.items())
             if refs[fn] - own[fn] <= 0]
     assert dead == []
+
+
+def _parameters(fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda):
+    args = fn.args
+    return [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                            args.vararg, args.kwarg) if a is not None]
+
+
+def test_no_unread_parameters():
+    unread = []
+    for name, module in _modules().items():
+        for node in ast.walk(module):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)
+                    and not isinstance(sub.ctx, ast.Store)}
+            fn = getattr(node, "name", "<lambda>")
+            unread += [f"{name}:{node.lineno} {fn}({param})"
+                       for param in _parameters(node)
+                       if param not in ("self", "cls") and param not in read]
+    assert unread == []

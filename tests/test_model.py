@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -270,14 +271,27 @@ class TestGenerateNrm:
 
 class TestInstanceIO:
     def test_explicit_round_trip(self):
+        # through JSON text, every node comes back bit for bit and linked
+        # in the same order
         tree = random_tree(seed=8, T=3, m=2)
-        payload = tree_to_payload(tree)
-        back = payload_to_tree(payload)
+        back = payload_to_tree(json.loads(json.dumps(tree_to_payload(tree))))
         assert [p.key for p in back.prefixes()] == [p.key for p in tree.prefixes()]
+        assert (back.root_keys, back.leaf_keys) == (tree.root_keys, tree.leaf_keys)
         for p in tree.prefixes():
-            assert back.node(p).mu == pytest.approx(tree.node(p).mu, abs=1e-15)
-            assert back.node(p).z == tree.node(p).z
-            assert back.node(p).a == tree.node(p).a
+            n, m = tree.node(p), back.node(p)
+            assert (m.prefix.obs, m.mu.hex(), m.z, m.a, m.parent, m.children,
+                    m.depth) == (n.prefix.obs, n.mu.hex(), n.z, n.a, n.parent,
+                                 n.children, n.depth)
+
+    def test_payload_node_errors(self):
+        payload = tree_to_payload(demo_tree())
+        nodes = payload["tree"]["nodes"]
+        swapped = dict(payload, tree={"nodes": nodes[1:] + nodes[:1]})
+        with pytest.raises(InstanceError, match="before its parent"):
+            payload_to_tree(swapped)
+        twice = dict(payload, tree={"nodes": nodes + [dict(nodes[2], prefix_id=9)]})
+        with pytest.raises(InstanceError, match="duplicate prefix"):
+            payload_to_tree(twice)
 
     def test_generative_payload_round_trip(self):
         from onlinepack.model import generative_payload

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -331,6 +333,31 @@ class TestPolicyMmoGreedy:
                     for i, _ in r.rcv(t):
                         matched[i] = matched.get(i, 0) + 1
             assert all(c <= 1 for c in matched.values())
+
+    def test_decides_without_full_readout(self):
+        # as in c06: every period, realized or not, is read through the
+        # handle's node lookup, so a readout that raises is never reached
+        from onlinepack.encodings import random_mmo_process
+        proc = random_mmo_process(seed=21, n_offline=3, n_online=3, delta=2)
+        inst, sim = encode_mmo(proc)
+
+        def readout(prefix):
+            raise AssertionError("full readout on the decision path")
+
+        blind = dataclasses.replace(sim, readout=readout)
+        cfg = practical_config(K=4, eta1=3)
+        decided, unrealized = set(), 0
+        for e in range(20):
+            traj = sim.complete(EMPTY_PREFIX, (15, e))
+            runs = []
+            for handle in (sim, blind):
+                ctx = new_episode_context(handle, cfg, e)
+                runs.append([policy_mmo_greedy(ctx, handle, traj.head(t), cfg)
+                             for t in range(1, inst.T + 1)])
+            assert runs[0] == runs[1]
+            decided.update(runs[0])
+            unrealized += sum(not nd.a for nd in sim.tree.path(traj))
+        assert decided == {0, 1} and unrealized > 0
 
 
 class TestScaledEpsilon:
