@@ -25,8 +25,8 @@ import numpy as np
 from . import keys
 from .errors import (CapacityError, ContractViolationError, MemoIntegrityError,
                      ParameterError)
-from .model import (ExplicitScenarioTree, Prefix, SimulatorHandle,
-                    node_values, tree_as_simulator)
+from .model import (EMPTY_PREFIX, ExplicitScenarioTree, Prefix,
+                    SimulatorHandle, node_values, tree_as_simulator)
 from .penalty import huber_deriv
 
 _EVAL_TOL = 1e-12
@@ -138,7 +138,9 @@ class MemoTable:
 
     Entry (prefix, k) stores X^k(prefix) for k >= 1; levels k <= 0 are
     implicitly zero.  Entries are never reassigned, and the draw multiset
-    for (prefix, k) is generated exactly once.  ``_paths`` holds one
+    for (prefix, k) is generated exactly once.  The recursion draws no
+    level-0 multiset (level-1 entries read none), so ``sim_calls`` is eta1
+    times the number of entries at level >= 2.  ``_paths`` holds one
     ``PathDraw`` per (trajectory, sampled periods), so levels whose period
     subsamples are equal share it.  ``decisions`` caches decide_pen's
     averaged value per prefix key.  Counters instrument the recursion for
@@ -310,17 +312,37 @@ def _extrapolation(memo: MemoTable, beta: float, k: int):
     return evalx
 
 
+# A draw with no terms: every sum over its periods is the empty sum 0.0.
+_UNREAD_DRAW = PathDraw(EMPTY_PREFIX, ())
+
+
+def _entry_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
+                 k: int, config: SolverConfig) -> tuple[PathDraw, ...]:
+    """The level-k draws that the entry (prefix, k + 1) reads.
+
+    At level 0 the evaluator is X^0 = X^-1 = 0, so every term of the sum in
+    ``grad_component`` is v * 0.0 and the derivative does not depend on what
+    was drawn: eta1 copies of a draw with no terms give the same floats
+    without simulating anything.  ``conditional_draws`` itself still draws
+    at level 0, for callers that bring their own evaluator.
+    """
+    if k == 0:
+        return (_UNREAD_DRAW,) * config.eta1
+    return conditional_draws(sim, memo, prefix, k, config)
+
+
 def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
                    k: int, config: SolverConfig,
                    draws: tuple[PathDraw, ...] | None = None) -> None:
     """Fill memo[(prefix, k)] assuming every dependency is already present.
 
-    ``draws`` is the level-(k-1) draw set of the prefix when the caller
-    already holds it; otherwise it is fetched here.
+    ``draws`` is the prefix's ``_entry_draws`` set at level k-1 when the
+    caller already holds it; otherwise it is fetched here.  An entry at
+    level 1 draws no completion, since its evaluator reads none.
     """
     beta = config.beta(k - 1)
     if draws is None:
-        draws = conditional_draws(sim, memo, prefix, k - 1, config)
+        draws = _entry_draws(sim, memo, prefix, k - 1, config)
     z_s, a_s = node_values(sim, prefix)
     evalx = _extrapolation(memo, beta, k - 1)
     ghat = grad_component(z_s, a_s, draws, evalx, sim.instance.b,
@@ -351,7 +373,8 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
     requires (S, k-1), then level-(k-1) values at every sampled period of
     every cached completion that touches a resource S requests.  Each table
     entry is computed exactly once; the recursion count equals the number of
-    memo writes.
+    memo writes.  Level-1 entries draw no completions (``_entry_draws``),
+    so a call costs eta1 sim calls per new entry at level >= 2.
     """
     if k <= 0:
         return 0.0
@@ -365,7 +388,7 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
             stack.pop()
             continue
         if draws is None:
-            draws = frame[2] = conditional_draws(sim, memo, S, kk - 1, config)
+            draws = frame[2] = _entry_draws(sim, memo, S, kk - 1, config)
             k_dep = kk - 1
             if k_dep > 0:  # level 0 is implicitly zero: nothing to compute
                 _, a_s = node_values(sim, S)
@@ -425,7 +448,8 @@ def run_algorithm1_explicit(tree: ExplicitScenarioTree, config: SolverConfig,
     sim = tree_as_simulator(tree)
     memo = memo if memo is not None else MemoTable()
     # zero-mass prefixes have no conditional law and never affect the
-    # objective or the policy; both implementations refuse them
+    # objective or the policy; the sweep skips them, and the recursion
+    # refuses them once it completes them (K >= 2)
     prefixes = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
     iterates = []
     for k in range(1, config.K + 1):

@@ -98,25 +98,33 @@ class Prefix:
             raise InstanceError("empty prefix has no last observation")
         return self.obs[-1]
 
-    def head(self, t: int) -> "Prefix":
-        """Length-t truncation (1-based count of periods); cached."""
+    def truncate(self, t: int) -> "Prefix":
+        """Length-t truncation (1-based count of periods), not cached.
+
+        For callers that keep this prefix but not its heads: nothing is
+        stored on ``self``.
+        """
         if t == len(self.obs):
             return self
         if not 0 <= t < len(self.obs):
             raise InstanceError(f"truncation length {t} out of range")
+        if t == 0:
+            return EMPTY_PREFIX
+        # same width, shorter length: a slice of the parent's key
+        key = self.key[:4] + struct.pack("<I", t) + \
+            self.key[8:8 + 8 * len(self.obs[0]) * t]
+        return Prefix._trusted(self.obs[:t], key)
+
+    def head(self, t: int) -> "Prefix":
+        """``truncate(t)``, cached on this prefix: one object per length."""
+        if t == len(self.obs):
+            return self
         cache = self._heads
         if cache is None:
             cache = self._heads = {}
         p = cache.get(t)
         if p is None:
-            if t == 0:
-                p = EMPTY_PREFIX
-            else:
-                # same width, shorter length: a slice of the parent's key
-                key = self.key[:4] + struct.pack("<I", t) + \
-                    self.key[8:8 + 8 * len(self.obs[0]) * t]
-                p = Prefix._trusted(self.obs[:t], key)
-            cache[t] = p
+            p = cache[t] = self.truncate(t)
         return p
 
     def extend(self, observation: Sequence[float]) -> "Prefix":

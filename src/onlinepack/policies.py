@@ -48,10 +48,8 @@ class FeasState:
         val = x
         for i, ai in a:
             cap = self.remaining[i] / ai
-            if cap < val:
+            if cap < val:  # counters stay >= 0 and a_i > 0, so cap >= 0
                 val = cap
-        if val < 0.0:
-            val = 0.0
         if val > 0.0:
             for i, ai in a:
                 r = self.remaining[i] - ai * val

@@ -127,6 +127,13 @@ def test_head_equals_rebuilt_prefix(rows):
         assert len(h) == len(ref) == t
         assert h.obs == ref.obs
         assert h.head(t) is h
+        cut = p.truncate(t)  # the same prefix, built afresh
+        assert cut.key == ref.key and cut.obs == ref.obs
+        assert (cut is h) == (t in (0, len(p)))
+    fresh = Prefix(rows)
+    for t in range(len(fresh) + 1):
+        fresh.truncate(t)
+    assert fresh._heads is None
 
 
 # -- Prefix.extend ----------------------------------------------------------
@@ -506,7 +513,7 @@ _GOLDEN = {
            "feas_counters": "24f191c9ed2dcff8d76c3a5f",
            "leaf_grad": "4ed41a7c147769ccffb77fcc",
            "averaged": "bb13f303f2b02458eb60b8d1",
-           "shared_writes": ("243b734641a32ba904dd5ddc", 38, 152)},
+           "shared_writes": ("243b734641a32ba904dd5ddc", 38, 152, 10)},
     "m4": {"eval_f": "-0x1.6f054fdcca875p+2",
            "eval_f_theta": "-0x1.79b5a3853661ap+1",
            "aggregate_violation": "0x1.1037bfd898357p+0",
@@ -517,7 +524,7 @@ _GOLDEN = {
            "feas_counters": "65683b2dfb26806bad4987b5",
            "leaf_grad": "1d121d6d70f594925fe06bf7",
            "averaged": "88c09a233a6b3a21cf6d808e",
-           "shared_writes": ("e3bbb3640a04288889f0dbf7", 92, 368)},
+           "shared_writes": ("e3bbb3640a04288889f0dbf7", 92, 368, 27)},
     "m5": {"eval_f": "-0x1.94293340a8ee9p+1",
            "eval_f_theta": "-0x1.5bac59c767328p-3",
            "aggregate_violation": "0x1.5e04861b0356ap-1",
@@ -528,7 +535,7 @@ _GOLDEN = {
            "feas_counters": "69996009729c5d8f017a91bd",
            "leaf_grad": "afde02db1cb400a6df62ed9e",
            "averaged": "f6a47517af60869c03360709",
-           "shared_writes": ("3b7020214411df6d46863c1e", 24, 96)},
+           "shared_writes": ("3b7020214411df6d46863c1e", 24, 96, 6)},
 }
 
 
@@ -591,7 +598,9 @@ def test_golden_averaged_solution(golden):
 
 def test_golden_shared_table_write_order(golden):
     # six episodes of decisions over one table: every entry, in the order
-    # the recursion wrote it, and the table's counters
+    # the recursion wrote it, and the table's counters.  The golden holds
+    # the sim calls made when level-1 entries still drew eta1 completions
+    # each, and the number of level-1 entries; those draws are skipped now.
     name, tree, _ = golden
     sim = tree_as_simulator(tree)
     cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.3, K=4, eta1=4,
@@ -605,8 +614,11 @@ def test_golden_shared_table_write_order(golden):
     text = " ".join(f"{keys.key_digest(key).hex()}:{k}:{v.hex()}"
                     for (key, k), v in memo.entries.items())
     digest = hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
-    assert (digest, memo.writes, memo.sim_calls) == \
+    golden_digest, writes, drawing_level1_calls, level1 = \
         _GOLDEN[name]["shared_writes"]
+    assert (digest, memo.writes) == (golden_digest, writes)
+    assert sum(k == 1 for _, k in memo.entries) == level1
+    assert memo.sim_calls == drawing_level1_calls - cfg.eta1 * level1
 
 
 # OPT_lp, OPT_pen, the LP solution (digest in prefix order) and the

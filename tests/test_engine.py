@@ -3,17 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import one_node_tree, random_tree
-from onlinepack.engine import (MemoTable, SolverConfig,
+from onlinepack import engine
+from onlinepack.engine import (MemoTable, SolverConfig, _clip01,
                                conditional_draws, decide_pen, leaf_grad_table,
                                recursive_R, run_algorithm1_explicit,
                                averaged_solution, sample_index_set,
                                stochastic_grad_component, theory_params,
                                theta_default)
 from onlinepack.errors import (ContractViolationError, MemoIntegrityError,
-                               ParameterError)
-from onlinepack.model import demo_tree, tree_as_simulator
+                               ParameterError, SupportError)
+from onlinepack.model import (EMPTY_PREFIX, Prefix, TreeBuilder, demo_tree,
+                              generate_nrm, node_values, tree_as_simulator)
 from onlinepack.penalty import exact_grad_f_theta
 
 
@@ -372,6 +376,100 @@ class TestDecidePen:
         table = averaged_solution(tree, cfg)
         for p in tree.prefixes():
             assert decide_pen(sim, MemoTable(), p, cfg) == table[p.key]
+
+
+def _leaky_deriv(x, theta):
+    """A derivative that is nonzero at every load, so the level-0 phi of a
+    level-1 entry is not 0.0 and the number of times it is added shows."""
+    return 0.5 + math.atan(x / theta) / 4.0
+
+
+@st.composite
+def _skip_cases(draw):
+    T = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    budgets = tuple(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.9]),
+                                  min_size=m, max_size=m)))
+    tree = random_tree(draw(st.integers(0, 10_000)), T=T, m=m,
+                       L=draw(st.integers(1, m)), budgets=budgets)
+    cfg = make_config(K=draw(st.integers(1, 4)), eta1=draw(st.integers(1, 4)),
+                      eta2=draw(st.integers(1, T)),
+                      alpha=draw(st.sampled_from([0.1, 0.6])),
+                      momentum=draw(st.sampled_from(["unaccelerated",
+                                                     "accelerated"])),
+                      master_seed=draw(st.integers(0, 2**31)))
+    return tree, cfg
+
+
+def _count_law(memo, eta1):
+    """memo.sim_calls == eta1 * #(entries at level >= 2), no level-0 draws."""
+    assert memo.sim_calls == eta1 * sum(k >= 2 for _, k in memo.entries)
+    assert not [key for key in memo.draws if key[1] == 0]
+
+
+class TestLevelZeroSkip:
+    """A level-1 entry reads X^0 = X^-1 = 0 only, so it draws nothing."""
+
+    @pytest.mark.parametrize("deriv", [None, _leaky_deriv])
+    @settings(max_examples=40, deadline=None)
+    @given(case=_skip_cases())
+    def test_level1_equals_zero_evaluator_on_real_draws(self, deriv, case):
+        tree, cfg = case
+        sim = tree_as_simulator(tree)
+        support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
+        with pytest.MonkeyPatch.context() as mp:
+            if deriv is not None:
+                mp.setattr(engine, "huber_deriv", deriv)
+            swept = MemoTable()
+            run_algorithm1_explicit(tree, cfg, swept)
+            on_demand = MemoTable()
+            for p in support:
+                decide_pen(sim, on_demand, p, cfg)
+            drawn = MemoTable()  # real level-0 draws, apart from the others
+            for p in support:
+                g = stochastic_grad_component(lambda q: 0.0, sim, drawn, p, 0,
+                                              cfg)
+                assert swept.value(p, 1) == _clip01(cfg.alpha * g)
+        assert drawn.sim_calls == cfg.eta1 * len(support)
+        for key, value in on_demand.entries.items():  # recursion == sweep
+            assert value == swept.entries[key]
+        for memo in (swept, on_demand):
+            _count_law(memo, cfg.eta1)
+
+    def test_count_law_on_generative_nrm(self):
+        sim = generate_nrm(seed=7, T=20, m=3, L=2, iota=0.3,
+                           budget_ratio=0.5, mode="generative", n_events=4)
+        for K, eta1 in ((1, 3), (2, 2), (3, 2)):
+            cfg = make_config(K=K, eta1=eta1, eta2=3, master_seed=4)
+            memo = MemoTable()
+            for e in range(3):
+                traj = sim.complete(EMPTY_PREFIX, (9, "episode", e))
+                for t in range(1, sim.instance.T + 1):
+                    decide_pen(sim, memo, traj.head(t), cfg)
+            _count_law(memo, eta1)
+            assert memo.writes == len(memo.entries) > 0
+            assert (memo.sim_calls == 0) == (K == 1)
+
+    def test_k1_draws_no_completion(self):
+        # with K = 1 the decision reads only level-0 draws, so the prefix is
+        # never completed: the simulator's support checks do not run
+        tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
+        live = tb.add(None, (0.0,), 1.0, z=0.5, a={0: 1.0})
+        dead = tb.add(None, (1.0,), 0.0, z=1.0, a={0: 1.0})  # zero mass
+        for parent in (live, dead):
+            tb.add(parent, (0.0,), 1.0, z=0.5, a={0: 1.0})
+        tree_sim = tree_as_simulator(tb.build())
+        nrm_sim = generate_nrm(seed=7, T=6, m=3, L=2, iota=0.3,
+                               budget_ratio=0.5, mode="generative", n_events=4)
+        bad_row = Prefix([(9.0,), (1.0,)])  # 9 is not an event code
+        for sim, prefix in ((tree_sim, dead), (nrm_sim, bad_row)):
+            memo = MemoTable()
+            x = decide_pen(sim, memo, prefix, make_config(K=1, alpha=0.1))
+            z, _ = node_values(sim, prefix)
+            assert x == _clip01(0.1 * z)  # X^1 = alpha * Z(S): no load yet
+            assert memo.sim_calls == 0
+            with pytest.raises(SupportError):
+                decide_pen(sim, MemoTable(), prefix, make_config(K=2))
 
 
 class TestTheorySchedule:

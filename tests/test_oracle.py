@@ -5,13 +5,14 @@ import pytest
 from helpers import one_node_tree, random_tree
 from onlinepack.engine import MemoTable, SolverConfig
 from onlinepack.errors import FeasibilityAuditError, InstanceError
-from onlinepack.model import TreeBuilder, demo_tree, tree_as_simulator
+from onlinepack.model import (TreeBuilder, demo_tree, generate_nrm,
+                              tree_as_simulator)
 from onlinepack.oracle import (EvalReport, enumerate_pack, eval_policy_exact,
                                eval_policy_mc, reports_to_csv,
                                solve_lp_explicit, solve_pack_dp,
                                solve_pen_explicit, solve_pen_lp)
 from onlinepack.penalty import eval_f_theta
-from onlinepack.policies import new_episode_context, policy_lp
+from onlinepack.policies import new_episode_context, policy_lp, policy_nrm
 
 
 class TestSolvePackDp:
@@ -185,6 +186,35 @@ class TestEvalPolicyMc:
         large = eval_policy_mc(sim, factory, 1600, seed=1)
         ratio = small.std_error / large.std_error
         assert 1.6 <= ratio <= 2.6  # ~2 expected
+
+    def test_kept_trajectories_hold_no_cached_heads(self):
+        # the evaluator hands the policy uncached truncations, so a caller
+        # that keeps the full-length prefix does not keep T heads with it
+        sim = generate_nrm(seed=7, T=12, m=3, L=2, iota=0.3, budget_ratio=0.5,
+                           mode="generative", n_events=4)
+        cfg = SolverConfig(epsilon=0.1, theta=0.5, alpha=0.1, K=3, eta1=2,
+                           eta2=2, master_seed=1, practical_override=True)
+        kept, decisions = [], []
+
+        def factory(e):
+            ctx = new_episode_context(sim, cfg, e)
+
+            def decide(p):
+                decisions.append(policy_nrm(ctx, sim, p, cfg))
+                if len(p) == sim.instance.T:
+                    kept.append(p)
+                return decisions[-1]
+            return decide
+
+        eval_policy_mc(sim, factory, 4, seed=2)
+        assert len(kept) == 4
+        assert all(p._heads is None for p in kept)  # nothing cached on them
+        replayed = []
+        for e, traj in enumerate(kept):
+            ctx = new_episode_context(sim, cfg, e)
+            replayed += [policy_nrm(ctx, sim, traj.head(t), cfg)
+                         for t in range(1, sim.instance.T + 1)]
+        assert replayed == decisions
 
     def test_audit_aborts_on_violation(self):
         tree = demo_tree()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,20 @@ class TestFeasState:
     def test_no_requested_resources_pass_through(self):
         fs = FeasState((0.0,))
         assert fs.step((), 0.9) == 0.9
+
+    @pytest.mark.parametrize("b, a", [(0.5, 0.5), (0.35, 0.6)])
+    def test_binding_step_leaves_counter_at_zero(self, b, a):
+        # b - a * (b / a) is exactly 0.0 at (0.5, 0.5) and rounds to -5.6e-17
+        # at (0.35, 0.6); either way the counter lands on +0.0 and every
+        # later request on it is refused with +0.0
+        fs = FeasState((b, 1.0))
+        assert fs.step(((0, a), (1, 0.5)), 1.0) == b / a
+        assert fs.remaining == [0.0, 1.0 - 0.5 * (b / a)]
+        for x in (0.8, 0.0, 1.0):
+            out = fs.step(((0, a),), x)
+            assert out == 0.0 and math.copysign(1.0, out) == 1.0
+            assert fs.remaining[0] == 0.0
+            assert math.copysign(1.0, fs.remaining[0]) == 1.0
 
     def test_output_never_exceeds_input(self):
         fs = FeasState((0.35, 0.8))
