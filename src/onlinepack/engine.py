@@ -25,8 +25,8 @@ import numpy as np
 from . import keys
 from .errors import (CapacityError, ContractViolationError, MemoIntegrityError,
                      ParameterError)
-from .model import (EMPTY_PREFIX, ExplicitScenarioTree, Prefix,
-                    SimulatorHandle, node_values, tree_as_simulator)
+from .model import (ExplicitScenarioTree, Prefix, SimulatorHandle,
+                    node_values, tree_as_simulator)
 from .penalty import huber_deriv
 
 _EVAL_TOL = 1e-12
@@ -56,12 +56,13 @@ class SolverConfig:
     practical_override: bool = False
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ParameterError("step size alpha must be positive")
-        if self.theta <= 0:
-            raise ParameterError("smoothing parameter theta must be positive")
-        if self.epsilon <= 0:
-            raise ParameterError("epsilon must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError("step size alpha must be finite and positive")
+        if not 0 < self.theta < math.inf:
+            raise ParameterError(
+                "smoothing parameter theta must be finite and positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ParameterError("epsilon must be finite and positive")
         if self.K < 0:
             raise ParameterError("iteration count K must be >= 0")
         if self.eta1 < 1:
@@ -138,9 +139,10 @@ class MemoTable:
 
     Entry (prefix, k) stores X^k(prefix) for k >= 1; levels k <= 0 are
     implicitly zero.  Entries are never reassigned, and the draw multiset
-    for (prefix, k) is generated exactly once.  The recursion draws no
-    level-0 multiset (level-1 entries read none), so ``sim_calls`` is eta1
-    times the number of entries at level >= 2.  ``_paths`` holds one
+    for (prefix, k) is generated exactly once.  The recursion draws only
+    for entries at level >= 2 whose node requests a resource (the others
+    read no draw, see ``_entry_draws``), so ``sim_calls`` is eta1 times the
+    number of those entries.  ``_paths`` holds one
     ``PathDraw`` per (trajectory, sampled periods), so levels whose period
     subsamples are equal share it.  ``decisions`` caches decide_pen's
     averaged value per prefix key.  Counters instrument the recursion for
@@ -302,52 +304,49 @@ def _clip01(v: float) -> float:
 
 
 def _extrapolation(memo: MemoTable, beta: float, k: int):
-    """Checked evaluator of (1 + beta) X^k - beta X^(k-1); X^j = 0 for j <= 0."""
+    """Checked evaluator of (1 + beta) X^k - beta X^(k-1) for k >= 1; X^0 = 0."""
     entries = memo.entries
 
     def evalx(p: Prefix) -> float:
-        x = entries[(p.key, k)] if k > 0 else 0.0
         y = entries[(p.key, k - 1)] if k > 1 else 0.0
-        return _in_eval_range((1.0 + beta) * x - beta * y)
+        return _in_eval_range((1.0 + beta) * entries[(p.key, k)] - beta * y)
     return evalx
 
 
-# A draw with no terms: every sum over its periods is the empty sum 0.0.
-_UNREAD_DRAW = PathDraw(EMPTY_PREFIX, ())
-
-
 def _entry_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
-                 k: int, config: SolverConfig) -> tuple[PathDraw, ...]:
-    """The level-k draws that the entry (prefix, k + 1) reads.
+                 k: int, config: SolverConfig):
+    """(Z(S), a(S), draws): the node of entry (S, k) and the draws it reads.
 
-    At level 0 the evaluator is X^0 = X^-1 = 0, so every term of the sum in
-    ``grad_component`` is v * 0.0 and the derivative does not depend on what
-    was drawn: eta1 copies of a draw with no terms give the same floats
-    without simulating anything.  ``conditional_draws`` itself still draws
-    at level 0, for callers that bring their own evaluator.
+    Entry (S, k) reads the level-(k-1) draws only if k >= 2 and S requests
+    a resource; otherwise its draw set is ().  A resource-free S has no
+    load term, and at k = 1 the evaluator is X^0 = X^-1 = 0, so every
+    derivative is huber_deriv(-b_i) = 0.0 (budgets are >= 0) whatever was
+    drawn.  ``grad_component`` over () returns z_s - 2/iota * 0.0, the bits
+    of Z(S).  ``conditional_draws`` itself draws at every level, for
+    callers that bring their own evaluator.
     """
-    if k == 0:
-        return (_UNREAD_DRAW,) * config.eta1
-    return conditional_draws(sim, memo, prefix, k, config)
+    z_s, a_s = node_values(sim, prefix)
+    if k < 2 or not a_s:
+        return z_s, a_s, ()
+    return z_s, a_s, conditional_draws(sim, memo, prefix, k - 1, config)
 
 
 def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
-                   k: int, config: SolverConfig,
-                   draws: tuple[PathDraw, ...] | None = None) -> None:
-    """Fill memo[(prefix, k)] assuming every dependency is already present.
+                   k: int, config: SolverConfig, reads) -> None:
+    """Fill memo[(prefix, k)] from ``reads = _entry_draws(..., prefix, k, ...)``.
 
-    ``draws`` is the prefix's ``_entry_draws`` set at level k-1 when the
-    caller already holds it; otherwise it is fetched here.  An entry at
-    level 1 draws no completion, since its evaluator reads none.
+    Every dependency must already be present.  An empty draw set gives the
+    gradient Z(S) without an evaluator (see ``_entry_draws``).
     """
+    z_s, a_s, draws = reads
     beta = config.beta(k - 1)
-    if draws is None:
-        draws = _entry_draws(sim, memo, prefix, k - 1, config)
-    z_s, a_s = node_values(sim, prefix)
-    evalx = _extrapolation(memo, beta, k - 1)
-    ghat = grad_component(z_s, a_s, draws, evalx, sim.instance.b,
-                          sim.instance.T, config.eta1, config.eta2,
-                          config.theta, sim.instance.iota)
+    ghat = z_s
+    if draws:
+        inst = sim.instance
+        evalx = _extrapolation(memo, beta, k - 1)
+        ghat = grad_component(z_s, a_s, draws, evalx, inst.b, inst.T,
+                              config.eta1, config.eta2, config.theta,
+                              inst.iota)
     xk = memo.value(prefix, k - 1)
     xkm1 = memo.value(prefix, k - 2)
     memo.put(prefix, k, _clip01((1.0 + beta) * xk - beta * xkm1
@@ -371,41 +370,39 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
 
     Runs the recursion over an explicit work stack: computing (S, k) first
     requires (S, k-1), then level-(k-1) values at every sampled period of
-    every cached completion that touches a resource S requests.  Each table
-    entry is computed exactly once; the recursion count equals the number of
-    memo writes.  Level-1 entries draw no completions (``_entry_draws``),
-    so a call costs eta1 sim calls per new entry at level >= 2.
+    every completion in the draw set ``_entry_draws`` gives (S, k) that
+    touches a resource S requests.  Each table entry is computed exactly
+    once; the recursion count equals the number of memo writes.  A call
+    costs eta1 sim calls per new entry at level >= 2 whose node requests a
+    resource, and none for any other entry.
     """
     if k <= 0:
         return 0.0
     entries = memo.entries
-    # a frame is [prefix, level, draw set once expanded, else None]
+    # a frame is [prefix, level, its _entry_draws once expanded, else None]
     stack: list[list] = [[prefix, k, None]]
     while stack:
         frame = stack[-1]
-        S, kk, draws = frame
+        S, kk, reads = frame
         if (S.key, kk) in entries:
             stack.pop()
             continue
-        if draws is None:
-            draws = frame[2] = _entry_draws(sim, memo, S, kk - 1, config)
-            k_dep = kk - 1
-            if k_dep > 0:  # level 0 is implicitly zero: nothing to compute
-                _, a_s = node_values(sim, S)
+        if reads is None:
+            _, a_s, draws = frame[2] = _entry_draws(sim, memo, S, kk, config)
+            if kk > 1:  # level 0 is implicitly zero: nothing to compute
                 # each dependency once, in first-occurrence order: a later
                 # duplicate is computed before its turn comes, so skipping
                 # it does not reorder the memo writes
                 deps = {S.key: S}
-                if a_s:
-                    for d in dict.fromkeys(draws):  # repeated draws share one object
-                        for head in _needed_heads(a_s, d):
-                            if head.key not in deps:
-                                deps[head.key] = head
+                for d in dict.fromkeys(draws):  # repeated draws share one object
+                    for head in _needed_heads(a_s, d):
+                        if head.key not in deps:
+                            deps[head.key] = head
                 for dep in reversed(deps.values()):
-                    if (dep.key, k_dep) not in entries:
-                        stack.append([dep, k_dep, None])
+                    if (dep.key, kk - 1) not in entries:
+                        stack.append([dep, kk - 1, None])
         else:
-            _compute_entry(sim, memo, S, kk, config, draws)
+            _compute_entry(sim, memo, S, kk, config, reads)
             stack.pop()
     return memo.value(prefix, k)
 
@@ -449,12 +446,13 @@ def run_algorithm1_explicit(tree: ExplicitScenarioTree, config: SolverConfig,
     memo = memo if memo is not None else MemoTable()
     # zero-mass prefixes have no conditional law and never affect the
     # objective or the policy; the sweep skips them, and the recursion
-    # refuses them once it completes them (K >= 2)
+    # refuses them once it completes them (K >= 2 and a requested resource)
     prefixes = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
     iterates = []
     for k in range(1, config.K + 1):
         for S in prefixes:
-            _compute_entry(sim, memo, S, k, config)
+            _compute_entry(sim, memo, S, k, config,
+                           _entry_draws(sim, memo, S, k, config))
         iterates.append({S.key: memo.value(S, k) for S in prefixes})
     return iterates
 
@@ -516,7 +514,11 @@ class ParamBundle:
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if not math.isfinite(x):
+        raise ParameterError(f"schedule parameter {x} is not finite")
+    return Fraction(x)
 
 
 def _ceil_frac(x: Fraction) -> int:

@@ -176,8 +176,8 @@ class InstanceSpec:
             raise InstanceError("horizon T must be >= 1")
         if self.m < 0 or len(self.b) != self.m:
             raise InstanceError("budget vector length must equal m")
-        if any(x < 0 for x in self.b):
-            raise InstanceError("budgets must be nonnegative")
+        if not all(0 <= x < math.inf for x in self.b):
+            raise InstanceError("budgets must be finite and nonnegative")
         if not 0 < self.iota <= 1:
             raise InstanceError("iota must lie in (0, 1]")
         if self.L < 0:
@@ -398,8 +398,8 @@ class ExplicitScenarioTree:
         for k in self.order:
             n = self._nodes[k]
             total += n.mu
-            if n.mu < -_MU_TOL:
-                raise InstanceError("negative node probability")
+            if not n.mu >= -_MU_TOL:  # NaN would pass every mass check
+                raise InstanceError(f"node probability {n.mu} is not >= 0")
             if not -_RANGE_TOL <= n.z <= 1 + _RANGE_TOL:
                 raise InstanceError(f"reward {n.z} outside [0, 1]")
             if len(n.a) > inst.L:

@@ -14,12 +14,14 @@ def one_node_tree(z=0.5, a=1.0, b=0.5, iota=1.0) -> ExplicitScenarioTree:
 
 def random_tree(seed, T=3, m=2, L=2, iota=0.3, max_children=3,
                 integral_a=False, zero_rcv_prob=0.2, budgets=None,
-                min_children=1) -> ExplicitScenarioTree:
+                min_children=1, zero_mass_prob=0.0) -> ExplicitScenarioTree:
     """Random explicit tree satisfying the packing assumptions.
 
     Observations are distinct counters, so sibling prefixes never collide.
     With ``integral_a`` every consumption value is 1 and budgets default to
-    small integers (the DP-exact regime).
+    small integers (the DP-exact regime).  With probability
+    ``zero_mass_prob`` a node with several children gives its first child
+    zero mass.
     """
     gen = keys.generator(seed, "test-tree")
     if budgets is None:
@@ -42,6 +44,8 @@ def random_tree(seed, T=3, m=2, L=2, iota=0.3, max_children=3,
     def expand(parent, depth):
         n_children = int(gen.integers(min_children, max_children + 1))
         raw = gen.random(n_children) + 0.05
+        if n_children > 1 and zero_mass_prob and gen.random() < zero_mass_prob:
+            raw[0] = 0.0
         probs = raw / raw.sum()
         for j in range(n_children):
             counter[0] += 1

@@ -72,6 +72,16 @@ class TestParams:
         assert run_cli("params", "--mode", "unaccelerated", "--epsilon", "2",
                        "--L", "1", "--iota", "1", "--theta", "1", "--T", "4") == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_2(self, tmp_path, capsys, value):
+        assert run_cli("params", "--mode", "unaccelerated", "--epsilon", value,
+                       "--L", "1", "--iota", "1", "--theta", "1", "--T", "4") == 2
+        inst = tmp_path / "demo.json"
+        run_cli("gen", "--kind", "demo2", "--out", str(inst))
+        assert run_cli("verify", "--instance", str(inst), "--epsilon", value,
+                       "--episodes", "10") == 2
+        assert "not finite" in capsys.readouterr().err
+
 
 class TestRun:
     def write_experiment(self, tmp_path, policy="lp", episodes=200):
@@ -98,6 +108,22 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("instance,policy,seed,episodes")
         assert len(lines) == 2
+
+    def test_nan_budget_instance_is_refused(self, tmp_path, capsys):
+        # json.load accepts NaN; with K = 1 no iterate reads the budget, so
+        # only the instance check stops the run
+        exp = self.write_experiment(tmp_path, episodes=5)
+        cfg = json.loads(exp.read_text())
+        cfg["solver"]["K"] = 1
+        exp.write_text(json.dumps(cfg))
+        inst = Path(cfg["instance"])
+        payload = json.loads(inst.read_text())
+        payload["b"] = [float("nan")] * payload["m"]
+        inst.write_text(json.dumps(payload))
+        out = tmp_path / "r.csv"
+        assert run_cli("run", "--config", str(exp), "--out", str(out)) == 2
+        assert "budgets must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_seed_byte_identical(self, tmp_path, capsys):
         exp = self.write_experiment(tmp_path)

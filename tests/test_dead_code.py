@@ -1,9 +1,11 @@
 """Static checks that ``src/onlinepack`` carries no dead code.
 
-Three kinds of leftovers are caught with the standard-library ``ast`` module:
+Four kinds of leftovers are caught with the standard-library ``ast`` module:
 an import a module never uses, a module-private (``_name``) function or
-method that nothing in the package references outside its own body, and a
-function parameter (other than ``self`` or ``cls``) that its body never reads.
+method that nothing in the package references outside its own body, a
+module-level private assignment (``_NAME = ...``) that nothing in the
+package reads, and a function parameter (other than ``self`` or ``cls``)
+that its body never reads.
 ``__init__.py`` only re-exports the public API, so its imports count as used.
 """
 
@@ -66,6 +68,38 @@ def test_no_unreferenced_private_functions():
     dead = [f"{fn} ({where})" for fn, where in sorted(defined.items())
             if refs[fn] - own[fn] <= 0]
     assert dead == []
+
+
+def _unread_private_constants(modules: dict[str, ast.Module]) -> list[str]:
+    reads: Counter = Counter()
+    assigned = {}
+    for name, module in modules.items():
+        for sub in ast.walk(module):
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                reads[sub.id] += 1
+            elif isinstance(sub, ast.Attribute):
+                reads[sub.attr] += 1
+        for stmt in module.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                for sub in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(sub, ast.Name) and sub.id.startswith("_") \
+                            and not sub.id.endswith("__"):
+                        assigned.setdefault(sub.id, f"{name}:{stmt.lineno}")
+    return [f"{const} ({where})" for const, where in sorted(assigned.items())
+            if not reads[const]]
+
+
+def test_no_unread_private_constants():
+    assert _unread_private_constants(_modules()) == []
+
+
+def test_unread_private_constant_is_caught():
+    planted = ast.parse("from .model import EMPTY_PREFIX, PathDraw\n"
+                        "_UNREAD_DRAW = PathDraw(EMPTY_PREFIX, ())\n")
+    modules = dict(_modules(), planted=planted)
+    assert _unread_private_constants(modules) == ["_UNREAD_DRAW (planted:2)"]
 
 
 def _parameters(fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda):

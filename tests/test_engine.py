@@ -17,7 +17,8 @@ from onlinepack.engine import (MemoTable, SolverConfig, _clip01,
 from onlinepack.errors import (ContractViolationError, MemoIntegrityError,
                                ParameterError, SupportError)
 from onlinepack.model import (EMPTY_PREFIX, Prefix, TreeBuilder, demo_tree,
-                              generate_nrm, node_values, tree_as_simulator)
+                              derive_structure_constants, generate_nrm,
+                              node_values, tree_as_simulator)
 from onlinepack.penalty import exact_grad_f_theta
 
 
@@ -37,6 +38,12 @@ class TestSolverConfig:
             make_config(eta2=0)
         with pytest.raises(ParameterError):
             make_config(momentum="nesterov")
+
+    @pytest.mark.parametrize("name", ["alpha", "theta", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            make_config(**{name: value})
 
     def test_beta_schedules(self):
         un = make_config()
@@ -379,8 +386,8 @@ class TestDecidePen:
 
 
 def _leaky_deriv(x, theta):
-    """A derivative that is nonzero at every load, so the level-0 phi of a
-    level-1 entry is not 0.0 and the number of times it is added shows."""
+    """A derivative that is nonzero at every load, so a derivative that an
+    entry reads shows in its value however small the load."""
     return 0.5 + math.atan(x / theta) / 4.0
 
 
@@ -401,19 +408,39 @@ def _skip_cases(draw):
     return tree, cfg
 
 
-def _count_law(memo, eta1):
-    """memo.sim_calls == eta1 * #(entries at level >= 2), no level-0 draws."""
-    assert memo.sim_calls == eta1 * sum(k >= 2 for _, k in memo.entries)
-    assert not [key for key in memo.draws if key[1] == 0]
+def _tree_requests(tree):
+    """Prefix key -> whether the node requests a resource."""
+    return {p.key: bool(tree.node(p).a) for p in tree.prefixes()}
 
 
-class TestLevelZeroSkip:
-    """A level-1 entry reads X^0 = X^-1 = 0 only, so it draws nothing."""
+def _recording(sim):
+    """``sim`` with its node lookups recorded in the same map as above."""
+    requests = {}
+
+    def node(prefix):
+        z, a = sim.node(prefix)
+        requests[prefix.key] = bool(a)
+        return z, a
+    return dataclasses.replace(sim, node=node), requests
+
+
+def _count_law(memo, eta1, requests):
+    """sim_calls == eta1 * #(entries at level >= 2 whose node requests a
+    resource), and no other entry has a draw set."""
+    assert memo.sim_calls == eta1 * sum(k >= 2 and requests[key]
+                                        for key, k in memo.entries)
+    assert all(k >= 1 and requests[key] for key, k in memo.draws)
+
+
+class TestDrawRule:
+    """Entry (S, k) draws only if k >= 2 and S requests a resource: a
+    level-1 entry reads X^0 = X^-1 = 0 only, and a resource-free one reads
+    no load at all."""
 
     @pytest.mark.parametrize("deriv", [None, _leaky_deriv])
     @settings(max_examples=40, deadline=None)
     @given(case=_skip_cases())
-    def test_level1_equals_zero_evaluator_on_real_draws(self, deriv, case):
+    def test_recursion_equals_sweep_under_count_law(self, deriv, case):
         tree, cfg = case
         sim = tree_as_simulator(tree)
         support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
@@ -425,20 +452,22 @@ class TestLevelZeroSkip:
             on_demand = MemoTable()
             for p in support:
                 decide_pen(sim, on_demand, p, cfg)
+        if deriv is None:  # the real derivative is 0.0 at every level-1 load
             drawn = MemoTable()  # real level-0 draws, apart from the others
             for p in support:
                 g = stochastic_grad_component(lambda q: 0.0, sim, drawn, p, 0,
                                               cfg)
                 assert swept.value(p, 1) == _clip01(cfg.alpha * g)
-        assert drawn.sim_calls == cfg.eta1 * len(support)
+            assert drawn.sim_calls == cfg.eta1 * len(support)
         for key, value in on_demand.entries.items():  # recursion == sweep
             assert value == swept.entries[key]
         for memo in (swept, on_demand):
-            _count_law(memo, cfg.eta1)
+            _count_law(memo, cfg.eta1, _tree_requests(tree))
 
     def test_count_law_on_generative_nrm(self):
-        sim = generate_nrm(seed=7, T=20, m=3, L=2, iota=0.3,
-                           budget_ratio=0.5, mode="generative", n_events=4)
+        sim, requests = _recording(generate_nrm(
+            seed=7, T=20, m=3, L=2, iota=0.3, budget_ratio=0.5,
+            mode="generative", n_events=4))
         for K, eta1 in ((1, 3), (2, 2), (3, 2)):
             cfg = make_config(K=K, eta1=eta1, eta2=3, master_seed=4)
             memo = MemoTable()
@@ -446,53 +475,102 @@ class TestLevelZeroSkip:
                 traj = sim.complete(EMPTY_PREFIX, (9, "episode", e))
                 for t in range(1, sim.instance.T + 1):
                     decide_pen(sim, memo, traj.head(t), cfg)
-            _count_law(memo, eta1)
+            _count_law(memo, eta1, requests)
             assert memo.writes == len(memo.entries) > 0
             assert (memo.sim_calls == 0) == (K == 1)
+        assert not all(requests.values())  # the law skipped some entries
+
+    def test_count_law_fails_when_resource_free_entries_draw(self, monkeypatch):
+        # mutation check: a resource-free entry that draws again changes no
+        # value, so only the count law can catch it
+        tree = random_tree(seed=4, T=3, m=2, zero_rcv_prob=0.5)
+        sim = tree_as_simulator(tree)
+        cfg = make_config(K=3, eta1=2, eta2=2)
+        support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
+        kept = MemoTable()
+        for p in support:
+            decide_pen(sim, kept, p, cfg)
+        _count_law(kept, cfg.eta1, _tree_requests(tree))
+        rule = engine._entry_draws
+
+        def drawing(sim, memo, prefix, k, config):
+            z_s, a_s, draws = rule(sim, memo, prefix, k, config)
+            if k >= 2 and not a_s:
+                draws = conditional_draws(sim, memo, prefix, k - 1, config)
+            return z_s, a_s, draws
+        monkeypatch.setattr(engine, "_entry_draws", drawing)
+        mutated = MemoTable()
+        for p in support:
+            decide_pen(sim, mutated, p, cfg)
+        assert mutated.entries == kept.entries
+        with pytest.raises(AssertionError):
+            _count_law(mutated, cfg.eta1, _tree_requests(tree))
 
     def test_k1_draws_no_completion(self):
         # with K = 1 the decision reads only level-0 draws, so the prefix is
-        # never completed: the simulator's support checks do not run
+        # never completed: the simulator's support checks do not run.  A
+        # resource-free prefix is never completed at any K.
         tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
         live = tb.add(None, (0.0,), 1.0, z=0.5, a={0: 1.0})
         dead = tb.add(None, (1.0,), 0.0, z=1.0, a={0: 1.0})  # zero mass
-        for parent in (live, dead):
+        idle = tb.add(None, (2.0,), 0.0, z=1.0, a={})  # zero mass, no resource
+        for parent in (live, dead, idle):
             tb.add(parent, (0.0,), 1.0, z=0.5, a={0: 1.0})
-        tree_sim = tree_as_simulator(tb.build())
-        nrm_sim = generate_nrm(seed=7, T=6, m=3, L=2, iota=0.3,
-                               budget_ratio=0.5, mode="generative", n_events=4)
+        tree = tb.build()
+        tree_sim = tree_as_simulator(tree)
+        nrm_sim, nrm_requests = _recording(generate_nrm(
+            seed=7, T=6, m=3, L=2, iota=0.3, budget_ratio=0.5,
+            mode="generative", n_events=4))
         bad_row = Prefix([(9.0,), (1.0,)])  # 9 is not an event code
-        for sim, prefix in ((tree_sim, dead), (nrm_sim, bad_row)):
+        for sim, prefix, requests in ((tree_sim, dead, _tree_requests(tree)),
+                                      (nrm_sim, bad_row, nrm_requests)):
             memo = MemoTable()
-            x = decide_pen(sim, memo, prefix, make_config(K=1, alpha=0.1))
+            cfg = make_config(K=1, alpha=0.1)
+            x = decide_pen(sim, memo, prefix, cfg)
             z, _ = node_values(sim, prefix)
             assert x == _clip01(0.1 * z)  # X^1 = alpha * Z(S): no load yet
             assert memo.sim_calls == 0
+            _count_law(memo, cfg.eta1, requests)
             with pytest.raises(SupportError):
                 decide_pen(sim, MemoTable(), prefix, make_config(K=2))
+        for K in (1, 2, 4):
+            memo = MemoTable()
+            decide_pen(tree_sim, memo, idle, make_config(K=K))
+            assert memo.sim_calls == 0 and memo.writes == K
+
+
+def _theory_gap(mode):
+    """Penalty gap of the full sweep at the theory schedule, eps = 1,
+    theta = T, on the worked instance, against the smoothed optimum computed
+    by exact-gradient ascent at 1e-8 stationarity.  Returns the gap, the
+    bound eps * T and the schedule."""
+    from onlinepack.oracle import solve_pen_explicit
+    from onlinepack.penalty import eval_f_theta
+
+    tree = demo_tree()
+    inst = tree.instance
+    eps, theta = 1.0, float(inst.T)
+    sc = derive_structure_constants(tree)
+    pb = theory_params(mode, eps, inst.L, inst.iota, theta, inst.T,
+                       U=sc.U, W=sc.W)
+    cfg = SolverConfig(epsilon=eps, theta=theta, alpha=pb.alpha, K=pb.K,
+                       eta1=pb.eta1, eta2=pb.eta2, master_seed=19,
+                       momentum=mode)
+    avg = averaged_solution(tree, cfg)
+    opt, _ = solve_pen_explicit(tree, theta, tol=1e-8)
+    return opt - eval_f_theta(tree, avg, theta), eps * inst.T, pb
 
 
 class TestTheorySchedule:
     def test_full_sweep_with_theory_parameters_meets_gap(self):
-        # theory-schedule run at epsilon = 1 on the worked instance: the
-        # averaged iterate must be within eps * T of the smoothed optimum
-        # computed by exact-gradient ascent at 1e-8 stationarity
-        from onlinepack.model import demo_tree
-        from onlinepack.oracle import solve_pen_explicit
-        from onlinepack.penalty import eval_f_theta
-
-        tree = demo_tree()
-        eps, theta = 1.0, float(tree.instance.T)
-        pb = theory_params("unaccelerated", eps, tree.instance.L,
-                           tree.instance.iota, theta, tree.instance.T)
-        cfg = SolverConfig(epsilon=eps, theta=theta, alpha=pb.alpha, K=pb.K,
-                           eta1=pb.eta1, eta2=pb.eta2, master_seed=19)
-        avg = averaged_solution(tree, cfg)
-        achieved = eval_f_theta(tree, avg, theta)
-        opt, _ = solve_pen_explicit(tree, theta, tol=1e-8)
-        gap = opt - achieved
-        assert gap <= eps * tree.instance.T
+        gap, bound, _ = _theory_gap("unaccelerated")
+        assert gap <= bound
         assert gap <= 0.1  # the schedule overshoots wildly at this scale
+
+    def test_full_sweep_with_accelerated_theory_parameters_meets_gap(self):
+        gap, bound, pb = _theory_gap("accelerated")
+        assert (pb.K, pb.eta1) == (8, 45_696)
+        assert gap <= bound
 
     def test_zero_probability_branch_skipped_by_sweep(self):
         from onlinepack.model import TreeBuilder

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import one_node_tree, random_tree, two_branch_tree
 from onlinepack import keys
@@ -58,6 +60,11 @@ class TestInstanceSpec:
             InstanceSpec(T=2, m=2, b=(1.0,), L=1, iota=1.0)
         with pytest.raises(InstanceError):
             InstanceSpec(T=2, m=1, b=(1.0,), L=1, iota=1.5)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    def test_budgets_must_be_finite_and_nonnegative(self, budget):
+        with pytest.raises(InstanceError, match="budgets"):
+            InstanceSpec(T=2, m=2, b=(1.0, budget), L=1, iota=1.0)
 
 
 class TestTreeValidation:
@@ -270,10 +277,17 @@ class TestGenerateNrm:
 
 
 class TestInstanceIO:
-    def test_explicit_round_trip(self):
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 10_000), T=st.integers(1, 4),
+           m=st.integers(1, 3), max_children=st.integers(1, 3),
+           zero_mass_prob=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_explicit_round_trip(self, seed, T, m, max_children,
+                                 zero_mass_prob):
         # through JSON text, every node comes back bit for bit and linked
-        # in the same order
-        tree = random_tree(seed=8, T=3, m=2)
+        # in the same order, zero-mass branches included
+        tree = random_tree(seed, T=T, m=m, L=min(2, m),
+                           max_children=max_children,
+                           zero_mass_prob=zero_mass_prob)
         back = payload_to_tree(json.loads(json.dumps(tree_to_payload(tree))))
         assert [p.key for p in back.prefixes()] == [p.key for p in tree.prefixes()]
         assert (back.root_keys, back.leaf_keys) == (tree.root_keys, tree.leaf_keys)
@@ -292,6 +306,10 @@ class TestInstanceIO:
         twice = dict(payload, tree={"nodes": nodes + [dict(nodes[2], prefix_id=9)]})
         with pytest.raises(InstanceError, match="duplicate prefix"):
             payload_to_tree(twice)
+        nan_root = dict(payload, tree={"nodes": [dict(nodes[0], prob=math.nan)]
+                                       + nodes[1:]})
+        with pytest.raises(InstanceError, match="probability nan"):
+            payload_to_tree(nan_root)
 
     def test_generative_payload_round_trip(self):
         from onlinepack.model import generative_payload
