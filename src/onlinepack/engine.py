@@ -113,12 +113,12 @@ def sample_index_set(config: SolverConfig, T: int, k: int) -> tuple[int, ...]:
 class PathDraw:
     """One conditional completion, indexed at the periods the estimator reads.
 
-    ``terms[i]`` lists the pairs (traj^t, a_i(traj^t)) over the indexed
-    periods t at which the completion requests resource i, in ascending t;
+    ``traj`` is the completion's cut, its rows up to the last indexed
+    period.  ``terms[i]`` lists the pairs (traj^t, a_i(traj^t)) over the
+    indexed periods t at which it requests resource i, in ascending t;
     traj^t is the length-t head of ``traj``, one shared object per period,
     so readers take the prefixes from the terms.  Draws index only the
-    sampled periods of their level, so building one costs O(eta2) node
-    lookups, not O(T).
+    sampled periods of their level: O(eta2) node lookups, not O(T).
     """
 
     __slots__ = ("traj", "terms")
@@ -139,16 +139,17 @@ class MemoTable:
 
     Entry (prefix, k) stores X^k(prefix) for k >= 1; levels k <= 0 are
     implicitly zero.  Entries are never reassigned, and the draw multiset
-    for (prefix, k) is generated exactly once.  The recursion draws only
-    for entries at level >= 2 whose node requests a resource (the others
-    read no draw, see ``_entry_draws``), so ``sim_calls`` is eta1 times the
-    number of those entries.  ``_paths`` holds one
-    ``PathDraw`` per (trajectory, sampled periods), so levels whose period
-    subsamples are equal share it.  ``decisions`` caches decide_pen's
-    averaged value per prefix key.  Counters instrument the recursion for
-    the complexity and horizon-independence checks.  Every entry is a pure
-    function of (master seed, prefix, level), so one table may serve any
-    episodes of one (instance, SolverConfig); write-once.
+    for (prefix, k) is generated exactly once.  The recursion simulates
+    only for entries (S, k) at level >= 2 whose node requests a resource
+    (the others read no draw, see ``_entry_draws``) and where |S| <
+    max(aleph_(k-1)) (see ``conditional_draws``), so ``sim_calls`` is eta1
+    times the number of those entries.  ``_paths`` holds one ``PathDraw``
+    per (cut, sampled periods), shared by completions that agree through
+    the cut and by levels whose period subsamples are equal.  ``decisions``
+    caches decide_pen's averaged value per prefix key.  Counters instrument
+    the recursion for the complexity and horizon-independence checks.
+    Every entry is a pure function of (master seed, prefix, level), so one
+    table may serve any episodes of one (instance, SolverConfig).
     """
 
     __slots__ = ("entries", "draws", "decisions", "_aleph", "_paths",
@@ -195,10 +196,13 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     Draw j uses the key (master_seed, "traj", k, prefix_key, j), encoded
     hierarchically (a digest of the first four parts plus the counter j), so
     the multiset is a pure function of the master seed and is shared with
-    the full-sweep method.  Each completion is indexed only at the sampled
-    periods aleph_k, through the handle's O(1) ``node`` lookup when it has
-    one (else one readout per completion), and indexed completions are
-    shared per (trajectory, aleph_k).
+    the full-sweep method.  A draw is read only at its heads of length t in
+    aleph_k, so it is kept as its cut: its first c = max(aleph_k) rows.  If
+    c <= |prefix|, every cut is the prefix's own and the draw set is eta1
+    references to one ``PathDraw``, with no simulator call.  Else each
+    completion is simulated and cut at c.  Cuts are indexed only at aleph_k,
+    through the handle's O(1) ``node`` lookup when it has one (else one
+    readout per cut), and shared per (cut, aleph_k).
     """
     if k < 0:
         raise ParameterError("draw level must be >= 0")
@@ -206,28 +210,43 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     cached = memo.draws.get(cache_key)
     if cached is not None:
         return cached
-    base = keys.key_digest(config.master_seed, "traj", k, prefix.key)
-    aleph = memo.aleph(config, sim.instance.T, k)
+    T = sim.instance.T
+    aleph = memo.aleph(config, T, k)
+    c = aleph[-1]
     paths = memo._paths
-    out = []
-    for j in range(1, config.eta1 + 1):
-        traj = sim.complete(prefix, (base, j))
-        memo.sim_calls += 1
-        path_key = (traj.key, aleph)
+    if c <= len(prefix):
+        # every cut is the prefix's own first c rows: nothing to simulate.
+        # Its heads are uncached truncations, so none is kept on ``prefix``
+        cut = prefix.truncate(c)
+        path_key = (cut.key, aleph)
         pd = paths.get(path_key)
         if pd is None:
-            pd = paths[path_key] = PathDraw(traj, _rcvs_at(sim, traj, aleph))
-        out.append(pd)
-    drawn = tuple(out)
+            pd = paths[path_key] = PathDraw(
+                cut, _rcvs_at(sim, [cut.truncate(t) for t in aleph]))
+        drawn = (pd,) * config.eta1
+    else:
+        base = keys.key_digest(config.master_seed, "traj", k, prefix.key)
+        out = []
+        for j in range(1, config.eta1 + 1):
+            cut = sim.complete(prefix, (base, j))
+            memo.sim_calls += 1
+            if c < T:
+                cut = cut.head(c)
+            path_key = (cut.key, aleph)
+            pd = paths.get(path_key)
+            if pd is None:
+                pd = paths[path_key] = PathDraw(
+                    cut, _rcvs_at(sim, [cut.head(t) for t in aleph]))
+            out.append(pd)
+        drawn = tuple(out)
     memo.draws[cache_key] = drawn
     return drawn
 
 
-def _rcvs_at(sim: SimulatorHandle, traj: Prefix, periods: Sequence[int]):
-    """(traj^t, r.c.v. of period t) for each of ``periods``."""
-    heads = [traj.head(t) for t in periods]
+def _rcvs_at(sim: SimulatorHandle, heads: Sequence[Prefix]):
+    """(traj^t, r.c.v. of period t) for each head; the last head is traj."""
     if sim.node is None:
-        r = sim.readout(traj)
+        r = sim.readout(heads[-1])
         return [(h, r.rcv(len(h))) for h in heads]
     node = sim.node
     return [(h, node(h)[1]) for h in heads]
@@ -258,7 +277,8 @@ def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
 
     The draws are indexed at the sampled periods aleph only, so their
     ``terms`` already range over aleph ^ T_i(S'), and each term carries the
-    prefix S'^t that ``evalx`` reads.  The iteration order
+    prefix S'^t that ``evalx`` reads.  Draws with equal cuts (``traj``)
+    have equal terms, so they share one derivative.  The iteration order
     (resources ascending, draws in key order, periods ascending) is part of
     the bitwise-equivalence contract between the full-sweep and on-demand
     implementations.
@@ -373,8 +393,9 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
     every completion in the draw set ``_entry_draws`` gives (S, k) that
     touches a resource S requests.  Each table entry is computed exactly
     once; the recursion count equals the number of memo writes.  A call
-    costs eta1 sim calls per new entry at level >= 2 whose node requests a
-    resource, and none for any other entry.
+    costs eta1 sim calls per new entry (S, k) at level >= 2 whose node
+    requests a resource and where |S| < max(aleph_(k-1)), and none for any
+    other entry.
     """
     if k <= 0:
         return 0.0
@@ -446,7 +467,7 @@ def run_algorithm1_explicit(tree: ExplicitScenarioTree, config: SolverConfig,
     memo = memo if memo is not None else MemoTable()
     # zero-mass prefixes have no conditional law and never affect the
     # objective or the policy; the sweep skips them, and the recursion
-    # refuses them once it completes them (K >= 2 and a requested resource)
+    # refuses them through the tree's node lookup
     prefixes = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
     iterates = []
     for k in range(1, config.K + 1):

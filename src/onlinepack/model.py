@@ -482,7 +482,7 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
     the prefix (one uniform against the cumulative weights, which are
     computed once per prefix and kept as a list) and returns the stored
     leaf prefix; readout returns the stored node values.  Zero-probability
-    branches carry zero conditional mass and are never sampled.
+    branches are never sampled, and ``node`` refuses them (SupportError).
     """
     T = tree.instance.T
     cumdist: dict[bytes, tuple[tuple[Prefix, ...], list[float]]] = {}
@@ -516,7 +516,7 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
     def node(prefix: Prefix):
         # the hottest lookup on tree decision paths, so tree.node is inlined
         nd = nodes.get(prefix.key)
-        if nd is None:
+        if nd is None or not nd.mu > 0.0:
             raise SupportError("prefix not in the support of the tree")
         return nd.z, nd.a
 

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from helpers import random_solution, random_tree
 from onlinepack import keys
 from onlinepack.engine import (MemoTable, SolverConfig, averaged_solution,
-                               conditional_draws, decide_pen, leaf_grad_table)
+                               conditional_draws, decide_pen, leaf_grad_table,
+                               sample_index_set)
 from onlinepack.encodings import (encode_is, encode_mmo, encode_mwm,
                                   random_is_process, random_mmo_process,
                                   random_mwm_process)
@@ -513,7 +514,7 @@ _GOLDEN = {
            "feas_counters": "24f191c9ed2dcff8d76c3a5f",
            "leaf_grad": "4ed41a7c147769ccffb77fcc",
            "averaged": "bb13f303f2b02458eb60b8d1",
-           "shared_writes": ("243b734641a32ba904dd5ddc", 38, 152, 16)},
+           "shared_writes": ("243b734641a32ba904dd5ddc", 38, 152, 29)},
     "m4": {"eval_f": "-0x1.6f054fdcca875p+2",
            "eval_f_theta": "-0x1.79b5a3853661ap+1",
            "aggregate_violation": "0x1.1037bfd898357p+0",
@@ -524,7 +525,7 @@ _GOLDEN = {
            "feas_counters": "65683b2dfb26806bad4987b5",
            "leaf_grad": "1d121d6d70f594925fe06bf7",
            "averaged": "88c09a233a6b3a21cf6d808e",
-           "shared_writes": ("e3bbb3640a04288889f0dbf7", 92, 368, 39)},
+           "shared_writes": ("e3bbb3640a04288889f0dbf7", 92, 368, 66)},
     "m5": {"eval_f": "-0x1.94293340a8ee9p+1",
            "eval_f_theta": "-0x1.5bac59c767328p-3",
            "aggregate_violation": "0x1.5e04861b0356ap-1",
@@ -535,7 +536,7 @@ _GOLDEN = {
            "feas_counters": "69996009729c5d8f017a91bd",
            "leaf_grad": "afde02db1cb400a6df62ed9e",
            "averaged": "f6a47517af60869c03360709",
-           "shared_writes": ("3b7020214411df6d46863c1e", 24, 96, 15)},
+           "shared_writes": ("3b7020214411df6d46863c1e", 24, 96, 22)},
 }
 
 
@@ -600,8 +601,9 @@ def test_golden_shared_table_write_order(golden):
     # six episodes of decisions over one table: every entry, in the order
     # the recursion wrote it, and the table's counters.  The golden holds
     # the sim calls made when every entry drew eta1 completions, and the
-    # number of entries that draw none: those at level 1 or whose node
-    # requests no resource.
+    # number of entries that draw none: those at level 1, those whose node
+    # requests no resource, and those whose prefix S holds every period
+    # its draws are read at (|S| >= max(aleph_(k-1))).
     name, tree, _ = golden
     sim = tree_as_simulator(tree)
     cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.3, K=4, eta1=4,
@@ -618,7 +620,9 @@ def test_golden_shared_table_write_order(golden):
     golden_digest, writes, all_drawing_calls, drawing_none = \
         _GOLDEN[name]["shared_writes"]
     assert (digest, memo.writes) == (golden_digest, writes)
-    assert sum(k == 1 or not tree.node(key).a
+    T = tree.instance.T
+    assert sum(k == 1 or not tree.node(key).a or tree.node(key).depth >=
+               sample_index_set(cfg, T, k - 1)[-1]
                for key, k in memo.entries) == drawing_none
     assert memo.sim_calls == all_drawing_calls - cfg.eta1 * drawing_none
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_node_tree, random_tree
-from onlinepack import engine
+from onlinepack import engine, keys
 from onlinepack.engine import (MemoTable, SolverConfig, _clip01,
                                conditional_draws, decide_pen, leaf_grad_table,
                                recursive_R, run_algorithm1_explicit,
@@ -90,6 +90,7 @@ class TestSampleIndexSet:
 
 class TestConditionalDraws:
     def test_deterministic_process_cached(self):
+        # c = max(aleph_0) = 1 = |S|: the draws are the prefix's own rows
         tree = one_node_tree()
         sim = tree_as_simulator(tree)
         memo = MemoTable()
@@ -99,7 +100,19 @@ class TestConditionalDraws:
         calls = memo.sim_calls
         d2 = conditional_draws(sim, memo, p, 0, cfg)
         assert d1 is d2
-        assert memo.sim_calls == calls == 1
+        assert memo.sim_calls == calls == 0
+        # c = 2 > |S| = 1: eta1 completions, drawn once, sharing one draw
+        tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
+        root = tb.add(None, (0.0,), 1.0, z=0.5, a={0: 1.0})
+        tb.add(root, (1.0,), 1.0, z=0.5, a={0: 1.0})
+        sim = tree_as_simulator(tb.build())
+        memo = MemoTable()
+        cfg = make_config(eta1=3, eta2=2)
+        d1 = conditional_draws(sim, memo, root, 0, cfg)
+        assert memo.sim_calls == cfg.eta1
+        d2 = conditional_draws(sim, memo, root, 0, cfg)
+        assert d1 is d2 and memo.sim_calls == cfg.eta1
+        assert len(set(map(id, d1))) == 1 and len(d1) == cfg.eta1
 
     def test_draws_follow_conditional_law_across_k(self):
         tree = demo_tree()
@@ -166,14 +179,33 @@ class TestConditionalDraws:
         assert readouts[0] == len(bare_memo._paths)
 
     def test_draws_start_with_prefix(self):
+        # a draw is its completion's first c = max(aleph_k) rows; when
+        # c <= |S| those are the prefix's own rows and nothing is simulated
         tree = random_tree(seed=21, T=4, m=2)
         sim = tree_as_simulator(tree)
+        T = tree.instance.T
         memo = MemoTable()
         cfg = make_config(eta1=3, eta2=2)
-        for p in tree.prefixes()[:5]:
-            for d in conditional_draws(sim, memo, p, 1, cfg):
-                assert d.traj.startswith(p)
-                assert len(d.traj) == tree.instance.T
+        cuts = set()
+        for p in tree.prefixes():
+            for k in range(4):
+                c = sample_index_set(cfg, T, k)[-1]
+                calls = memo.sim_calls
+                draws = conditional_draws(sim, memo, p, k, cfg)
+                assert len(draws) == cfg.eta1
+                if c > len(p):
+                    base = keys.key_digest(cfg.master_seed, "traj", k, p.key)
+                    assert [d.traj for d in draws] == \
+                        [sim.complete(p, (base, j)).truncate(c)
+                         for j in range(1, cfg.eta1 + 1)]
+                    assert all(d.traj.startswith(p) for d in draws)
+                    assert memo.sim_calls == calls + cfg.eta1
+                else:
+                    assert all(d.traj == p.truncate(c) for d in draws)
+                    assert memo.sim_calls == calls
+                assert all(len(d.traj) == c for d in draws)
+                cuts.add(c > len(p))
+        assert cuts == {True, False}  # both branches ran
 
 
 class TestStochasticGradComponent:
@@ -408,34 +440,58 @@ def _skip_cases(draw):
     return tree, cfg
 
 
-def _tree_requests(tree):
-    """Prefix key -> whether the node requests a resource."""
-    return {p.key: bool(tree.node(p).a) for p in tree.prefixes()}
+def _tree_nodes(tree):
+    """Prefix key -> (|S|, whether the node requests a resource)."""
+    return {p.key: (len(p), bool(tree.node(p).a)) for p in tree.prefixes()}
 
 
 def _recording(sim):
     """``sim`` with its node lookups recorded in the same map as above."""
-    requests = {}
+    nodes = {}
 
     def node(prefix):
         z, a = sim.node(prefix)
-        requests[prefix.key] = bool(a)
+        nodes[prefix.key] = (len(prefix), bool(a))
         return z, a
-    return dataclasses.replace(sim, node=node), requests
+    return dataclasses.replace(sim, node=node), nodes
 
 
-def _count_law(memo, eta1, requests):
-    """sim_calls == eta1 * #(entries at level >= 2 whose node requests a
-    resource), and no other entry has a draw set."""
-    assert memo.sim_calls == eta1 * sum(k >= 2 and requests[key]
-                                        for key, k in memo.entries)
-    assert all(k >= 1 and requests[key] for key, k in memo.draws)
+def _calls(cfg, T, length, k):
+    """Completions a draw set of (S, k) simulates: eta1 if |S| < max(aleph_k),
+    else none (every row a draw reads is S's own)."""
+    return cfg.eta1 if length < sample_index_set(cfg, T, k)[-1] else 0
+
+
+def _count_law(memo, cfg, T, nodes):
+    """sim_calls == eta1 * #(entries (S, k) at level >= 2 whose node requests
+    a resource and where |S| < max(aleph_(k-1))), and no other entry has a
+    draw set."""
+    assert memo.sim_calls == sum(
+        _calls(cfg, T, nodes[key][0], k - 1)
+        for key, k in memo.entries if k >= 2 and nodes[key][1])
+    assert all(k >= 1 and nodes[key][1] for key, k in memo.draws)
+
+
+def _full_length_draws(sim, memo, prefix, k, config):
+    """Reference draw set: eta1 full-length completions, always simulated
+    and never cut, each indexed at aleph_k."""
+    base = keys.key_digest(config.master_seed, "traj", k, prefix.key)
+    aleph = sample_index_set(config, sim.instance.T, k)
+    out = []
+    for j in range(1, config.eta1 + 1):
+        traj = sim.complete(prefix, (base, j))
+        memo.sim_calls += 1
+        heads = [traj.truncate(t) for t in aleph]
+        out.append(engine.PathDraw(traj, [(h, node_values(sim, h)[1])
+                                          for h in heads]))
+    return tuple(out)
 
 
 class TestDrawRule:
     """Entry (S, k) draws only if k >= 2 and S requests a resource: a
     level-1 entry reads X^0 = X^-1 = 0 only, and a resource-free one reads
-    no load at all."""
+    no load at all.  A draw set simulates only if |S| < max(aleph_(k-1)):
+    otherwise every period it is read at lies inside S."""
 
     @pytest.mark.parametrize("deriv", [None, _leaky_deriv])
     @settings(max_examples=40, deadline=None)
@@ -458,14 +514,16 @@ class TestDrawRule:
                 g = stochastic_grad_component(lambda q: 0.0, sim, drawn, p, 0,
                                               cfg)
                 assert swept.value(p, 1) == _clip01(cfg.alpha * g)
-            assert drawn.sim_calls == cfg.eta1 * len(support)
+            T = tree.instance.T
+            assert drawn.sim_calls == sum(_calls(cfg, T, len(p), 0)
+                                          for p in support)
         for key, value in on_demand.entries.items():  # recursion == sweep
             assert value == swept.entries[key]
         for memo in (swept, on_demand):
-            _count_law(memo, cfg.eta1, _tree_requests(tree))
+            _count_law(memo, cfg, tree.instance.T, _tree_nodes(tree))
 
     def test_count_law_on_generative_nrm(self):
-        sim, requests = _recording(generate_nrm(
+        sim, nodes = _recording(generate_nrm(
             seed=7, T=20, m=3, L=2, iota=0.3, budget_ratio=0.5,
             mode="generative", n_events=4))
         for K, eta1 in ((1, 3), (2, 2), (3, 2)):
@@ -475,10 +533,16 @@ class TestDrawRule:
                 traj = sim.complete(EMPTY_PREFIX, (9, "episode", e))
                 for t in range(1, sim.instance.T + 1):
                     decide_pen(sim, memo, traj.head(t), cfg)
-            _count_law(memo, eta1, requests)
+            _count_law(memo, cfg, sim.instance.T, nodes)
             assert memo.writes == len(memo.entries) > 0
             assert (memo.sim_calls == 0) == (K == 1)
-        assert not all(requests.values())  # the law skipped some entries
+        # the law skipped entries for each reason: no resource, or a prefix
+        # that holds every period its draws are read at
+        assert not all(requests for _, requests in nodes.values())
+        T = sim.instance.T
+        assert any(k >= 2 and nodes[key][1]
+                   and _calls(cfg, T, nodes[key][0], k - 1) == 0
+                   for key, k in memo.entries)
 
     def test_count_law_fails_when_resource_free_entries_draw(self, monkeypatch):
         # mutation check: a resource-free entry that draws again changes no
@@ -490,7 +554,7 @@ class TestDrawRule:
         kept = MemoTable()
         for p in support:
             decide_pen(sim, kept, p, cfg)
-        _count_law(kept, cfg.eta1, _tree_requests(tree))
+        _count_law(kept, cfg, tree.instance.T, _tree_nodes(tree))
         rule = engine._entry_draws
 
         def drawing(sim, memo, prefix, k, config):
@@ -504,12 +568,35 @@ class TestDrawRule:
             decide_pen(sim, mutated, p, cfg)
         assert mutated.entries == kept.entries
         with pytest.raises(AssertionError):
-            _count_law(mutated, cfg.eta1, _tree_requests(tree))
+            _count_law(mutated, cfg, tree.instance.T, _tree_nodes(tree))
+
+    def test_count_law_fails_when_prefix_cuts_complete(self, monkeypatch):
+        # mutation check: a draw set whose reads all lie inside S that
+        # completes S anyway (full-length draws, as before draws were cut)
+        # changes no entry, so only the count law can catch it
+        tree = random_tree(seed=4, T=3, m=2)
+        sim = tree_as_simulator(tree)
+        cfg = make_config(K=4, eta1=2, eta2=2)
+        support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
+        kept = MemoTable()
+        for p in support:
+            decide_pen(sim, kept, p, cfg)
+        _count_law(kept, cfg, tree.instance.T, _tree_nodes(tree))
+        monkeypatch.setattr(engine, "conditional_draws", _full_length_draws)
+        mutated = MemoTable()
+        for p in support:
+            decide_pen(sim, mutated, p, cfg)
+        assert list(mutated.entries.items()) == list(kept.entries.items())
+        assert mutated.sim_calls > kept.sim_calls
+        with pytest.raises(AssertionError):
+            _count_law(mutated, cfg, tree.instance.T, _tree_nodes(tree))
 
     def test_k1_draws_no_completion(self):
         # with K = 1 the decision reads only level-0 draws, so the prefix is
-        # never completed: the simulator's support checks do not run.  A
-        # resource-free prefix is never completed at any K.
+        # never completed: the generative simulator's support checks do not
+        # run on rows its node lookup does not read.  The tree's node lookup
+        # refuses a zero-mass prefix itself, so tree support does not depend
+        # on what the prefix draws.
         tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
         live = tb.add(None, (0.0,), 1.0, z=0.5, a={0: 1.0})
         dead = tb.add(None, (1.0,), 0.0, z=1.0, a={0: 1.0})  # zero mass
@@ -518,25 +605,74 @@ class TestDrawRule:
             tb.add(parent, (0.0,), 1.0, z=0.5, a={0: 1.0})
         tree = tb.build()
         tree_sim = tree_as_simulator(tree)
-        nrm_sim, nrm_requests = _recording(generate_nrm(
+        for prefix in (dead, idle, dead.extend((0.0,))):
+            for K in (1, 2, 4):
+                memo = MemoTable()
+                with pytest.raises(SupportError):
+                    decide_pen(tree_sim, memo, prefix, make_config(K=K))
+                assert memo.sim_calls == memo.writes == 0
+        nrm_sim, nrm_nodes = _recording(generate_nrm(
             seed=7, T=6, m=3, L=2, iota=0.3, budget_ratio=0.5,
             mode="generative", n_events=4))
         bad_row = Prefix([(9.0,), (1.0,)])  # 9 is not an event code
-        for sim, prefix, requests in ((tree_sim, dead, _tree_requests(tree)),
-                                      (nrm_sim, bad_row, nrm_requests)):
-            memo = MemoTable()
-            cfg = make_config(K=1, alpha=0.1)
-            x = decide_pen(sim, memo, prefix, cfg)
-            z, _ = node_values(sim, prefix)
-            assert x == _clip01(0.1 * z)  # X^1 = alpha * Z(S): no load yet
-            assert memo.sim_calls == 0
-            _count_law(memo, cfg.eta1, requests)
-            with pytest.raises(SupportError):
-                decide_pen(sim, MemoTable(), prefix, make_config(K=2))
-        for K in (1, 2, 4):
-            memo = MemoTable()
-            decide_pen(tree_sim, memo, idle, make_config(K=K))
-            assert memo.sim_calls == 0 and memo.writes == K
+        memo = MemoTable()
+        cfg = make_config(K=1, alpha=0.1)
+        x = decide_pen(nrm_sim, memo, bad_row, cfg)
+        z, _ = node_values(nrm_sim, bad_row)
+        assert x == _clip01(0.1 * z)  # X^1 = alpha * Z(S): no load yet
+        assert memo.sim_calls == 0
+        _count_law(memo, cfg, nrm_sim.instance.T, nrm_nodes)
+        with pytest.raises(SupportError):
+            decide_pen(nrm_sim, MemoTable(), bad_row, make_config(K=2))
+
+
+@st.composite
+def _cut_cases(draw):
+    T = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    tree = random_tree(draw(st.integers(0, 10_000)), T=T, m=m,
+                       L=draw(st.integers(1, m)),
+                       zero_mass_prob=draw(st.sampled_from([0.0, 0.5])))
+    cfg = make_config(eta1=draw(st.integers(1, 4)),
+                      eta2=draw(st.integers(1, T)),
+                      theta=draw(st.sampled_from([0.05, 0.5, 2.0])),
+                      master_seed=draw(st.integers(0, 2**31)))
+    return tree, cfg, draw(st.integers(0, 2**31))
+
+
+class TestDrawCut:
+    """A draw is its completion's first max(aleph_k) rows, the last period
+    the estimator reads it at: cutting it there changes no gradient bit."""
+
+    @pytest.mark.parametrize("deriv", [None, _leaky_deriv])
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cut_cases())
+    def test_gradient_equals_full_length_reference(self, deriv, case):
+        tree, cfg, eval_seed = case
+        sim = tree_as_simulator(tree)
+        inst = tree.instance
+
+        def evalx(p):  # an arbitrary keyed evaluator in [-1, 2]
+            return -1.0 + 3.0 * keys.uniform(eval_seed, p.key)
+        memo, full = MemoTable(), MemoTable()  # one table: cuts are shared
+        with pytest.MonkeyPatch.context() as mp:
+            if deriv is not None:
+                mp.setattr(engine, "huber_deriv", deriv)
+            for k in range(4):
+                for p in tree.prefixes():
+                    if tree.mu(p) == 0.0:
+                        with pytest.raises(SupportError):
+                            stochastic_grad_component(evalx, sim, memo, p, k,
+                                                      cfg)
+                        continue
+                    z, a = node_values(sim, p)
+                    want = engine.grad_component(
+                        z, a, _full_length_draws(sim, full, p, k, cfg), evalx,
+                        inst.b, inst.T, cfg.eta1, cfg.eta2, cfg.theta,
+                        inst.iota)
+                    assert stochastic_grad_component(evalx, sim, memo, p, k,
+                                                     cfg) == want
+        assert memo.sim_calls <= full.sim_calls
 
 
 def _theory_gap(mode):
