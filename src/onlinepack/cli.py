@@ -41,17 +41,11 @@ def _load(path: str) -> LoadedInstance:
         raise ConfigError(str(exc)) from exc
 
 
-def _instance_structure(loaded: LoadedInstance):
-    if loaded.tree is not None:
-        return derive_structure_constants(loaded.tree)
-    return None
-
-
 def _default_config(loaded: LoadedInstance, args,
                     epsilon: float | None = None) -> SolverConfig:
     inst = loaded.spec
-    consts = _instance_structure(loaded)
-    V = consts.V if consts is not None else inst.v_or_default()
+    V = derive_structure_constants(loaded.tree).V if loaded.tree is not None \
+        else inst.v_or_default()
     epsilon = epsilon if epsilon is not None else args.epsilon
     theta = args.theta if args.theta is not None else \
         theta_default(epsilon, inst.T, inst.iota, V)
@@ -177,15 +171,12 @@ def cmd_run(args) -> int:
     except (TypeError, OnlinePackError) as exc:
         raise ConfigError(f"bad solver config: {exc}") from exc
     n_episodes = args.episodes if args.episodes is not None \
-        else int(exp.get("n_episodes", 1000))
+        else exp.get("n_episodes", 1000)
     seed = solver.get("master_seed", 0)
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
         factory = _policy_factory(exp["policy"], loaded, config, trace_fh)
         report = eval_policy_mc(loaded.sim, factory, n_episodes, seed=seed)
-    except FeasibilityAuditError as exc:
-        print(f"feasibility audit failed: {exc}", file=sys.stderr)
-        return 4
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -219,13 +210,9 @@ def cmd_verify(args) -> int:
         opt_pack = solve_pack_dp(tree).value
     except OnlinePackError:
         opt_pack = None
-    try:
-        factory = _policy_factory(args.policy, loaded, config)
-        report = eval_policy_mc(loaded.sim, factory, args.episodes,
-                                seed=config.master_seed)
-    except FeasibilityAuditError as exc:
-        print(f"feasibility audit failed: {exc}", file=sys.stderr)
-        return 4
+    factory = _policy_factory(args.policy, loaded, config)
+    report = eval_policy_mc(loaded.sim, factory, args.episodes,
+                            seed=config.master_seed)
     gap = opt_lp - report.mean_reward
     budget = args.epsilon * loaded.spec.T
     gated = args.policy != "mmo-greedy"
@@ -240,7 +227,7 @@ def cmd_verify(args) -> int:
         "episodes": report.episodes,
         "gap": gap,
         "eps_T_budget": budget,
-        "audit_ok": True,  # a failed audit exits above with code 4
+        "audit_ok": True,  # a failed audit exits with code 4 (see main)
         "violations": report.violation_count,
         "gate_applied": gated,
         "ok": bool(ok),
@@ -322,6 +309,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except FeasibilityAuditError as exc:
+        print(f"feasibility audit failed: {exc}", file=sys.stderr)
+        return 4
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

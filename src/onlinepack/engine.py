@@ -26,7 +26,7 @@ from . import keys
 from .errors import (CapacityError, ContractViolationError, MemoIntegrityError,
                      ParameterError)
 from .model import (ExplicitScenarioTree, Prefix, SimulatorHandle,
-                    node_values, tree_as_simulator)
+                    tree_as_simulator)
 from .penalty import huber_deriv
 
 _EVAL_TOL = 1e-12
@@ -56,6 +56,10 @@ class SolverConfig:
     practical_override: bool = False
 
     def __post_init__(self):
+        for name in ("K", "eta1", "eta2", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.alpha < math.inf:
             raise ParameterError("step size alpha must be finite and positive")
         if not 0 < self.theta < math.inf:
@@ -200,9 +204,9 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     aleph_k, so it is kept as its cut: its first c = max(aleph_k) rows.  If
     c <= |prefix|, every cut is the prefix's own and the draw set is eta1
     references to one ``PathDraw``, with no simulator call.  Else each
-    completion is simulated and cut at c.  Cuts are indexed only at aleph_k,
-    through the handle's O(1) ``node`` lookup when it has one (else one
-    readout per cut), and shared per (cut, aleph_k).
+    completion is simulated and cut at c.  Each new cut is indexed once, at
+    aleph_k through the handle's ``node`` lookup, and shared per (cut,
+    aleph_k).
     """
     if k < 0:
         raise ParameterError("draw level must be >= 0")
@@ -210,46 +214,33 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     cached = memo.draws.get(cache_key)
     if cached is not None:
         return cached
-    T = sim.instance.T
-    aleph = memo.aleph(config, T, k)
+    aleph = memo.aleph(config, sim.instance.T, k)
     c = aleph[-1]
-    paths = memo._paths
     if c <= len(prefix):
-        # every cut is the prefix's own first c rows: nothing to simulate.
-        # Its heads are uncached truncations, so none is kept on ``prefix``
+        # every draw is the prefix's own first c rows: one cut stands for all
+        # eta1 of them, and nothing is simulated.  The cut is never
+        # ``prefix`` itself, so no head is cached on the caller's prefix
         cut = prefix.truncate(c)
+        if cut is prefix:
+            cut = Prefix._trusted(prefix.obs, prefix.key)
+        cuts = [cut]
+    else:
+        base = keys.key_digest(config.master_seed, "traj", k, prefix.key)
+        cuts = [sim.complete(prefix, (base, j)).head(c)
+                for j in range(1, config.eta1 + 1)]
+        memo.sim_calls += config.eta1
+    node = sim.node
+    paths = memo._paths
+    out = []
+    for cut in cuts:
         path_key = (cut.key, aleph)
         pd = paths.get(path_key)
         if pd is None:
             pd = paths[path_key] = PathDraw(
-                cut, _rcvs_at(sim, [cut.truncate(t) for t in aleph]))
-        drawn = (pd,) * config.eta1
-    else:
-        base = keys.key_digest(config.master_seed, "traj", k, prefix.key)
-        out = []
-        for j in range(1, config.eta1 + 1):
-            cut = sim.complete(prefix, (base, j))
-            memo.sim_calls += 1
-            if c < T:
-                cut = cut.head(c)
-            path_key = (cut.key, aleph)
-            pd = paths.get(path_key)
-            if pd is None:
-                pd = paths[path_key] = PathDraw(
-                    cut, _rcvs_at(sim, [cut.head(t) for t in aleph]))
-            out.append(pd)
-        drawn = tuple(out)
-    memo.draws[cache_key] = drawn
+                cut, [(h, node(h)[1]) for h in map(cut.head, aleph)])
+        out.append(pd)
+    memo.draws[cache_key] = drawn = tuple(out) * (config.eta1 // len(out))
     return drawn
-
-
-def _rcvs_at(sim: SimulatorHandle, heads: Sequence[Prefix]):
-    """(traj^t, r.c.v. of period t) for each head; the last head is traj."""
-    if sim.node is None:
-        r = sim.readout(heads[-1])
-        return [(h, r.rcv(len(h))) for h in heads]
-    node = sim.node
-    return [(h, node(h)[1]) for h in heads]
 
 
 def _in_eval_range(v: float) -> float:
@@ -313,7 +304,7 @@ def stochastic_grad_component(evalx: Callable[[Prefix], float],
     """
     inst = sim.instance
     draws = conditional_draws(sim, memo, prefix, k, config)
-    z_s, a_s = node_values(sim, prefix)
+    z_s, a_s = sim.node(prefix)
     return grad_component(z_s, a_s, draws, _checked_eval(evalx),
                           inst.b, inst.T, config.eta1, config.eta2,
                           config.theta, inst.iota)
@@ -345,7 +336,7 @@ def _entry_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     of Z(S).  ``conditional_draws`` itself draws at every level, for
     callers that bring their own evaluator.
     """
-    z_s, a_s = node_values(sim, prefix)
+    z_s, a_s = sim.node(prefix)
     if k < 2 or not a_s:
         return z_s, a_s, ()
     return z_s, a_s, conditional_draws(sim, memo, prefix, k - 1, config)

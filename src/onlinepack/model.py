@@ -234,14 +234,15 @@ class SimulatorHandle:
     the process conditional on the prefix; the empty prefix yields an
     unconditional draw.  Identical keys give identical trajectories.
     ``readout(prefix)`` returns rewards and r.c.v.s along any in-support
-    prefix.  The optional ``node(prefix)`` returns ``(Z, a)`` of the
-    prefix's final period only -- exactly ``readout(prefix).reward(t)`` and
-    ``.rcv(t)`` with t = len(prefix) -- in time independent of t.  The
-    engine indexes each completion through it at the eta2 sampled periods
-    only, which keeps that O(eta2); without it, ``node_values`` falls back
-    to a full readout and a completion is indexed from one readout.
-    Matching-style encodings attach ``partite_of`` (IS) or ``block_lookup``
-    (MMO block window and offline endpoints).
+    prefix.  ``node(prefix)`` returns ``(Z, a)`` of the prefix's final
+    period only -- exactly ``readout(prefix).reward(t)`` and ``.rcv(t)``
+    with t = len(prefix).  The engine reads the process through ``node``
+    alone, at the eta2 sampled periods of each completion, so a lookup in
+    time independent of t keeps that O(eta2).  A handle built without
+    ``node`` gets one derived from ``readout`` (one full readout per
+    lookup); ``dataclasses.replace(sim, node=None, readout=r)`` derives it
+    from ``r``.  Matching-style encodings attach ``partite_of`` (IS) or
+    ``block_lookup`` (MMO block window and offline endpoints).
     """
 
     instance: InstanceSpec
@@ -252,14 +253,15 @@ class SimulatorHandle:
     tree: "ExplicitScenarioTree | None" = None
     node: Callable[[Prefix], tuple] | None = None
 
+    def __post_init__(self):
+        if self.node is None:
+            readout = self.readout
 
-def node_values(sim: SimulatorHandle, prefix: Prefix):
-    """(Z(S), sparse rcv at S) for the final period of the prefix."""
-    if sim.node is not None:
-        return sim.node(prefix)
-    r = sim.readout(prefix)
-    t = len(prefix)
-    return r.reward(t), r.rcv(t)
+            def node(prefix: Prefix):
+                t = len(prefix)
+                r = readout(prefix)
+                return r.reward(t), r.rcv(t)
+            object.__setattr__(self, "node", node)
 
 
 def simulate_completion(sim: SimulatorHandle, prefix: Prefix, key: tuple) -> Trajectory:

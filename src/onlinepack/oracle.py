@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (CapacityError, ConvergenceError, FeasibilityAuditError,
-                     InstanceError)
+                     InstanceError, ParameterError)
 from .model import (EMPTY_PREFIX, ExplicitScenarioTree, Prefix,
                     SimulatorHandle, derive_structure_constants)
 from .penalty import _reward, exact_grad_f_theta, eval_f_theta
@@ -369,7 +369,12 @@ def eval_policy_mc(sim: SimulatorHandle, policy_factory: PolicyFactory,
     ``policy_factory(episode)`` must return a fresh per-episode decision
     callable.  Every episode is audited against the budgets; any violation
     beyond 1e-9 aborts the evaluation with the offending trace.
+    ``n_episodes`` must be an int >= 1.
     """
+    if isinstance(n_episodes, bool) or not isinstance(n_episodes, int) \
+            or n_episodes < 1:
+        raise ParameterError(
+            f"episode count must be an integer >= 1, got {n_episodes!r}")
     inst = sim.instance
     start = time.perf_counter()
     rewards = np.empty(n_episodes)

@@ -22,7 +22,7 @@ from typing import Mapping
 from . import keys
 from .engine import MemoTable, SolverConfig, decide_pen
 from .errors import InstanceError, SequencingError
-from .model import Prefix, SimulatorHandle, node_values
+from .model import Prefix, SimulatorHandle
 
 _BUDGET_TOL = 1e-9
 
@@ -108,7 +108,6 @@ class EpisodeContext:
     feas: FeasState
     shared_uniform: float
     episode: int
-    seed: int
     epoch: int = 0
     pending_block: dict[int, tuple[int, float]] = field(default_factory=dict)
     matched_offline: set[int] = field(default_factory=set)
@@ -124,7 +123,6 @@ def new_episode_context(sim: SimulatorHandle, config: SolverConfig,
         feas=FeasState(sim.instance.b),
         shared_uniform=keys.uniform(config.master_seed, "is-uniform", episode),
         episode=episode,
-        seed=config.master_seed,
         trace=[] if trace else None,
     )
 
@@ -153,7 +151,7 @@ def policy_lp(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
     """Fractional admissible policy: FEAS applied to the penalty decision."""
     _advance_epoch(ctx, prefix)
     x = decide_pen(sim, ctx.memo, prefix, config)
-    _, a = node_values(sim, prefix)
+    _, a = sim.node(prefix)
     val = ctx.feas.step(a, x)
     _record(ctx, prefix, x, val)
     return val
@@ -169,8 +167,9 @@ def policy_nrm(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
     """
     _advance_epoch(ctx, prefix)
     x = decide_pen(sim, ctx.memo, prefix, config)
-    r = round_bernoulli(x, (ctx.seed, "round", ctx.episode, len(prefix)))
-    _, a = node_values(sim, prefix)
+    r = round_bernoulli(x, (config.master_seed, "round", ctx.episode,
+                            len(prefix)))
+    _, a = sim.node(prefix)
     patched = ctx.feas.step(a, float(r))
     decision = floor_policy(patched)
     _record(ctx, prefix, x, decision)
@@ -178,7 +177,7 @@ def policy_nrm(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
 
 
 def policy_is(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
-              config: SolverConfig, partite_of=None) -> int:
+              config: SolverConfig) -> int:
     """Threshold rounding of the fractional policy with one shared uniform.
 
     With the episode's uniform u, left-partite nodes fire when the
@@ -186,11 +185,10 @@ def policy_is(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
     1 - u; since the patched fractional values on an edge sum to at most 1,
     both endpoints can never fire together.
     """
-    lookup = partite_of if partite_of is not None else sim.partite_of
-    if lookup is None:
+    if sim.partite_of is None:
         raise InstanceError("independent-set policy needs a partite lookup")
     val = policy_lp(ctx, sim, prefix, config)
-    side = lookup(prefix)
+    side = sim.partite_of(prefix)
     if side == "L":
         return 1 if val > ctx.shared_uniform else 0
     if side == "R":
@@ -227,7 +225,7 @@ def policy_mmo_greedy(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
         decision, frac = ctx.pending_block.pop(t)
         _record(ctx, prefix, frac, decision)
         return decision
-    _, a = node_values(sim, prefix)
+    _, a = sim.node(prefix)
     if not a:  # unrealized period: no edge, decision zero
         _record(ctx, prefix, 0.0, 0)
         return 0
@@ -240,7 +238,7 @@ def policy_mmo_greedy(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
     fracs: list[float] = []
     for ps in block_prefixes:
         x = decide_pen(sim, ctx.memo, ps, config)
-        _, a = node_values(sim, ps)
+        _, a = sim.node(ps)
         fracs.append(ctx.feas.step(a, x))
     best = None
     for s, v, off in zip(range(t1, t2 + 1), fracs, offline_ids):

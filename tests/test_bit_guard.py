@@ -4,12 +4,12 @@ Every draw is a pure function of its key, so completions, truncations and
 node lookups must reproduce the same bits however they are computed.  The
 golden digests below pin key serialization and the trajectories that fixed
 draw keys select; the properties check that the cheap paths
-(``Prefix.head``, ``node_values``, ``keys.uniform``, the tree's ``bisect``
-draw, the prefixes carried by ``PathDraw`` terms) agree with their
-from-scratch definitions.  The last section pins the penalty objectives,
-the exact gradient, FEAS, the leaf gradient table and the averaged
-full-sweep solution on fixed random trees, so that each keeps its bits
-however it is built.
+(``Prefix.head``, the handles' ``node`` lookups, ``keys.uniform``, the
+tree's ``bisect`` draw, the prefixes carried by ``PathDraw`` terms) agree
+with their from-scratch definitions.  The last section pins the penalty
+objectives, the exact gradient, FEAS, the leaf gradient table and the
+averaged full-sweep solution on fixed random trees, so that each keeps its
+bits however it is built.
 """
 
 import bisect
@@ -33,7 +33,7 @@ from onlinepack.errors import InstanceError, SupportError
 from onlinepack.model import (EMPTY_PREFIX, Prefix, TreeBuilder, _NrmTables,
                               derive_structure_constants, generate_nrm,
                               generative_payload, load_instance_payload,
-                              node_values, tree_as_simulator, tree_to_payload)
+                              tree_as_simulator, tree_to_payload)
 from onlinepack.oracle import solve_lp_explicit, solve_pen_lp
 from onlinepack.penalty import (aggregate_violation, eval_f, eval_f_theta,
                                 exact_grad_f_theta)
@@ -191,13 +191,13 @@ def test_tree_path_equals_head_chain(seed, T):
         tree.path(Prefix([[-1.0]]))
 
 
-# -- node_values ------------------------------------------------------------
+# -- node lookups -----------------------------------------------------------
 
 
 def _assert_node_matches_readout(sim, prefix):
     t = len(prefix)
     r = sim.readout(prefix)
-    assert node_values(sim, prefix) == (r.reward(t), r.rcv(t))
+    assert sim.node(prefix) == (r.reward(t), r.rcv(t))
 
 
 @settings(max_examples=10, deadline=None)

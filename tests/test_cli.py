@@ -242,6 +242,46 @@ class TestRun:
         for name, total in memo.counters().items():
             assert sum(r[name] for r in recs) == total
 
+    @pytest.mark.parametrize("argv,n_episodes", [
+        (("--episodes", "0"), 200), (("--episodes", "-3"), 200),
+        ((), 0), ((), 2.5), ((), "10")])
+    def test_episode_count_below_one_exits_2(self, tmp_path, capsys, argv,
+                                             n_episodes):
+        exp = self.write_experiment(tmp_path, episodes=n_episodes)
+        capsys.readouterr()
+        out = tmp_path / "r.csv"
+        assert run_cli("run", "--config", str(exp), "--out", str(out),
+                       *argv) == 2
+        captured = capsys.readouterr()
+        assert "episode count must be an integer >= 1" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("name,value", [
+        ("eta1", 2.5), ("K", 3.0), ("master_seed", 1.5), ("K", True)])
+    def test_non_integer_solver_field_exits_2(self, tmp_path, capsys, name,
+                                              value):
+        exp = self.write_experiment(tmp_path, episodes=5)
+        cfg = json.loads(exp.read_text())
+        cfg["solver"][name] = value
+        exp.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(exp)) == 2
+        captured = capsys.readouterr()
+        assert f"{name} must be an integer" in captured.err
+        assert captured.out == ""
+
+    def test_audit_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        import onlinepack.cli as cli
+        from onlinepack.errors import FeasibilityAuditError
+
+        def explode(*args, **kwargs):
+            raise FeasibilityAuditError("forced", trace={})
+
+        monkeypatch.setattr(cli, "eval_policy_mc", explode)
+        exp = self.write_experiment(tmp_path, episodes=5)
+        assert run_cli("run", "--config", str(exp)) == 4
+        assert "feasibility audit failed: forced" in capsys.readouterr().err
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 2
 
@@ -308,6 +348,18 @@ class TestVerify:
         run_cli("gen", "--kind", "demo2", "--out", str(inst))
         assert run_cli("verify", "--instance", str(inst),
                        "--episodes", "10") == 4
+
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episode_count_below_one_exits_2(self, tmp_path, capsys,
+                                             episodes):
+        inst = tmp_path / "demo.json"
+        run_cli("gen", "--kind", "demo2", "--out", str(inst))
+        capsys.readouterr()
+        assert run_cli("verify", "--instance", str(inst),
+                       "--episodes", episodes) == 2
+        captured = capsys.readouterr()
+        assert "episode count must be an integer >= 1" in captured.err
+        assert captured.out == ""
 
     def test_mwmlp_scaled_epsilon_gate(self, tmp_path, capsys):
         inst = tmp_path / "mwm.json"

@@ -16,9 +16,9 @@ from onlinepack.engine import (MemoTable, SolverConfig, _clip01,
                                theta_default)
 from onlinepack.errors import (ContractViolationError, MemoIntegrityError,
                                ParameterError, SupportError)
-from onlinepack.model import (EMPTY_PREFIX, Prefix, TreeBuilder, demo_tree,
-                              derive_structure_constants, generate_nrm,
-                              node_values, tree_as_simulator)
+from onlinepack.model import (EMPTY_PREFIX, Prefix, Readout, TreeBuilder,
+                              demo_tree, derive_structure_constants,
+                              generate_nrm, tree_as_simulator)
 from onlinepack.penalty import exact_grad_f_theta
 
 
@@ -42,6 +42,13 @@ class TestSolverConfig:
     @pytest.mark.parametrize("name", ["alpha", "theta", "epsilon"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            make_config(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("eta1", 2.5), ("K", 3.0), ("master_seed", 1.5), ("eta2", "2"),
+        ("K", True), ("eta1", False), ("master_seed", None)])
+    def test_integer_fields_rejected_unless_int(self, name, value):
         with pytest.raises(ParameterError, match=name):
             make_config(**{name: value})
 
@@ -158,25 +165,23 @@ class TestConditionalDraws:
         # joint frequency factorizes if the streams are independent
         assert abs(joint / n - p0 * p1) <= 3 * sigma
 
-    def test_handle_without_node_indexes_from_one_readout(self):
-        tree = random_tree(seed=22, T=5, m=2)
-        sim = tree_as_simulator(tree)
-        readouts = [0]
-
-        def readout(prefix):
-            readouts[0] += 1
-            return tree.readout(prefix)
-
-        bare = dataclasses.replace(sim, node=None, readout=readout)
-        cfg = make_config(eta1=3, eta2=3)
-        memo, bare_memo = MemoTable(), MemoTable()
-        for p in tree.prefixes()[:6]:
-            for k in range(4):
-                with_node = conditional_draws(sim, memo, p, k, cfg)
-                without = conditional_draws(bare, bare_memo, p, k, cfg)
-                assert [(d.traj, d.terms) for d in with_node] == \
-                    [(d.traj, d.terms) for d in without]
-        assert readouts[0] == len(bare_memo._paths)
+    def test_prefix_cut_caches_no_head_on_prefix(self):
+        # c = max(aleph_k) = T = |S|: the cut has S's rows, but it is its
+        # own object, so a caller that keeps S keeps none of its heads
+        sim = generate_nrm(seed=7, T=6, m=3, L=2, iota=0.3, budget_ratio=0.5,
+                           mode="generative", n_events=4)
+        cfg = make_config(eta1=3, eta2=6)
+        traj = sim.complete(EMPTY_PREFIX, (5, "episode", 0))
+        memo = MemoTable()
+        draws = conditional_draws(sim, memo, traj, 0, cfg)
+        assert memo.sim_calls == 0
+        assert len(set(map(id, draws))) == 1
+        d = draws[0]
+        assert d.traj == traj and d.traj is not traj
+        assert traj._heads is None
+        for terms in d.terms.values():
+            for head, _ in terms:
+                assert head is d.traj.head(len(head))
 
     def test_draws_start_with_prefix(self):
         # a draw is its completion's first c = max(aleph_k) rows; when
@@ -482,7 +487,7 @@ def _full_length_draws(sim, memo, prefix, k, config):
         traj = sim.complete(prefix, (base, j))
         memo.sim_calls += 1
         heads = [traj.truncate(t) for t in aleph]
-        out.append(engine.PathDraw(traj, [(h, node_values(sim, h)[1])
+        out.append(engine.PathDraw(traj, [(h, sim.node(h)[1])
                                           for h in heads]))
     return tuple(out)
 
@@ -618,7 +623,7 @@ class TestDrawRule:
         memo = MemoTable()
         cfg = make_config(K=1, alpha=0.1)
         x = decide_pen(nrm_sim, memo, bad_row, cfg)
-        z, _ = node_values(nrm_sim, bad_row)
+        z, _ = nrm_sim.node(bad_row)
         assert x == _clip01(0.1 * z)  # X^1 = alpha * Z(S): no load yet
         assert memo.sim_calls == 0
         _count_law(memo, cfg, nrm_sim.instance.T, nrm_nodes)
@@ -665,7 +670,7 @@ class TestDrawCut:
                             stochastic_grad_component(evalx, sim, memo, p, k,
                                                       cfg)
                         continue
-                    z, a = node_values(sim, p)
+                    z, a = sim.node(p)
                     want = engine.grad_component(
                         z, a, _full_length_draws(sim, full, p, k, cfg), evalx,
                         inst.b, inst.T, cfg.eta1, cfg.eta2, cfg.theta,
@@ -673,6 +678,47 @@ class TestDrawCut:
                     assert stochastic_grad_component(evalx, sim, memo, p, k,
                                                      cfg) == want
         assert memo.sim_calls <= full.sim_calls
+
+
+class TestDerivedNode:
+    """A handle built without ``node`` derives it from ``readout``, and the
+    engine reads the process through ``node`` alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_skip_cases())
+    def test_handle_without_node_matches_tree_handle(self, case):
+        tree, cfg = case
+        sim = tree_as_simulator(tree)
+        runs = []
+        for handle in (sim, dataclasses.replace(sim, node=None)):
+            memo = MemoTable()
+            decisions = [decide_pen(handle, memo, p, cfg)
+                         for p in tree.prefixes()]
+            draws = [(key, [(d.traj, d.terms) for d in drawn])
+                     for key, drawn in memo.draws.items()]
+            # entries are write-once, so their insertion order is the
+            # order of the writes
+            runs.append((decisions, draws, list(memo.entries.items()),
+                         memo.counters()))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), T=st.integers(1, 4),
+           m=st.integers(1, 3))
+    def test_replaced_readout_derives_node(self, seed, T, m):
+        tree = random_tree(seed, T=T, m=m, L=min(m, 2))
+        sim = tree_as_simulator(tree)
+
+        def doubled(prefix):
+            r = tree.readout(prefix)
+            return Readout([2.0 * z for z in r.z], r.a)
+
+        derived = dataclasses.replace(sim, node=None, readout=doubled)
+        kept = dataclasses.replace(sim, readout=doubled)
+        for p in tree.prefixes():
+            z, a = sim.node(p)
+            assert derived.node(p) == (2.0 * z, a)
+            assert kept.node(p) == (z, a)
 
 
 def _theory_gap(mode):

@@ -12,8 +12,7 @@ from onlinepack.errors import CapacityError, InstanceError, SupportError
 from onlinepack.model import (EMPTY_PREFIX, InstanceSpec, Prefix, TreeBuilder,
                               demo_tree, derive_structure_constants,
                               generate_nrm, load_instance_payload,
-                              node_values, simulate_completion,
-                              tree_as_simulator,
+                              simulate_completion, tree_as_simulator,
                               tree_to_payload, payload_to_tree)
 
 
@@ -123,7 +122,7 @@ class TestSimulateCompletion:
         with pytest.raises(SupportError):
             simulate_completion(sim, Prefix(((99.0,),)), (0,))
         with pytest.raises(SupportError):
-            node_values(sim, Prefix(((99.0,),)))
+            sim.node(Prefix(((99.0,),)))
 
     def test_empirical_branch_frequency(self):
         # two-branch tree with P(up) = 0.5; unconditional draws

@@ -4,7 +4,8 @@ import pytest
 
 from helpers import one_node_tree, random_tree
 from onlinepack.engine import MemoTable, SolverConfig
-from onlinepack.errors import FeasibilityAuditError, InstanceError
+from onlinepack.errors import (FeasibilityAuditError, InstanceError,
+                               ParameterError)
 from onlinepack.model import (TreeBuilder, demo_tree, generate_nrm,
                               tree_as_simulator)
 from onlinepack.oracle import (EvalReport, enumerate_pack, eval_policy_exact,
@@ -215,6 +216,14 @@ class TestEvalPolicyMc:
             replayed += [policy_nrm(ctx, sim, traj.head(t), cfg)
                          for t in range(1, sim.instance.T + 1)]
         assert replayed == decisions
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "10"])
+    def test_episode_count_below_one_refused(self, n):
+        sim = tree_as_simulator(demo_tree())
+        played = []
+        with pytest.raises(ParameterError, match="episode count"):
+            eval_policy_mc(sim, played.append, n, seed=0)
+        assert played == []  # refused before any episode starts
 
     def test_audit_aborts_on_violation(self):
         tree = demo_tree()
