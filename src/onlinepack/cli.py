@@ -66,6 +66,7 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
     are pure in (master seed, prefix, level), so the table stays within
     nodes x K and each decision is computed once per run.  Generative
     instances, whose support is unbounded, get a fresh table per episode.
+    ``trace_sink``, if given, is called with one JSON line per decision.
     """
     sim = loaded.sim
     memo = MemoTable() if loaded.tree is not None else None
@@ -89,7 +90,7 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
             # the work this decision did, not the episode's running totals
             rec.update((name, count - before[name])
                        for name, count in ctx.memo.counters().items())
-            trace_sink.write(json.dumps(rec, sort_keys=True) + "\n")
+            trace_sink(json.dumps(rec, sort_keys=True) + "\n")
             return value
 
         return decide
@@ -173,9 +174,18 @@ def cmd_run(args) -> int:
     n_episodes = args.episodes if args.episodes is not None \
         else exp.get("n_episodes", 1000)
     seed = solver.get("master_seed", 0)
-    trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    trace_fh = None
+
+    def write_trace(line: str) -> None:
+        # opened at the first record, after every check that can refuse
+        # the run, so a refused run neither creates nor truncates the file
+        nonlocal trace_fh
+        if trace_fh is None:
+            trace_fh = open(args.trace, "w", encoding="utf-8")
+        trace_fh.write(line)
     try:
-        factory = _policy_factory(exp["policy"], loaded, config, trace_fh)
+        factory = _policy_factory(exp["policy"], loaded, config,
+                                  write_trace if args.trace else None)
         report = eval_policy_mc(loaded.sim, factory, n_episodes, seed=seed)
     finally:
         if trace_fh is not None:

@@ -145,13 +145,14 @@ class MemoTable:
     implicitly zero.  Entries are never reassigned, and the draw multiset
     for (prefix, k) is generated exactly once.  The recursion simulates
     only for entries (S, k) at level >= 2 whose node requests a resource
-    (the others read no draw, see ``_entry_draws``) and where |S| <
-    max(aleph_(k-1)) (see ``conditional_draws``), so ``sim_calls`` is eta1
-    times the number of those entries.  ``_paths`` holds one ``PathDraw``
-    per (cut, sampled periods), shared by completions that agree through
-    the cut and by levels whose period subsamples are equal.  ``decisions``
-    caches decide_pen's averaged value per prefix key.  Counters instrument
-    the recursion for the complexity and horizon-independence checks.
+    (the others read no draw, see ``_entry_draws``) and whose handle does
+    not fix S's first max(aleph_(k-1)) rows (see ``conditional_draws``),
+    so ``sim_calls`` is eta1 times the number of those entries.
+    ``_paths`` holds one ``PathDraw`` per (cut, sampled periods), shared by
+    completions that agree through the cut and by levels whose period
+    subsamples are equal.  ``decisions`` caches decide_pen's averaged value
+    per prefix key.  Counters instrument the recursion for the complexity
+    and horizon-independence checks.
     Every entry is a pure function of (master seed, prefix, level), so one
     table may serve any episodes of one (instance, SolverConfig).
     """
@@ -202,11 +203,12 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     the multiset is a pure function of the master seed and is shared with
     the full-sweep method.  A draw is read only at its heads of length t in
     aleph_k, so it is kept as its cut: its first c = max(aleph_k) rows.  If
-    c <= |prefix|, every cut is the prefix's own and the draw set is eta1
-    references to one ``PathDraw``, with no simulator call.  Else each
-    completion is simulated and cut at c.  Each new cut is indexed once, at
-    aleph_k through the handle's ``node`` lookup, and shared per (cut,
-    aleph_k).
+    the handle's ``fixed_head(prefix, c)`` knows that cut (always when c <=
+    |prefix|; on a tree also when the prefix has a single-child chain down
+    to c), the draw set is eta1 references to one ``PathDraw``, with no
+    simulator call.  Else each completion is simulated and cut at c.  Each
+    new cut is indexed once, at aleph_k through the handle's ``node``
+    lookup, and shared per (cut, aleph_k).
     """
     if k < 0:
         raise ParameterError("draw level must be >= 0")
@@ -216,13 +218,9 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
         return cached
     aleph = memo.aleph(config, sim.instance.T, k)
     c = aleph[-1]
-    if c <= len(prefix):
-        # every draw is the prefix's own first c rows: one cut stands for all
-        # eta1 of them, and nothing is simulated.  The cut is never
-        # ``prefix`` itself, so no head is cached on the caller's prefix
-        cut = prefix.truncate(c)
-        if cut is prefix:
-            cut = Prefix._trusted(prefix.obs, prefix.key)
+    cut = sim.fixed_head(prefix, c)
+    if cut is not None:
+        # every draw has this head: one cut stands for all eta1 of them
         cuts = [cut]
     else:
         base = keys.key_digest(config.master_seed, "traj", k, prefix.key)
@@ -385,8 +383,9 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
     touches a resource S requests.  Each table entry is computed exactly
     once; the recursion count equals the number of memo writes.  A call
     costs eta1 sim calls per new entry (S, k) at level >= 2 whose node
-    requests a resource and where |S| < max(aleph_(k-1)), and none for any
-    other entry.
+    requests a resource and whose handle does not fix S's first
+    max(aleph_(k-1)) rows (``SimulatorHandle.fixed_head``), and none for
+    any other entry.
     """
     if k <= 0:
         return 0.0

@@ -241,7 +241,13 @@ class SimulatorHandle:
     time independent of t keeps that O(eta2).  A handle built without
     ``node`` gets one derived from ``readout`` (one full readout per
     lookup); ``dataclasses.replace(sim, node=None, readout=r)`` derives it
-    from ``r``.  Matching-style encodings attach ``partite_of`` (IS) or
+    from ``r``.  ``fixed_head(prefix, c)`` returns the length-c head that
+    every completion of ``prefix`` has, or None when that head is not
+    known without simulating; it must agree with ``complete`` for every
+    key.  A handle built without it gets a default that knows only the
+    heads of length c <= |prefix|.  ``dataclasses.replace`` keeps it,
+    so a replaced ``complete`` with another law needs ``fixed_head=None``.
+    Matching-style encodings attach ``partite_of`` (IS) or
     ``block_lookup`` (MMO block window and offline endpoints).
     """
 
@@ -252,8 +258,11 @@ class SimulatorHandle:
     block_lookup: Callable[[Prefix], tuple] | None = None
     tree: "ExplicitScenarioTree | None" = None
     node: Callable[[Prefix], tuple] | None = None
+    fixed_head: Callable[[Prefix, int], Prefix | None] | None = None
 
     def __post_init__(self):
+        if self.fixed_head is None:
+            object.__setattr__(self, "fixed_head", _own_head)
         if self.node is None:
             readout = self.readout
 
@@ -262,6 +271,19 @@ class SimulatorHandle:
                 r = readout(prefix)
                 return r.reward(t), r.rcv(t)
             object.__setattr__(self, "node", node)
+
+
+def _own_head(prefix: Prefix, c: int) -> Prefix | None:
+    """The default ``fixed_head``: the prefix's own first c rows, or None.
+
+    It knows the head only for c <= |prefix|.  The head is never ``prefix``
+    itself, so a caller that keeps the prefix keeps none of the heads that
+    readers cache on the returned one.
+    """
+    if c > len(prefix):
+        return None
+    head = prefix.truncate(c)
+    return Prefix._trusted(prefix.obs, prefix.key) if head is prefix else head
 
 
 def simulate_completion(sim: SimulatorHandle, prefix: Prefix, key: tuple) -> Trajectory:
@@ -485,6 +507,11 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
     computed once per prefix and kept as a list) and returns the stored
     leaf prefix; readout returns the stored node values.  Zero-probability
     branches are never sampled, and ``node`` refuses them (SupportError).
+    ``fixed_head`` knows a head longer than the prefix when the tree below
+    the prefix is a chain of single children down to that length (the
+    encodings reveal every scenario at period 1); the test counts
+    zero-mass children, and the head it returns is the tree node's own
+    prefix, so every key gives the same object.
     """
     T = tree.instance.T
     cumdist: dict[bytes, tuple[tuple[Prefix, ...], list[float]]] = {}
@@ -522,12 +549,23 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
             raise SupportError("prefix not in the support of the tree")
         return nd.z, nd.a
 
+    def fixed_head(prefix: Prefix, c: int):
+        if c <= len(prefix):
+            return _own_head(prefix, c)
+        nd = nodes.get(prefix.key)
+        if nd is None or not nd.mu > 0.0:
+            return None
+        while nd.depth < c and len(nd.children) == 1:
+            nd = nodes[nd.children[0]]
+        return nd.prefix if nd.depth == c and nd.mu > 0.0 else None
+
     return SimulatorHandle(
         instance=tree.instance,
         complete=complete,
         readout=tree.readout,
         tree=tree,
         node=node,
+        fixed_head=fixed_head,
     )
 
 

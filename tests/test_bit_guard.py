@@ -514,7 +514,7 @@ _GOLDEN = {
            "feas_counters": "24f191c9ed2dcff8d76c3a5f",
            "leaf_grad": "4ed41a7c147769ccffb77fcc",
            "averaged": "bb13f303f2b02458eb60b8d1",
-           "shared_writes": ("243b734641a32ba904dd5ddc", 38, 152, 29)},
+           "shared_writes": ("243b734641a32ba904dd5ddc", 38, 152, 31)},
     "m4": {"eval_f": "-0x1.6f054fdcca875p+2",
            "eval_f_theta": "-0x1.79b5a3853661ap+1",
            "aggregate_violation": "0x1.1037bfd898357p+0",
@@ -525,7 +525,7 @@ _GOLDEN = {
            "feas_counters": "65683b2dfb26806bad4987b5",
            "leaf_grad": "1d121d6d70f594925fe06bf7",
            "averaged": "88c09a233a6b3a21cf6d808e",
-           "shared_writes": ("e3bbb3640a04288889f0dbf7", 92, 368, 66)},
+           "shared_writes": ("e3bbb3640a04288889f0dbf7", 92, 368, 69)},
     "m5": {"eval_f": "-0x1.94293340a8ee9p+1",
            "eval_f_theta": "-0x1.5bac59c767328p-3",
            "aggregate_violation": "0x1.5e04861b0356ap-1",
@@ -536,7 +536,7 @@ _GOLDEN = {
            "feas_counters": "69996009729c5d8f017a91bd",
            "leaf_grad": "afde02db1cb400a6df62ed9e",
            "averaged": "f6a47517af60869c03360709",
-           "shared_writes": ("3b7020214411df6d46863c1e", 24, 96, 22)},
+           "shared_writes": ("3b7020214411df6d46863c1e", 24, 96, 24)},
 }
 
 
@@ -597,13 +597,21 @@ def test_golden_averaged_solution(golden):
         _GOLDEN[name]["averaged"]
 
 
+def _one_head(tree, prefix, c):
+    """Whether every completion of ``prefix`` has the same first c rows:
+    c <= |S|, or the tree below S, zero-mass nodes included, holds one
+    node of depth c."""
+    return c <= len(prefix) or sum(
+        len(p) == c and p.startswith(prefix) for p in tree.prefixes()) == 1
+
+
 def test_golden_shared_table_write_order(golden):
     # six episodes of decisions over one table: every entry, in the order
     # the recursion wrote it, and the table's counters.  The golden holds
     # the sim calls made when every entry drew eta1 completions, and the
     # number of entries that draw none: those at level 1, those whose node
-    # requests no resource, and those whose prefix S holds every period
-    # its draws are read at (|S| >= max(aleph_(k-1))).
+    # requests no resource, and those whose draws have one head through
+    # every period they are read at (max(aleph_(k-1)))
     name, tree, _ = golden
     sim = tree_as_simulator(tree)
     cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.3, K=4, eta1=4,
@@ -621,9 +629,9 @@ def test_golden_shared_table_write_order(golden):
         _GOLDEN[name]["shared_writes"]
     assert (digest, memo.writes) == (golden_digest, writes)
     T = tree.instance.T
-    assert sum(k == 1 or not tree.node(key).a or tree.node(key).depth >=
-               sample_index_set(cfg, T, k - 1)[-1]
-               for key, k in memo.entries) == drawing_none
+    assert sum(k == 1 or not tree.node(key).a or _one_head(
+        tree, tree.node(key).prefix, sample_index_set(cfg, T, k - 1)[-1])
+        for key, k in memo.entries) == drawing_none
     assert memo.sim_calls == all_drawing_calls - cfg.eta1 * drawing_none
 
 

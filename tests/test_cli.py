@@ -256,6 +256,24 @@ class TestRun:
         assert "episode count must be an integer >= 1" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("policy,episodes,message", [
+        ("lp", 0, "episode count must be an integer >= 1"),
+        ("is", 5, "policy 'is' needs an independent-set encoded instance")])
+    def test_refused_run_leaves_trace_file_alone(self, tmp_path, capsys,
+                                                 policy, episodes, message):
+        exp = self.write_experiment(tmp_path, policy=policy,
+                                    episodes=episodes)
+        kept = tmp_path / "kept.jsonl"
+        kept.write_bytes(b'{"episode": 0}\n')
+        absent = tmp_path / "absent.jsonl"
+        capsys.readouterr()
+        for trace in (kept, absent):
+            assert run_cli("run", "--config", str(exp), "--trace",
+                           str(trace)) == 2
+            assert message in capsys.readouterr().err
+        assert kept.read_bytes() == b'{"episode": 0}\n'
+        assert not absent.exists()
+
     @pytest.mark.parametrize("name,value", [
         ("eta1", 2.5), ("K", 3.0), ("master_seed", 1.5), ("K", True)])
     def test_non_integer_solver_field_exits_2(self, tmp_path, capsys, name,

@@ -1,10 +1,14 @@
+import dataclasses
+
 import pytest
 
 from onlinepack.encodings import (BipartiteNodeProcess, EdgeArrivalProcess,
-                                  OnlineNodeProcess, encode_is, encode_mmo,
-                                  encode_mwm, is_traditional_reveal_ok,
+                                  OnlineNodeProcess, build_encoded, encode_is,
+                                  encode_mmo, encode_mwm,
+                                  is_traditional_reveal_ok,
                                   random_is_process, random_mmo_process,
                                   random_mwm_process)
+from onlinepack.engine import MemoTable, SolverConfig, decide_pen
 from onlinepack.errors import InstanceError
 from onlinepack.model import EMPTY_PREFIX
 
@@ -156,3 +160,28 @@ class TestRandomProcesses:
         encode_is(random_is_process(7, 6, 2))
         encode_mwm(random_mwm_process(7, 5, 2))
         encode_mmo(random_mmo_process(7, 3, 2, 2))
+
+
+@pytest.mark.parametrize("encoding", [
+    {"family": "is", "seed": 0, "delta": 2, "n": 4},
+    {"family": "mwm", "seed": 0, "delta": 2, "n": 4},
+    {"family": "mmo", "seed": 0, "delta": 2, "n_offline": 3, "n_online": 2}])
+def test_encoded_decisions_simulate_nothing(encoding):
+    # every scenario is revealed at period 1, so below a root the tree is a
+    # chain and the handle fixes every head a draw reads: an episode of
+    # decide_pen makes no simulator call, and decides and writes exactly
+    # what the handle that simulates every draw does
+    sim = build_encoded(encoding)
+    cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.3, K=4, eta1=3,
+                       eta2=2, master_seed=5, practical_override=True)
+    traj = sim.complete(EMPTY_PREFIX, (5, "episode", 0))
+    runs = []
+    for handle in (sim, dataclasses.replace(sim, fixed_head=None)):
+        memo = MemoTable()
+        decisions = [decide_pen(handle, memo, traj.truncate(t), cfg)
+                     for t in range(1, sim.instance.T + 1)]
+        runs.append((decisions, list(memo.entries.items()), memo.sim_calls))
+    (fixed, fixed_writes, fixed_calls), (drawn, drawn_writes, drawn_calls) = runs
+    assert fixed_calls == 0 < drawn_calls
+    assert fixed == drawn
+    assert fixed_writes == drawn_writes

@@ -108,18 +108,24 @@ class TestConditionalDraws:
         d2 = conditional_draws(sim, memo, p, 0, cfg)
         assert d1 is d2
         assert memo.sim_calls == calls == 0
-        # c = 2 > |S| = 1: eta1 completions, drawn once, sharing one draw
+        # c = 2 > |S| = 1 below a single child: the tree fixes the cut, so
+        # nothing is simulated; a handle without that knowledge simulates
+        # eta1 completions, drawn once.  Either way all draws share one
         tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
         root = tb.add(None, (0.0,), 1.0, z=0.5, a={0: 1.0})
-        tb.add(root, (1.0,), 1.0, z=0.5, a={0: 1.0})
+        leaf = tb.add(root, (1.0,), 1.0, z=0.5, a={0: 1.0})
         sim = tree_as_simulator(tb.build())
-        memo = MemoTable()
         cfg = make_config(eta1=3, eta2=2)
-        d1 = conditional_draws(sim, memo, root, 0, cfg)
-        assert memo.sim_calls == cfg.eta1
-        d2 = conditional_draws(sim, memo, root, 0, cfg)
-        assert d1 is d2 and memo.sim_calls == cfg.eta1
-        assert len(set(map(id, d1))) == 1 and len(d1) == cfg.eta1
+        for handle, calls in ((sim, 0),
+                              (dataclasses.replace(sim, fixed_head=None),
+                               cfg.eta1)):
+            memo = MemoTable()
+            d1 = conditional_draws(handle, memo, root, 0, cfg)
+            assert memo.sim_calls == calls
+            d2 = conditional_draws(handle, memo, root, 0, cfg)
+            assert d1 is d2 and memo.sim_calls == calls
+            assert len(set(map(id, d1))) == 1 and len(d1) == cfg.eta1
+            assert d1[0].traj == leaf
 
     def test_draws_follow_conditional_law_across_k(self):
         tree = demo_tree()
@@ -184,8 +190,9 @@ class TestConditionalDraws:
                 assert head is d.traj.head(len(head))
 
     def test_draws_start_with_prefix(self):
-        # a draw is its completion's first c = max(aleph_k) rows; when
-        # c <= |S| those are the prefix's own rows and nothing is simulated
+        # a draw is its completion's first c = max(aleph_k) rows; when the
+        # handle fixes those rows (c <= |S|, or a single-child chain below
+        # S) nothing is simulated
         tree = random_tree(seed=21, T=4, m=2)
         sim = tree_as_simulator(tree)
         T = tree.instance.T
@@ -198,19 +205,21 @@ class TestConditionalDraws:
                 calls = memo.sim_calls
                 draws = conditional_draws(sim, memo, p, k, cfg)
                 assert len(draws) == cfg.eta1
+                fixed = sim.fixed_head(p, c) is not None
                 if c > len(p):
                     base = keys.key_digest(cfg.master_seed, "traj", k, p.key)
                     assert [d.traj for d in draws] == \
                         [sim.complete(p, (base, j)).truncate(c)
                          for j in range(1, cfg.eta1 + 1)]
                     assert all(d.traj.startswith(p) for d in draws)
-                    assert memo.sim_calls == calls + cfg.eta1
                 else:
+                    assert fixed
                     assert all(d.traj == p.truncate(c) for d in draws)
-                    assert memo.sim_calls == calls
+                assert memo.sim_calls == calls + (0 if fixed else cfg.eta1)
                 assert all(len(d.traj) == c for d in draws)
-                cuts.add(c > len(p))
-        assert cuts == {True, False}  # both branches ran
+                cuts.add((c > len(p), fixed))
+        # all three branches ran: S's own rows, a chain, a simulation
+        assert cuts == {(False, True), (True, True), (True, False)}
 
 
 class TestStochasticGradComponent:
@@ -446,8 +455,8 @@ def _skip_cases(draw):
 
 
 def _tree_nodes(tree):
-    """Prefix key -> (|S|, whether the node requests a resource)."""
-    return {p.key: (len(p), bool(tree.node(p).a)) for p in tree.prefixes()}
+    """Prefix key -> (S, whether the node requests a resource)."""
+    return {p.key: (p, bool(tree.node(p).a)) for p in tree.prefixes()}
 
 
 def _recording(sim):
@@ -456,23 +465,24 @@ def _recording(sim):
 
     def node(prefix):
         z, a = sim.node(prefix)
-        nodes[prefix.key] = (len(prefix), bool(a))
+        nodes[prefix.key] = (prefix, bool(a))
         return z, a
     return dataclasses.replace(sim, node=node), nodes
 
 
-def _calls(cfg, T, length, k):
-    """Completions a draw set of (S, k) simulates: eta1 if |S| < max(aleph_k),
-    else none (every row a draw reads is S's own)."""
-    return cfg.eta1 if length < sample_index_set(cfg, T, k)[-1] else 0
+def _calls(cfg, sim, prefix, k):
+    """Completions a draw set of (S, k) simulates: none if the handle fixes
+    the first max(aleph_k) rows of every completion of S, else eta1."""
+    c = sample_index_set(cfg, sim.instance.T, k)[-1]
+    return 0 if sim.fixed_head(prefix, c) is not None else cfg.eta1
 
 
-def _count_law(memo, cfg, T, nodes):
+def _count_law(memo, cfg, sim, nodes):
     """sim_calls == eta1 * #(entries (S, k) at level >= 2 whose node requests
-    a resource and where |S| < max(aleph_(k-1))), and no other entry has a
-    draw set."""
+    a resource and whose handle does not fix S's first max(aleph_(k-1))
+    rows), and no other entry has a draw set."""
     assert memo.sim_calls == sum(
-        _calls(cfg, T, nodes[key][0], k - 1)
+        _calls(cfg, sim, nodes[key][0], k - 1)
         for key, k in memo.entries if k >= 2 and nodes[key][1])
     assert all(k >= 1 and nodes[key][1] for key, k in memo.draws)
 
@@ -495,8 +505,9 @@ def _full_length_draws(sim, memo, prefix, k, config):
 class TestDrawRule:
     """Entry (S, k) draws only if k >= 2 and S requests a resource: a
     level-1 entry reads X^0 = X^-1 = 0 only, and a resource-free one reads
-    no load at all.  A draw set simulates only if |S| < max(aleph_(k-1)):
-    otherwise every period it is read at lies inside S."""
+    no load at all.  A draw set simulates only if the handle does not fix
+    S's first max(aleph_(k-1)) rows: otherwise every row it is read at is
+    known (S's own, or a single-child chain of the tree below S)."""
 
     @pytest.mark.parametrize("deriv", [None, _leaky_deriv])
     @settings(max_examples=40, deadline=None)
@@ -505,27 +516,31 @@ class TestDrawRule:
         tree, cfg = case
         sim = tree_as_simulator(tree)
         support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
+        handles = (sim, dataclasses.replace(sim, fixed_head=None))
         with pytest.MonkeyPatch.context() as mp:
             if deriv is not None:
                 mp.setattr(engine, "huber_deriv", deriv)
             swept = MemoTable()
             run_algorithm1_explicit(tree, cfg, swept)
-            on_demand = MemoTable()
-            for p in support:
-                decide_pen(sim, on_demand, p, cfg)
+            on_demand = [MemoTable() for _ in handles]
+            for handle, memo in zip(handles, on_demand):
+                for p in support:
+                    decide_pen(handle, memo, p, cfg)
         if deriv is None:  # the real derivative is 0.0 at every level-1 load
             drawn = MemoTable()  # real level-0 draws, apart from the others
             for p in support:
                 g = stochastic_grad_component(lambda q: 0.0, sim, drawn, p, 0,
                                               cfg)
                 assert swept.value(p, 1) == _clip01(cfg.alpha * g)
-            T = tree.instance.T
-            assert drawn.sim_calls == sum(_calls(cfg, T, len(p), 0)
+            assert drawn.sim_calls == sum(_calls(cfg, sim, p, 0)
                                           for p in support)
-        for key, value in on_demand.entries.items():  # recursion == sweep
-            assert value == swept.entries[key]
-        for memo in (swept, on_demand):
-            _count_law(memo, cfg, tree.instance.T, _tree_nodes(tree))
+        for memo in on_demand:  # recursion == sweep, with or without chains
+            assert list(memo.entries.items()) == \
+                list(on_demand[0].entries.items())
+            for key, value in memo.entries.items():
+                assert value == swept.entries[key]
+        for memo, handle in ((swept, sim), *zip(on_demand, handles)):
+            _count_law(memo, cfg, handle, _tree_nodes(tree))
 
     def test_count_law_on_generative_nrm(self):
         sim, nodes = _recording(generate_nrm(
@@ -538,28 +553,28 @@ class TestDrawRule:
                 traj = sim.complete(EMPTY_PREFIX, (9, "episode", e))
                 for t in range(1, sim.instance.T + 1):
                     decide_pen(sim, memo, traj.head(t), cfg)
-            _count_law(memo, cfg, sim.instance.T, nodes)
+            _count_law(memo, cfg, sim, nodes)
             assert memo.writes == len(memo.entries) > 0
             assert (memo.sim_calls == 0) == (K == 1)
         # the law skipped entries for each reason: no resource, or a prefix
         # that holds every period its draws are read at
         assert not all(requests for _, requests in nodes.values())
-        T = sim.instance.T
         assert any(k >= 2 and nodes[key][1]
-                   and _calls(cfg, T, nodes[key][0], k - 1) == 0
+                   and _calls(cfg, sim, nodes[key][0], k - 1) == 0
                    for key, k in memo.entries)
 
     def test_count_law_fails_when_resource_free_entries_draw(self, monkeypatch):
         # mutation check: a resource-free entry that draws again changes no
-        # value, so only the count law can catch it
+        # value, so only the count law can catch it.  The handle fixes no
+        # head past S, so the extra draw sets simulate
         tree = random_tree(seed=4, T=3, m=2, zero_rcv_prob=0.5)
-        sim = tree_as_simulator(tree)
+        sim = dataclasses.replace(tree_as_simulator(tree), fixed_head=None)
         cfg = make_config(K=3, eta1=2, eta2=2)
         support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
         kept = MemoTable()
         for p in support:
             decide_pen(sim, kept, p, cfg)
-        _count_law(kept, cfg, tree.instance.T, _tree_nodes(tree))
+        _count_law(kept, cfg, sim, _tree_nodes(tree))
         rule = engine._entry_draws
 
         def drawing(sim, memo, prefix, k, config):
@@ -573,7 +588,7 @@ class TestDrawRule:
             decide_pen(sim, mutated, p, cfg)
         assert mutated.entries == kept.entries
         with pytest.raises(AssertionError):
-            _count_law(mutated, cfg, tree.instance.T, _tree_nodes(tree))
+            _count_law(mutated, cfg, sim, _tree_nodes(tree))
 
     def test_count_law_fails_when_prefix_cuts_complete(self, monkeypatch):
         # mutation check: a draw set whose reads all lie inside S that
@@ -586,7 +601,7 @@ class TestDrawRule:
         kept = MemoTable()
         for p in support:
             decide_pen(sim, kept, p, cfg)
-        _count_law(kept, cfg, tree.instance.T, _tree_nodes(tree))
+        _count_law(kept, cfg, sim, _tree_nodes(tree))
         monkeypatch.setattr(engine, "conditional_draws", _full_length_draws)
         mutated = MemoTable()
         for p in support:
@@ -594,7 +609,7 @@ class TestDrawRule:
         assert list(mutated.entries.items()) == list(kept.entries.items())
         assert mutated.sim_calls > kept.sim_calls
         with pytest.raises(AssertionError):
-            _count_law(mutated, cfg, tree.instance.T, _tree_nodes(tree))
+            _count_law(mutated, cfg, sim, _tree_nodes(tree))
 
     def test_k1_draws_no_completion(self):
         # with K = 1 the decision reads only level-0 draws, so the prefix is
@@ -626,7 +641,7 @@ class TestDrawRule:
         z, _ = nrm_sim.node(bad_row)
         assert x == _clip01(0.1 * z)  # X^1 = alpha * Z(S): no load yet
         assert memo.sim_calls == 0
-        _count_law(memo, cfg, nrm_sim.instance.T, nrm_nodes)
+        _count_law(memo, cfg, nrm_sim, nrm_nodes)
         with pytest.raises(SupportError):
             decide_pen(nrm_sim, MemoTable(), bad_row, make_config(K=2))
 

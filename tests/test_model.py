@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -183,6 +184,89 @@ class TestTreeAsSimulator:
         r = sim.readout(leaf)
         assert r.reward(1) == 0.5 and r.reward(2) == 1.0
         assert r.rcv(1) == ((0, 1.0),) and r.rcv(2) == ((0, 1.0),)
+
+
+def _check_fixed_head(tree, sim, n_keys=6):
+    """Every head ``sim.fixed_head`` knows is the head of every completion:
+    at each positive-mass S and c in 1..T it is None or has the key of
+    ``sim.complete(S, key).head(c)`` for every key."""
+    for S in tree.prefixes():
+        if tree.mu(S) > 0.0:
+            for c in range(1, tree.instance.T + 1):
+                head = sim.fixed_head(S, c)
+                for j in range(n_keys):
+                    assert head is None or head.key == \
+                        sim.complete(S, (3, "fixed", j)).head(c).key
+
+
+def _walk_past_branch(tree):
+    """A broken tree ``fixed_head``: it follows single children like the
+    real one, but also steps once past a node with several children."""
+    def fixed_head(prefix, c):
+        if c <= len(prefix):
+            return prefix.truncate(c)
+        nd, branched = tree.node(prefix), False
+        while nd.depth < c and (len(nd.children) == 1 or not branched):
+            branched = branched or len(nd.children) > 1
+            nd = tree.node(nd.children[0])
+        return nd.prefix if nd.depth == c else None
+    return fixed_head
+
+
+@st.composite
+def _chain_trees(draw):
+    return random_tree(draw(st.integers(0, 10_000)), T=draw(st.integers(1, 4)),
+                       m=2, max_children=draw(st.integers(1, 3)),
+                       zero_mass_prob=draw(st.sampled_from([0.0, 0.5])))
+
+
+class TestFixedHead:
+    """``fixed_head(S, c)`` names the length-c head every completion of S
+    has, or None; the tree knows it where a single-child chain reaches c."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=_chain_trees())
+    def test_fixed_head_agrees_with_complete(self, tree):
+        sim = tree_as_simulator(tree)
+        _check_fixed_head(tree, sim)
+        for S in tree.prefixes():
+            for c in range(1, tree.instance.T + 1):
+                head = sim.fixed_head(S, c)
+                if c <= len(S):  # S's own rows, never S itself
+                    assert head == S.truncate(c) and head is not S
+                elif tree.mu(S) > 0.0:  # known exactly on one-node levels
+                    level = [p for p in tree.prefixes()
+                             if len(p) == c and p.startswith(S)]
+                    assert (head is not None) == (len(level) == 1)
+                else:
+                    assert head is None
+
+    def test_default_knows_only_the_prefix_rows(self):
+        sim = generate_nrm(seed=7, T=6, m=3, L=2, iota=0.3, budget_ratio=0.5,
+                           mode="generative", n_events=4)
+        traj = sim.complete(EMPTY_PREFIX, (5, "episode", 0))
+        S = traj.head(3)
+        assert [sim.fixed_head(S, c) for c in (1, 2, 3)] == \
+            [traj.head(1), traj.head(2), S]
+        assert sim.fixed_head(S, 3) is not S
+        assert sim.fixed_head(S, 4) is None
+        tree_sim = tree_as_simulator(demo_tree())
+        derived = dataclasses.replace(tree_sim, fixed_head=None)
+        root = demo_tree().prefixes()[0]
+        assert tree_sim.fixed_head(root, 2) is None  # the root branches
+        assert derived.fixed_head(root, 1) == root
+        assert derived.fixed_head(root, 2) is None
+
+    def test_walk_past_a_branch_fails_the_property(self):
+        # mutation check: a head chosen one step past a branching node is
+        # not the head of every completion
+        tree = random_tree(seed=3, T=3, m=2, max_children=2,
+                           zero_mass_prob=0.5)
+        sim = tree_as_simulator(tree)
+        _check_fixed_head(tree, sim)
+        broken = dataclasses.replace(sim, fixed_head=_walk_past_branch(tree))
+        with pytest.raises(AssertionError):
+            _check_fixed_head(tree, broken)
 
 
 class TestStructureConstants:
