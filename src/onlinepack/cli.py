@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .encodings import build_encoded
 from .engine import MemoTable, SolverConfig, theory_params, theta_default
 from .errors import (ConfigError, FeasibilityAuditError, OnlinePackError)
 from .model import (LoadedInstance, demo_tree, derive_structure_constants,
-                    generate_nrm, generative_payload, load_instance_payload,
+                    generate_nrm, generative_payload, load_instance,
                     save_instance, tree_to_payload)
 from .oracle import (eval_policy_mc, reports_to_csv, solve_lp_explicit,
                      solve_pack_dp, solve_pen_lp)
@@ -31,20 +32,25 @@ _POLICIES = {"lp": policy_lp, "nrm": policy_nrm, "is": policy_is,
 
 def _load(path: str) -> LoadedInstance:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        return load_instance(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read instance {path}: {exc}") from exc
-    try:
-        return load_instance_payload(payload)
     except OnlinePackError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output file that cannot be written, without creating it."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
+            path if os.path.exists(path) else parent, os.W_OK):
+        raise ConfigError(f"cannot write {path}: not a writable file path")
+
+
 def _default_config(loaded: LoadedInstance, args,
                     epsilon: float | None = None) -> SolverConfig:
-    inst = loaded.spec
-    V = derive_structure_constants(loaded.tree).V if loaded.tree is not None \
+    inst, tree = loaded.sim.instance, loaded.sim.tree
+    V = derive_structure_constants(tree).V if tree is not None \
         else inst.v_or_default()
     epsilon = epsilon if epsilon is not None else args.epsilon
     theta = args.theta if args.theta is not None else \
@@ -69,7 +75,7 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
     ``trace_sink``, if given, is called with one JSON line per decision.
     """
     sim = loaded.sim
-    memo = MemoTable() if loaded.tree is not None else None
+    memo = MemoTable() if sim.tree is not None else None
     policy_fn = _POLICIES[name]
     if name == "is" and sim.partite_of is None:
         raise ConfigError("policy 'is' needs an independent-set encoded instance")
@@ -163,6 +169,9 @@ def cmd_run(args) -> int:
             raise ConfigError(f"experiment config is missing {key!r}")
     if exp["policy"] not in _POLICIES:
         raise ConfigError(f"unknown policy {exp['policy']!r}")
+    out = args.out or exp.get("out")
+    for path in filter(None, (args.trace, out)):
+        _check_writable(path)
     loaded = _load(exp["instance"])
     solver = dict(exp["solver"])
     if args.seed is not None:
@@ -193,7 +202,6 @@ def cmd_run(args) -> int:
     row = {"instance": exp["instance"], "policy": exp["policy"], "seed": seed}
     row.update(report.csv_row())
     csv_text = reports_to_csv([row])
-    out = args.out or exp.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
@@ -203,13 +211,13 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     loaded = _load(args.instance)
-    if loaded.tree is None:
+    tree = loaded.sim.tree
+    if tree is None:
         raise ConfigError("verify needs an explicit (oracle-solvable) instance")
-    tree = loaded.tree
     if args.policy not in _POLICIES:
         raise ConfigError(f"unknown policy {args.policy!r}")
     if args.policy == "mwmlp":
-        delta = loaded.payload.get("encoding", {}).get("delta", loaded.spec.L)
+        delta = loaded.payload.get("encoding", {}).get("delta", tree.instance.L)
         config = _default_config(loaded, args,
                                  epsilon=mwm_scaled_epsilon(args.epsilon, delta))
     else:
@@ -224,7 +232,7 @@ def cmd_verify(args) -> int:
     report = eval_policy_mc(loaded.sim, factory, args.episodes,
                             seed=config.master_seed)
     gap = opt_lp - report.mean_reward
-    budget = args.epsilon * loaded.spec.T
+    budget = args.epsilon * tree.instance.T
     gated = args.policy != "mmo-greedy"
     ok = (not gated) or gap <= budget + 3 * report.std_error
     out = {

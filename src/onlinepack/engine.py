@@ -207,8 +207,8 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     |prefix|; on a tree also when the prefix has a single-child chain down
     to c), the draw set is eta1 references to one ``PathDraw``, with no
     simulator call.  Else each completion is simulated and cut at c.  Each
-    new cut is indexed once, at aleph_k through the handle's ``node``
-    lookup, and shared per (cut, aleph_k).
+    new cut is indexed once, at its heads ``cut.head(t)`` for t in aleph_k
+    through the handle's ``node`` lookup, and shared per (cut, aleph_k).
     """
     if k < 0:
         raise ParameterError("draw level must be >= 0")

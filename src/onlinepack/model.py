@@ -41,16 +41,19 @@ def _canonical_observation(values: Sequence[float]) -> Observation:
     return tuple(out)
 
 
+_pack_len = struct.Struct("<I").pack
+
+
 class Prefix:
     """A partial history of the information process.
 
     Identity is the canonical little-endian serialization of the observation
     matrix (with its dimensions), so two prefixes are equal iff they encode
     the same reals in the same shape.  ``key`` is the serialization and is
-    safe to use as a dict key or a draw-key part.
+    safe to use as a dict key or a draw-key part.  A prefix caches nothing.
     """
 
-    __slots__ = ("obs", "key", "_hash", "_heads")
+    __slots__ = ("obs", "key")
 
     def __init__(self, obs: Iterable[Sequence[float]]):
         rows = tuple(_canonical_observation(o) for o in obs)
@@ -59,14 +62,9 @@ class Prefix:
             if len(r) != dim:
                 raise InstanceError("ragged observation matrix")
         flat = [v for r in rows for v in r]
-        self._set(rows, struct.pack("<II", dim, len(rows)) + struct.pack(
-            f"<{len(flat)}d", *flat))
-
-    def _set(self, rows: tuple[Observation, ...], key: bytes) -> None:
         self.obs = rows
-        self.key = key
-        self._hash = hash(key)
-        self._heads: dict[int, "Prefix"] | None = None
+        self.key = struct.pack("<II", dim, len(rows)) + struct.pack(
+            f"<{len(flat)}d", *flat)
 
     @classmethod
     def _trusted(cls, rows: tuple[Observation, ...], key: bytes) -> "Prefix":
@@ -77,7 +75,8 @@ class Prefix:
         -0.0, constant width), with ``key`` their exact serialization.
         """
         p = cls.__new__(cls)
-        p._set(rows, key)
+        p.obs = rows
+        p.key = key
         return p
 
     def __len__(self) -> int:
@@ -87,7 +86,7 @@ class Prefix:
         return isinstance(other, Prefix) and self.key == other.key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)  # bytes cache their own hash
 
     def __repr__(self) -> str:
         return f"Prefix(len={len(self.obs)}, key={self.key.hex()[:16]})"
@@ -98,33 +97,20 @@ class Prefix:
             raise InstanceError("empty prefix has no last observation")
         return self.obs[-1]
 
-    def truncate(self, t: int) -> "Prefix":
-        """Length-t truncation (1-based count of periods), not cached.
-
-        For callers that keep this prefix but not its heads: nothing is
-        stored on ``self``.
-        """
-        if t == len(self.obs):
+    def head(self, t: int) -> "Prefix":
+        """The first t periods (1-based); uncached, ``self`` when t = len."""
+        obs = self.obs
+        if t == len(obs):
             return self
-        if not 0 <= t < len(self.obs):
-            raise InstanceError(f"truncation length {t} out of range")
+        if not 0 <= t < len(obs):
+            raise InstanceError(f"head length {t} out of range")
         if t == 0:
             return EMPTY_PREFIX
         # same width, shorter length: a slice of the parent's key
-        key = self.key[:4] + struct.pack("<I", t) + \
-            self.key[8:8 + 8 * len(self.obs[0]) * t]
-        return Prefix._trusted(self.obs[:t], key)
-
-    def head(self, t: int) -> "Prefix":
-        """``truncate(t)``, cached on this prefix: one object per length."""
-        if t == len(self.obs):
-            return self
-        cache = self._heads
-        if cache is None:
-            cache = self._heads = {}
-        p = cache.get(t)
-        if p is None:
-            p = cache[t] = self.truncate(t)
+        p = object.__new__(Prefix)
+        p.obs = obs[:t]
+        p.key = self.key[:4] + _pack_len(t) + \
+            self.key[8:8 + 8 * len(obs[0]) * t]
         return p
 
     def extend(self, observation: Sequence[float]) -> "Prefix":
@@ -244,9 +230,9 @@ class SimulatorHandle:
     from ``r``.  ``fixed_head(prefix, c)`` returns the length-c head that
     every completion of ``prefix`` has, or None when that head is not
     known without simulating; it must agree with ``complete`` for every
-    key.  A handle built without it gets a default that knows only the
-    heads of length c <= |prefix|.  ``dataclasses.replace`` keeps it,
-    so a replaced ``complete`` with another law needs ``fixed_head=None``.
+    key.  A handle built without it gets ``prefix.head(c)`` for c <=
+    |prefix| and None beyond.  ``dataclasses.replace`` keeps it, so a
+    replaced ``complete`` with another law needs ``fixed_head=None``.
     Matching-style encodings attach ``partite_of`` (IS) or
     ``block_lookup`` (MMO block window and offline endpoints).
     """
@@ -274,16 +260,8 @@ class SimulatorHandle:
 
 
 def _own_head(prefix: Prefix, c: int) -> Prefix | None:
-    """The default ``fixed_head``: the prefix's own first c rows, or None.
-
-    It knows the head only for c <= |prefix|.  The head is never ``prefix``
-    itself, so a caller that keeps the prefix keeps none of the heads that
-    readers cache on the returned one.
-    """
-    if c > len(prefix):
-        return None
-    head = prefix.truncate(c)
-    return Prefix._trusted(prefix.obs, prefix.key) if head is prefix else head
+    """The default ``fixed_head``: the prefix's own first c rows, if any."""
+    return prefix.head(c) if c <= len(prefix) else None
 
 
 def simulate_completion(sim: SimulatorHandle, prefix: Prefix, key: tuple) -> Trajectory:
@@ -506,14 +484,13 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
     the prefix (one uniform against the cumulative weights, which are
     computed once per prefix and kept as a list) and returns the stored
     leaf prefix; readout returns the stored node values.  Zero-probability
-    branches are never sampled, and ``node`` refuses them (SupportError).
-    ``fixed_head`` knows a head longer than the prefix when the tree below
-    the prefix is a chain of single children down to that length (the
-    encodings reveal every scenario at period 1); the test counts
-    zero-mass children, and the head it returns is the tree node's own
-    prefix, so every key gives the same object.
+    branches are never sampled, and ``complete`` and ``node`` refuse them
+    (SupportError).  ``fixed_head`` returns a tree node's own prefix: the
+    ancestor at depth c for c <= |prefix|, whatever the masses, and for a
+    longer head the node reached down a chain of single children below a
+    positive-mass prefix (the encodings reveal every scenario at period 1;
+    the test counts zero-mass children).
     """
-    T = tree.instance.T
     cumdist: dict[bytes, tuple[tuple[Prefix, ...], list[float]]] = {}
 
     def _cumulative(prefix: Prefix):
@@ -530,9 +507,6 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
     def complete(prefix: Prefix, key: tuple) -> Trajectory:
         cached = cumdist.get(prefix.key)
         if cached is None:
-            if len(prefix) == T:
-                tree.node(prefix)  # support check only; nothing left to draw
-                return prefix
             cached = cumdist[prefix.key] = _cumulative(prefix)
         leaves, cum = cached
         # bisect_right is searchsorted(side="right"); the clamp catches
@@ -550,10 +524,14 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
         return nd.z, nd.a
 
     def fixed_head(prefix: Prefix, c: int):
-        if c <= len(prefix):
-            return _own_head(prefix, c)
         nd = nodes.get(prefix.key)
-        if nd is None or not nd.mu > 0.0:
+        if nd is None:
+            return None
+        if c <= nd.depth:  # an ancestor is fixed, whatever the masses
+            while nd.depth > c:
+                nd = nodes[nd.parent]
+            return nd.prefix
+        if not nd.mu > 0.0:
             return None
         while nd.depth < c and len(nd.children) == 1:
             nd = nodes[nd.children[0]]
@@ -870,18 +848,17 @@ def generative_payload(family: str, params: dict,
 
 @dataclass(frozen=True)
 class LoadedInstance:
-    spec: InstanceSpec
+    """An instance file's handle (``sim.instance``, ``sim.tree``) and payload."""
+
     sim: SimulatorHandle
-    tree: ExplicitScenarioTree | None
     payload: dict
 
 
 def load_instance_payload(payload: dict) -> LoadedInstance:
     kind = payload.get("kind")
     if kind == "explicit":
-        tree = payload_to_tree(payload)
-        return LoadedInstance(tree.instance, tree_as_simulator(tree), tree, payload)
-    if kind == "generative":
+        sim = tree_as_simulator(payload_to_tree(payload))
+    elif kind == "generative":
         gen = dict(payload.get("generator", {}))
         family = gen.pop("family", None)
         if family != "nrm":
@@ -894,12 +871,12 @@ def load_instance_payload(payload: dict) -> LoadedInstance:
                                 iota=inst.iota, U=structure.get("U"),
                                 V=structure.get("V"), W=structure.get("W"))
             sim = dataclasses.replace(sim, instance=spec)
-        return LoadedInstance(sim.instance, sim, None, payload)
-    if kind == "encoded":
+    elif kind == "encoded":
         from .encodings import build_encoded  # encodings imports this module
         sim = build_encoded(payload.get("encoding"))
-        return LoadedInstance(sim.instance, sim, sim.tree, payload)
-    raise InstanceError(f"unknown instance kind {kind!r}")
+    else:
+        raise InstanceError(f"unknown instance kind {kind!r}")
+    return LoadedInstance(sim, payload)
 
 
 def save_instance(path, payload: dict) -> None:

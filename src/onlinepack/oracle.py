@@ -388,8 +388,7 @@ def eval_policy_mc(sim: SimulatorHandle, policy_factory: PolicyFactory,
         reward = 0.0
         decisions = []
         for t in range(1, inst.T + 1):
-            # uncached: a caller that keeps the trajectory keeps no heads
-            x = float(policy(traj.truncate(t)))
+            x = float(policy(traj.head(t)))
             decisions.append(x)
             reward += r.reward(t) * x
             if x != 0.0:

@@ -119,22 +119,20 @@ def _row_matrices(draw):
 def test_head_equals_rebuilt_prefix(rows):
     p = Prefix(rows)
     assert p.head(0) == EMPTY_PREFIX and p.head(0).key == EMPTY_PREFIX.key
+    links = [EMPTY_PREFIX]  # p rebuilt one row at a time
+    for row in p.obs:
+        links.append(links[-1].extend(row))
     for t in range(len(p) + 1):
-        h = p.head(t)
         ref = Prefix(p.obs[:t])
-        assert h.key == ref.key
-        assert hash(h) == hash(ref)
-        assert h == ref
-        assert len(h) == len(ref) == t
-        assert h.obs == ref.obs
-        assert h.head(t) is h
-        cut = p.truncate(t)  # the same prefix, built afresh
-        assert cut.key == ref.key and cut.obs == ref.obs
-        assert (cut is h) == (t in (0, len(p)))
-    fresh = Prefix(rows)
-    for t in range(len(fresh) + 1):
-        fresh.truncate(t)
-    assert fresh._heads is None
+        # the extend chain's link, heads of p and of every longer link, and
+        # heads of p's longer heads
+        for h in [links[t]] + [q.head(t) for q in (p, *links[t:])] + \
+                [p.head(s).head(t) for s in range(t, len(p) + 1)]:
+            assert h.key == ref.key
+            assert hash(h) == hash(ref)
+            assert h == ref
+            assert len(h) == len(ref) == t
+            assert h.obs == ref.obs
 
 
 # -- Prefix.extend ----------------------------------------------------------
@@ -449,7 +447,7 @@ def test_path_draw_terms_carry_trajectory_heads(nrm_tree, use_node):
                         for i, terms in d.terms.items()} == expected
                 for terms in d.terms.values():
                     for head, _ in terms:
-                        assert head is d.traj.head(len(head))
+                        assert head.key == d.traj.head(len(head)).key
                         assert head.key == Prefix(d.traj.obs[:len(head)]).key
                         seen += 1
     assert seen > 0

@@ -52,9 +52,8 @@ class TestGen:
         loaded = load_instance(out)
         _, direct = encode_is(random_is_process(2, 5, 2))
         assert loaded.payload == json.loads(out.read_text())
-        assert loaded.spec == direct.instance
-        assert loaded.tree is loaded.sim.tree
-        assert tree_to_payload(loaded.tree) == tree_to_payload(direct.tree)
+        assert loaded.sim.instance == direct.instance
+        assert tree_to_payload(loaded.sim.tree) == tree_to_payload(direct.tree)
         assert loaded.sim.partite_of is not None
 
 
@@ -273,6 +272,46 @@ class TestRun:
             assert message in capsys.readouterr().err
         assert kept.read_bytes() == b'{"episode": 0}\n'
         assert not absent.exists()
+
+    def _unwritable(self, tmp_path, kind):
+        if kind == "missing directory":
+            return tmp_path / "missing" / "f"
+        if kind == "file as directory":
+            (tmp_path / "plain").write_text("")
+            return tmp_path / "plain" / "f"
+        (tmp_path / "dir").mkdir()
+        return tmp_path / "dir"
+
+    def _refuses_before_any_episode(self, tmp_path, capsys, monkeypatch,
+                                    flag, path):
+        import onlinepack.cli as cli
+        played = []
+        monkeypatch.setattr(cli, "eval_policy_mc",
+                            lambda *a, **k: played.append(a))
+        exp = self.write_experiment(tmp_path, episodes=5)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(exp), flag, str(path)) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write {path}" in captured.err
+        assert captured.out == "" and played == []
+        assert sorted(tmp_path.rglob("*")) == before  # nothing created
+
+    @pytest.mark.parametrize("kind", [
+        "missing directory", "file as directory", "directory"])
+    def test_unwritable_trace_exits_2(self, tmp_path, capsys, monkeypatch,
+                                      kind):
+        self._refuses_before_any_episode(tmp_path, capsys, monkeypatch,
+                                         "--trace",
+                                         self._unwritable(tmp_path, kind))
+
+    @pytest.mark.parametrize("kind", [
+        "missing directory", "file as directory", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch,
+                                    kind):
+        self._refuses_before_any_episode(tmp_path, capsys, monkeypatch,
+                                         "--out",
+                                         self._unwritable(tmp_path, kind))
 
     @pytest.mark.parametrize("name,value", [
         ("eta1", 2.5), ("K", 3.0), ("master_seed", 1.5), ("K", True)])

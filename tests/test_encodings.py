@@ -178,7 +178,7 @@ def test_encoded_decisions_simulate_nothing(encoding):
     runs = []
     for handle in (sim, dataclasses.replace(sim, fixed_head=None)):
         memo = MemoTable()
-        decisions = [decide_pen(handle, memo, traj.truncate(t), cfg)
+        decisions = [decide_pen(handle, memo, traj.head(t), cfg)
                      for t in range(1, sim.instance.T + 1)]
         runs.append((decisions, list(memo.entries.items()), memo.sim_calls))
     (fixed, fixed_writes, fixed_calls), (drawn, drawn_writes, drawn_calls) = runs

@@ -171,9 +171,9 @@ class TestConditionalDraws:
         # joint frequency factorizes if the streams are independent
         assert abs(joint / n - p0 * p1) <= 3 * sigma
 
-    def test_prefix_cut_caches_no_head_on_prefix(self):
-        # c = max(aleph_k) = T = |S|: the cut has S's rows, but it is its
-        # own object, so a caller that keeps S keeps none of its heads
+    def test_prefix_cut_simulates_nothing_and_shares_one_draw(self):
+        # c = max(aleph_k) = T = |S|: the cut is S's rows, known without a
+        # simulator call, and one draw stands for all eta1
         sim = generate_nrm(seed=7, T=6, m=3, L=2, iota=0.3, budget_ratio=0.5,
                            mode="generative", n_events=4)
         cfg = make_config(eta1=3, eta2=6)
@@ -183,11 +183,10 @@ class TestConditionalDraws:
         assert memo.sim_calls == 0
         assert len(set(map(id, draws))) == 1
         d = draws[0]
-        assert d.traj == traj and d.traj is not traj
-        assert traj._heads is None
+        assert d.traj == traj
         for terms in d.terms.values():
             for head, _ in terms:
-                assert head is d.traj.head(len(head))
+                assert head.key == d.traj.head(len(head)).key
 
     def test_draws_start_with_prefix(self):
         # a draw is its completion's first c = max(aleph_k) rows; when the
@@ -209,12 +208,12 @@ class TestConditionalDraws:
                 if c > len(p):
                     base = keys.key_digest(cfg.master_seed, "traj", k, p.key)
                     assert [d.traj for d in draws] == \
-                        [sim.complete(p, (base, j)).truncate(c)
+                        [sim.complete(p, (base, j)).head(c)
                          for j in range(1, cfg.eta1 + 1)]
                     assert all(d.traj.startswith(p) for d in draws)
                 else:
                     assert fixed
-                    assert all(d.traj == p.truncate(c) for d in draws)
+                    assert all(d.traj == p.head(c) for d in draws)
                 assert memo.sim_calls == calls + (0 if fixed else cfg.eta1)
                 assert all(len(d.traj) == c for d in draws)
                 cuts.add((c > len(p), fixed))
@@ -496,7 +495,7 @@ def _full_length_draws(sim, memo, prefix, k, config):
     for j in range(1, config.eta1 + 1):
         traj = sim.complete(prefix, (base, j))
         memo.sim_calls += 1
-        heads = [traj.truncate(t) for t in aleph]
+        heads = [traj.head(t) for t in aleph]
         out.append(engine.PathDraw(traj, [(h, sim.node(h)[1])
                                           for h in heads]))
     return tuple(out)

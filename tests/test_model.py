@@ -177,6 +177,24 @@ class TestTreeAsSimulator:
         for j in range(1000):
             assert sim.complete(EMPTY_PREFIX, (5, j)).last[0] == 0.0
 
+    def test_leaf_completes_to_itself_unless_zero_mass(self):
+        # a leaf takes the inner prefixes' path: itself when its mass is
+        # positive, SupportError when it is zero, as a zero-mass inner
+        # prefix does
+        tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
+        root = tb.add(None, (0.0,), 1.0, z=0.0, a={})
+        live = tb.add(root, (1.0,), 1.0, z=1.0, a={})
+        dead = tb.add(root, (2.0,), 0.0, z=1.0, a={})
+        sim = tree_as_simulator(tb.build())
+        for j in range(20):
+            assert sim.complete(live, (5, j)) == live
+        with pytest.raises(SupportError):
+            sim.complete(dead, (5, 0))
+        with pytest.raises(SupportError):
+            sim.node(dead)
+        with pytest.raises(SupportError):
+            simulate_completion(sim, dead, (5, 0))
+
     def test_readout_matches_nodes(self):
         tree = demo_tree()
         sim = tree_as_simulator(tree)
@@ -204,7 +222,7 @@ def _walk_past_branch(tree):
     real one, but also steps once past a node with several children."""
     def fixed_head(prefix, c):
         if c <= len(prefix):
-            return prefix.truncate(c)
+            return prefix.head(c)
         nd, branched = tree.node(prefix), False
         while nd.depth < c and (len(nd.children) == 1 or not branched):
             branched = branched or len(nd.children) > 1
@@ -232,8 +250,10 @@ class TestFixedHead:
         for S in tree.prefixes():
             for c in range(1, tree.instance.T + 1):
                 head = sim.fixed_head(S, c)
-                if c <= len(S):  # S's own rows, never S itself
-                    assert head == S.truncate(c) and head is not S
+                if head is not None:  # the tree's own node, not a slice
+                    assert head is tree.node(head).prefix
+                if c <= len(S):  # S's own rows, whatever the masses
+                    assert head == S.head(c)
                 elif tree.mu(S) > 0.0:  # known exactly on one-node levels
                     level = [p for p in tree.prefixes()
                              if len(p) == c and p.startswith(S)]
@@ -248,7 +268,7 @@ class TestFixedHead:
         S = traj.head(3)
         assert [sim.fixed_head(S, c) for c in (1, 2, 3)] == \
             [traj.head(1), traj.head(2), S]
-        assert sim.fixed_head(S, 3) is not S
+        assert sim.fixed_head(S, 3) is S  # no copy
         assert sim.fixed_head(S, 4) is None
         tree_sim = tree_as_simulator(demo_tree())
         derived = dataclasses.replace(tree_sim, fixed_head=None)
@@ -256,6 +276,22 @@ class TestFixedHead:
         assert tree_sim.fixed_head(root, 2) is None  # the root branches
         assert derived.fixed_head(root, 1) == root
         assert derived.fixed_head(root, 2) is None
+
+    def test_zero_mass_prefix_knows_only_its_own_rows(self):
+        tb = TreeBuilder(T=3, m=1, b=(1.0,), L=1, iota=1.0)
+        root = tb.add(None, (0.0,), 1.0, z=0.0, a={})
+        live = tb.add(root, (1.0,), 1.0, z=0.0, a={})
+        tb.add(live, (3.0,), 1.0, z=0.0, a={})
+        dead = tb.add(root, (2.0,), 0.0, z=0.0, a={})
+        leaf = tb.add(dead, (4.0,), 1.0, z=0.0, a={})  # the only child
+        tree = tb.build()
+        sim = tree_as_simulator(tree)
+        assert [sim.fixed_head(leaf, c) for c in (1, 2, 3)] == \
+            [root, dead, leaf]
+        assert [sim.fixed_head(dead, c) for c in (1, 2, 3)] == \
+            [root, dead, None]
+        assert sim.fixed_head(live, 3) == live.extend((3.0,))
+        assert sim.fixed_head(root, 3) is None  # the root branches
 
     def test_walk_past_a_branch_fails_the_property(self):
         # mutation check: a head chosen one step past a branching node is
@@ -400,8 +436,8 @@ class TestInstanceIO:
             "seed": 3, "T": 3, "m": 2, "L": 1, "iota": 0.5,
             "budget_ratio": 0.5})
         loaded = load_instance_payload(payload)
-        assert loaded.tree is None
-        assert loaded.spec.T == 3
+        assert loaded.sim.tree is None
+        assert loaded.sim.instance.T == 3
         traj = loaded.sim.complete(EMPTY_PREFIX, (1,))
         assert len(traj) == 3
 
@@ -415,8 +451,8 @@ class TestInstanceIO:
         path = tmp_path / "inst.json"
         save_instance(path, tree_to_payload(tree))
         loaded = load_instance(path)
-        assert loaded.tree is not None
-        assert [p.key for p in loaded.tree.prefixes()] == \
+        assert loaded.sim.tree is not None
+        assert [p.key for p in loaded.sim.tree.prefixes()] == \
             [p.key for p in tree.prefixes()]
         assert loaded.payload["schema_version"] == 1
 

@@ -188,9 +188,9 @@ class TestEvalPolicyMc:
         ratio = small.std_error / large.std_error
         assert 1.6 <= ratio <= 2.6  # ~2 expected
 
-    def test_kept_trajectories_hold_no_cached_heads(self):
-        # the evaluator hands the policy uncached truncations, so a caller
-        # that keeps the full-length prefix does not keep T heads with it
+    def test_kept_trajectories_replay_their_decisions(self):
+        # the full-length prefixes a caller keeps from the evaluator replay
+        # every decision of their episodes through their heads
         sim = generate_nrm(seed=7, T=12, m=3, L=2, iota=0.3, budget_ratio=0.5,
                            mode="generative", n_events=4)
         cfg = SolverConfig(epsilon=0.1, theta=0.5, alpha=0.1, K=3, eta1=2,
@@ -209,7 +209,6 @@ class TestEvalPolicyMc:
 
         eval_policy_mc(sim, factory, 4, seed=2)
         assert len(kept) == 4
-        assert all(p._heads is None for p in kept)  # nothing cached on them
         replayed = []
         for e, traj in enumerate(kept):
             ctx = new_episode_context(sim, cfg, e)
