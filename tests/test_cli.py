@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -498,6 +499,78 @@ class TestGoldenOutputs:
     def test_verify_json(self, instances, policy, capsys):
         capsys.readouterr()
         code = run_cli("verify", "--instance", instances[policy][0],
+                       "--policy", policy, "--episodes", "1000", "--K", "40",
+                       "--eta1", "8", "--seed", "2")
+        assert code == 0
+        assert capsys.readouterr().out == \
+            json.dumps(self.VERIFY[policy], indent=1, sort_keys=True) + "\n"
+
+
+class TestMatchingGoldenOutputs:
+    """`run` CSV, `--trace` and `verify` JSON bytes on an mmo and an mwm file.
+
+    ``mmo-greedy`` reads every period of a block through the handle's
+    ``block_lookup`` and ``mwmlp`` runs the LP policy on the matching
+    encoding; the trace pins every decision and its per-decision counts.
+    """
+
+    SOLVER = dict(TestGoldenOutputs.SOLVER, eta2=3)
+    RUN = {
+        "mmo-greedy": (
+            "mmo.json,mmo-greedy,9,300,2.2133333333333334,0.04911101190316036,0,0.0",
+            1800,
+            "1a5c71ba092dd55d9ea1739400ae17cdd965cdbc07edda9ff711890af3a03d33"),
+        "mwmlp": (
+            "mwm.json,mwmlp,9,300,0.5678291569261102,0.01610505602638137,0,0.0",
+            1500,
+            "f2b0b65f3ec4dd7869e180a20a4dbb9b4cc0e8023f55e305aff37037d4159b4f"),
+    }
+    VERIFY = {
+        "mmo-greedy": {
+            "OPT_lp": 2.266916676104349, "OPT_pack": 2.266916676104349,
+            "OPT_pen": 2.266916676104349, "audit_ok": True, "episodes": 1000,
+            "eps_T_budget": 0.6000000000000001, "gap": 0.0069166761043493175,
+            "gate_applied": False, "ok": True, "policy": "mmo-greedy",
+            "policy_mean": 2.26, "policy_std_error": 0.025437119472280015,
+            "violations": 0},
+        "mwmlp": {
+            "OPT_lp": 1.0032895153836594, "OPT_pack": 0.993240584102612,
+            "OPT_pen": 1.0032895153836594, "audit_ok": True, "episodes": 1000,
+            "eps_T_budget": 0.5, "gap": 0.1941925156603862,
+            "gate_applied": True, "ok": True, "policy": "mwmlp",
+            "policy_mean": 0.8090969997232732,
+            "policy_std_error": 0.01351797010951859, "violations": 0},
+    }
+
+    @pytest.fixture
+    def instances(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative paths keep the CSV bytes fixed
+        run_cli("gen", "--kind", "mmo", "--seed", "4", "--n-offline", "3",
+                "--n-online", "3", "--delta", "2", "--out", "mmo.json")
+        run_cli("gen", "--kind", "mwm", "--seed", "3", "--n", "5", "--delta",
+                "2", "--out", "mwm.json")
+        return {"mmo-greedy": "mmo.json", "mwmlp": "mwm.json"}
+
+    @pytest.mark.parametrize("policy", ["mmo-greedy", "mwmlp"])
+    def test_run_csv_and_trace(self, instances, policy, capsys):
+        with open("exp.json", "w", encoding="utf-8") as fh:
+            json.dump({"instance": instances[policy], "policy": policy,
+                       "solver": self.SOLVER, "n_episodes": 300}, fh)
+        capsys.readouterr()
+        assert run_cli("run", "--config", "exp.json",
+                       "--trace", "trace.jsonl") == 0
+        header = "instance,policy,seed,episodes,mean_reward,std_error," \
+            "violation_count,max_violation"
+        row, n_lines, digest = self.RUN[policy]
+        assert capsys.readouterr().out == f"{header}\n{row}\n"
+        trace = Path("trace.jsonl").read_bytes()
+        assert len(trace.splitlines()) == n_lines
+        assert hashlib.sha256(trace).hexdigest() == digest
+
+    @pytest.mark.parametrize("policy", ["mmo-greedy", "mwmlp"])
+    def test_verify_json(self, instances, policy, capsys):
+        capsys.readouterr()
+        code = run_cli("verify", "--instance", instances[policy],
                        "--policy", policy, "--episodes", "1000", "--K", "40",
                        "--eta1", "8", "--seed", "2")
         assert code == 0
