@@ -6,9 +6,9 @@ from .engine import (MemoTable, ParamBundle, SolverConfig, conditional_draws,
                      theory_params, theta_default)
 from .model import (EMPTY_PREFIX, ExplicitScenarioTree, InstanceSpec,
                     LoadedInstance, Prefix, Readout, SimulatorHandle,
-                    Trajectory, TreeBuilder, demo_tree,
-                    derive_structure_constants, generate_nrm, load_instance,
-                    save_instance, simulate_completion, tree_as_simulator)
+                    TreeBuilder, demo_tree, derive_structure_constants,
+                    generate_nrm, load_instance, save_instance,
+                    tree_as_simulator)
 from .oracle import (EvalReport, eval_policy_exact, eval_policy_mc,
                      solve_lp_explicit, solve_pack_dp, solve_pen_explicit,
                      solve_pen_lp)

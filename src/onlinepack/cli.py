@@ -14,12 +14,11 @@ import json
 import os
 import sys
 
-from .encodings import build_encoded
 from .engine import MemoTable, SolverConfig, theory_params, theta_default
 from .errors import (ConfigError, FeasibilityAuditError, OnlinePackError)
 from .model import (LoadedInstance, demo_tree, derive_structure_constants,
                     generate_nrm, generative_payload, load_instance,
-                    save_instance, tree_to_payload)
+                    load_instance_payload, save_instance, tree_to_payload)
 from .oracle import (eval_policy_mc, reports_to_csv, solve_lp_explicit,
                      solve_pack_dp, solve_pen_lp)
 from .policies import (mwm_scaled_epsilon, new_episode_context, policy_is,
@@ -131,8 +130,8 @@ def cmd_gen(args) -> int:
             encoding["n_online"] = args.n_online
         else:
             encoding["n"] = args.n
-        build_encoded(encoding)  # validate before writing
         payload = {"schema_version": 1, "kind": "encoded", "encoding": encoding}
+        load_instance_payload(payload)  # validate before writing
     else:
         raise ConfigError(f"unknown instance kind {args.kind!r}")
     save_instance(args.out, payload)

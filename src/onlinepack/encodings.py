@@ -231,7 +231,9 @@ def encode_mmo(process: OnlineNodeProcess):
     observation of every period in a block carries the whole block (start
     offset, length, all offline endpoints), so the block content is
     measurable at the block's first period.  The handle's ``block_lookup``
-    returns (t1, t2, offline ids, prefixes of every block period).
+    returns (t1, t2, offline ids, prefixes of every block period): a block
+    is revealed at its start, so the tree is a single-child chain through
+    it, and the prefixes are the heads of ``sim.fixed_head(prefix, t2)``.
     """
     n_off, n_on, delta = process.n_offline, process.n_online, process.delta
     n = n_off + n_on
@@ -266,6 +268,7 @@ def encode_mmo(process: OnlineNodeProcess):
         scenarios.append((prob, periods))
     tree = _mixture_tree(T=T, m=n, L=2, iota=1.0,
                          b=tuple(1.0 for _ in range(n)), scenarios=scenarios)
+    sim = tree_as_simulator(tree)
 
     def block_lookup(prefix: Prefix):
         t = len(prefix)
@@ -277,23 +280,14 @@ def encode_mmo(process: OnlineNodeProcess):
         t1 = t - j
         t2 = t1 + deg - 1
         offline = tuple(int(x) for x in obs[5:5 + deg])
-        if t2 > tree.instance.T:
+        if t2 > T:
             raise InstanceError("block extends past the horizon")
-        # Only periods <= t are prefixes of the given prefix; later ones are
-        # completions, unique because the block is revealed at its start.
-        prefixes = [prefix.head(s) for s in range(t1, min(t, t2) + 1)]
-        cur = prefix
-        for s in range(t + 1, t2 + 1):
-            nxt = [c for c in tree.children(cur) if c.prefix.last[0] == 1.0
-                   and int(c.prefix.last[1]) == int(obs[1])]
-            if len(nxt) != 1:
-                raise InstanceError("block continuation is not deterministic")
-            cur = nxt[0].prefix
-            prefixes.append(cur)
-        return t1, t2, offline, tuple(prefixes)
+        cut = sim.fixed_head(prefix, t2)
+        if cut is None:
+            raise InstanceError("block continuation is not deterministic")
+        return t1, t2, offline, tuple(map(cut.head, range(t1, t2 + 1)))
 
-    return tree.instance, dataclasses.replace(
-        tree_as_simulator(tree), block_lookup=block_lookup)
+    return tree.instance, dataclasses.replace(sim, block_lookup=block_lookup)
 
 
 def _normalized_probs(gen, count):
@@ -386,14 +380,11 @@ def build_encoded(encoding: dict) -> SimulatorHandle:
     The record names the family ("is", "mwm" or "mmo") and the parameters
     of its random process generator; the handle carries the explicit tree.
     """
-    family = encoding.get("family") if isinstance(encoding, dict) else None
+    family = encoding.get("family")
     builder = _BUILDERS.get(family)
     if builder is None:
         raise InstanceError(f"unknown encoding family {family!r}")
-    try:
-        _, sim = builder(encoding)
-    except KeyError as exc:
-        raise InstanceError(f"{family} encoding record is missing {exc}") from None
+    _, sim = builder(encoding)
     return sim
 
 

@@ -14,9 +14,8 @@ the on-demand values equal the full-sweep values bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -81,13 +80,6 @@ class SolverConfig:
             return 0.0
         return (k - 1) / (k + 2)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolverConfig":
-        return cls(**json.loads(text))
-
 
 def sample_index_set(config: SolverConfig, T: int, k: int) -> tuple[int, ...]:
     """eta2 distinct periods from {1..T}, sorted; pure in (master_seed, k).
@@ -142,23 +134,24 @@ class MemoTable:
     """Write-once iterate table plus the conditional-draw and decision caches.
 
     Entry (prefix, k) stores X^k(prefix) for k >= 1; levels k <= 0 are
-    implicitly zero.  Entries are never reassigned, and the draw multiset
-    for (prefix, k) is generated exactly once.  The recursion simulates
-    only for entries (S, k) at level >= 2 whose node requests a resource
-    (the others read no draw, see ``_entry_draws``) and whose handle does
-    not fix S's first max(aleph_(k-1)) rows (see ``conditional_draws``),
-    so ``sim_calls`` is eta1 times the number of those entries.
+    zero and not stored (see ``_extrapolation``).  Entries are never
+    reassigned, and the draw multiset for (prefix, k) is generated once.
+    The recursion simulates only for entries (S, k) at level >= 2 whose
+    node requests a resource (the others read no draw, see
+    ``_entry_draws``) and whose handle does not fix S's first
+    max(aleph_(k-1)) rows (see ``conditional_draws``), so ``sim_calls`` is
+    eta1 times the number of those entries.
     ``_paths`` holds one ``PathDraw`` per (cut, sampled periods), shared by
     completions that agree through the cut and by levels whose period
     subsamples are equal.  ``decisions`` caches decide_pen's averaged value
-    per prefix key.  Counters instrument the recursion for the complexity
-    and horizon-independence checks.
+    per prefix key.  ``sim_calls`` and ``writes`` (the entry count) count
+    the recursion's work for the complexity and horizon checks.
     Every entry is a pure function of (master seed, prefix, level), so one
     table may serve any episodes of one (instance, SolverConfig).
     """
 
     __slots__ = ("entries", "draws", "decisions", "_aleph", "_paths",
-                 "writes", "sim_calls")
+                 "sim_calls")
 
     def __init__(self):
         self.entries: dict[tuple[bytes, int], float] = {}
@@ -166,12 +159,14 @@ class MemoTable:
         self.decisions: dict[bytes, float] = {}
         self._aleph: dict[int, tuple[int, ...]] = {}
         self._paths: dict[tuple[bytes, tuple[int, ...]], PathDraw] = {}
-        self.writes = 0
         self.sim_calls = 0
 
+    @property
+    def writes(self) -> int:
+        """Entries written so far: each (prefix, level) is written once."""
+        return len(self.entries)
+
     def value(self, prefix: Prefix, k: int) -> float:
-        if k <= 0:
-            return 0.0
         return self.entries[(prefix.key, k)]
 
     def put(self, prefix: Prefix, k: int, value: float) -> None:
@@ -181,7 +176,6 @@ class MemoTable:
         if not -_EVAL_TOL <= value <= 1 + _EVAL_TOL:
             raise MemoIntegrityError(f"iterate {value} escaped [0, 1]")
         self.entries[key] = value
-        self.writes += 1
 
     def aleph(self, config: SolverConfig, T: int, k: int) -> tuple[int, ...]:
         """The sorted period subsample of level k."""
@@ -241,16 +235,14 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     return drawn
 
 
-def _in_eval_range(v: float) -> float:
-    if not -1.0 - _EVAL_TOL <= v <= 2.0 + _EVAL_TOL:
-        raise ContractViolationError(
-            f"eval value {v} outside the extrapolation range [-1, 2]")
-    return v
-
-
 def _checked_eval(raw: Callable[[Prefix], float]) -> Callable[[Prefix], float]:
+    """A caller's evaluator, refused outside the extrapolation range [-1, 2]."""
     def evalx(p: Prefix) -> float:
-        return _in_eval_range(raw(p))
+        v = raw(p)
+        if not -1.0 - _EVAL_TOL <= v <= 2.0 + _EVAL_TOL:
+            raise ContractViolationError(
+                f"eval value {v} outside the extrapolation range [-1, 2]")
+        return v
     return evalx
 
 
@@ -313,12 +305,22 @@ def _clip01(v: float) -> float:
 
 
 def _extrapolation(memo: MemoTable, beta: float, k: int):
-    """Checked evaluator of (1 + beta) X^k - beta X^(k-1) for k >= 1; X^0 = 0."""
+    """Evaluator of the extrapolated point Y^k = (1 + beta) X^k - beta X^(k-1).
+
+    The one place Y is formed; levels below 1 are zero, so Y^0 = 0.  No
+    range check: iterates lie in [0, 1] (``_clip01``) and beta in [0, 1),
+    so Y^k lies in [-beta, 1 + beta], inside [-1, 2].
+    """
     entries = memo.entries
 
     def evalx(p: Prefix) -> float:
-        y = entries[(p.key, k - 1)] if k > 1 else 0.0
-        return _in_eval_range((1.0 + beta) * entries[(p.key, k)] - beta * y)
+        if k > 1:
+            y = entries[(p.key, k - 1)]
+        elif k:
+            y = 0.0
+        else:
+            return 0.0
+        return (1.0 + beta) * entries[(p.key, k)] - beta * y
     return evalx
 
 
@@ -344,22 +346,20 @@ def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
                    k: int, config: SolverConfig, reads) -> None:
     """Fill memo[(prefix, k)] from ``reads = _entry_draws(..., prefix, k, ...)``.
 
+    X^k(S) = clip01(Y^(k-1)(S) + alpha * ghat), where one evaluator of
+    Y^(k-1) gives the step's start and the values the gradient reads.
     Every dependency must already be present.  An empty draw set gives the
     gradient Z(S) without an evaluator (see ``_entry_draws``).
     """
     z_s, a_s, draws = reads
-    beta = config.beta(k - 1)
+    y = _extrapolation(memo, config.beta(k - 1), k - 1)
     ghat = z_s
     if draws:
         inst = sim.instance
-        evalx = _extrapolation(memo, beta, k - 1)
-        ghat = grad_component(z_s, a_s, draws, evalx, inst.b, inst.T,
+        ghat = grad_component(z_s, a_s, draws, y, inst.b, inst.T,
                               config.eta1, config.eta2, config.theta,
                               inst.iota)
-    xk = memo.value(prefix, k - 1)
-    xkm1 = memo.value(prefix, k - 2)
-    memo.put(prefix, k, _clip01((1.0 + beta) * xk - beta * xkm1
-                                + config.alpha * ghat))
+    memo.put(prefix, k, _clip01(y(prefix) + config.alpha * ghat))
 
 
 def _needed_heads(a_s: Sequence[tuple[int, float]],

@@ -126,10 +126,6 @@ class Prefix:
         return self.obs[: len(other.obs)] == other.obs
 
 
-# A trajectory is a prefix of full horizon length; the distinction is a
-# contract on length, enforced where trajectories are produced or consumed.
-Trajectory = Prefix
-
 EMPTY_PREFIX = Prefix(())
 
 
@@ -238,7 +234,7 @@ class SimulatorHandle:
     """
 
     instance: InstanceSpec
-    complete: Callable[[Prefix, tuple], Trajectory]
+    complete: Callable[[Prefix, tuple], Prefix]
     readout: Callable[[Prefix], Readout]
     partite_of: Callable[[Prefix], str] | None = None
     block_lookup: Callable[[Prefix], tuple] | None = None
@@ -262,21 +258,6 @@ class SimulatorHandle:
 def _own_head(prefix: Prefix, c: int) -> Prefix | None:
     """The default ``fixed_head``: the prefix's own first c rows, if any."""
     return prefix.head(c) if c <= len(prefix) else None
-
-
-def simulate_completion(sim: SimulatorHandle, prefix: Prefix, key: tuple) -> Trajectory:
-    """Draw one conditional completion of ``prefix`` via the handle.
-
-    Pure in (sim, prefix, key); the returned trajectory always begins with
-    the prefix and has full horizon length.
-    """
-    T = sim.instance.T
-    if not 1 <= len(prefix) <= T:
-        raise InstanceError(f"prefix length {len(prefix)} outside [1, {T}]")
-    traj = sim.complete(prefix, tuple(key))
-    if len(traj) != T or not traj.startswith(prefix):
-        raise InstanceError("simulator returned an inconsistent completion")
-    return traj
 
 
 class TreeNode:
@@ -488,8 +469,9 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
     (SupportError).  ``fixed_head`` returns a tree node's own prefix: the
     ancestor at depth c for c <= |prefix|, whatever the masses, and for a
     longer head the node reached down a chain of single children below a
-    positive-mass prefix (the encodings reveal every scenario at period 1;
-    the test counts zero-mass children).
+    positive-mass prefix (the is and mwm encodings reveal every scenario at
+    period 1, an mmo block is revealed at its start; the test counts
+    zero-mass children).
     """
     cumdist: dict[bytes, tuple[tuple[Prefix, ...], list[float]]] = {}
 
@@ -504,7 +486,7 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
             raise SupportError("no positive-probability continuation")
         return tuple(tree.node(k).prefix for k in leaf_keys), cum.tolist()
 
-    def complete(prefix: Prefix, key: tuple) -> Trajectory:
+    def complete(prefix: Prefix, key: tuple) -> Prefix:
         cached = cumdist.get(prefix.key)
         if cached is None:
             cached = cumdist[prefix.key] = _cumulative(prefix)
@@ -618,6 +600,7 @@ def demo_tree() -> ExplicitScenarioTree:
 # ---------------------------------------------------------------------------
 
 _NRM_URN_BONUS = 0.5
+_NRM_NODE_CAP = 100_000
 
 
 class _NrmTables:
@@ -687,13 +670,14 @@ class _NrmTables:
 
 def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
                  budget_ratio: float, mode: str = "explicit",
-                 n_events: int = 3, node_cap: int = 100_000):
+                 n_events: int = 3):
     """Reproducible correlated-demand instance.
 
     ``mode="explicit"`` enumerates the full scenario tree (capped at
-    ``node_cap`` nodes); ``mode="generative"`` returns a SimulatorHandle for
-    the same process without enumeration.  Budgets are ``budget_ratio * T``
-    for every resource, so nu equals the ratio by construction.
+    ``_NRM_NODE_CAP`` nodes); ``mode="generative"`` returns a
+    SimulatorHandle for the same process without enumeration.  Budgets
+    are ``budget_ratio * T`` for every resource, so nu equals the ratio by
+    construction.
     """
     if mode not in ("explicit", "generative"):
         raise InstanceError(f"unknown mode {mode!r}")
@@ -702,9 +686,9 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
 
     if mode == "explicit":
         count = sum(n_events ** t for t in range(1, T + 1))
-        if count > node_cap:
+        if count > _NRM_NODE_CAP:
             raise CapacityError(
-                f"explicit tree needs {count} nodes, cap is {node_cap}")
+                f"explicit tree needs {count} nodes, cap is {_NRM_NODE_CAP}")
         tb = TreeBuilder(T=T, m=m, b=b, L=L, iota=iota)
         frontier: list[tuple[Prefix | None, tuple[int, ...], int]] = \
             [(None, (0,) * n_events, 0)]
@@ -726,7 +710,7 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
     shock = tables.shock_event
     weight = tables.weight
 
-    def complete(prefix: Prefix, key: tuple) -> Trajectory:
+    def complete(prefix: Prefix, key: tuple) -> Prefix:
         # the same arithmetic as sampling from tables.law(counts, regime) at
         # every step, bit for bit: only the drawn event's weight changes,
         # except on a regime flip, and each probability is divided out only
@@ -813,11 +797,12 @@ def tree_to_payload(tree: ExplicitScenarioTree) -> dict:
 
 
 def payload_to_tree(payload: dict) -> ExplicitScenarioTree:
-    structure = payload.get("structure", {})
-    tb = TreeBuilder(T=int(payload["T"]), m=int(payload["m"]),
-                     b=payload["b"], L=int(payload["L"]),
-                     iota=float(payload["iota"]), U=structure.get("U"),
-                     V=structure.get("V"), W=structure.get("W"))
+    _integers(payload)
+    structure = _integers(payload.get("structure", {}))
+    tb = TreeBuilder(T=payload["T"], m=payload["m"], b=payload["b"],
+                     L=payload["L"], iota=float(payload["iota"]),
+                     U=structure.get("U"), V=structure.get("V"),
+                     W=structure.get("W"))
     by_id: dict[int, TreeNode] = {}
     for rec in payload["tree"]["nodes"]:
         parent = None
@@ -854,28 +839,51 @@ class LoadedInstance:
     payload: dict
 
 
+# the fields of instance records that hold integers
+_INTEGER_FIELDS = ("T", "m", "L", "U", "V", "W", "seed", "n_events", "n",
+                   "delta", "n_offline", "n_online", "n_scenarios")
+
+
+def _integers(record: dict) -> dict:
+    """``record``, its integer fields checked: a float or bool is refused,
+    where ``int(2.5)`` would silently read 2."""
+    for name in _INTEGER_FIELDS:
+        value = record.get(name)
+        if value is not None and type(value) is not int:
+            raise InstanceError(f"{name} must be an integer, got {value!r}")
+    return record
+
+
 def load_instance_payload(payload: dict) -> LoadedInstance:
-    kind = payload.get("kind")
-    if kind == "explicit":
-        sim = tree_as_simulator(payload_to_tree(payload))
-    elif kind == "generative":
-        gen = dict(payload.get("generator", {}))
-        family = gen.pop("family", None)
-        if family != "nrm":
-            raise InstanceError(f"unknown generator family {family!r}")
-        sim = generate_nrm(mode="generative", **gen)
-        structure = payload.get("structure", {})
-        if structure:
-            inst = sim.instance
-            spec = InstanceSpec(T=inst.T, m=inst.m, b=inst.b, L=inst.L,
-                                iota=inst.iota, U=structure.get("U"),
-                                V=structure.get("V"), W=structure.get("W"))
-            sim = dataclasses.replace(sim, instance=spec)
-    elif kind == "encoded":
-        from .encodings import build_encoded  # encodings imports this module
-        sim = build_encoded(payload.get("encoding"))
-    else:
-        raise InstanceError(f"unknown instance kind {kind!r}")
+    """The handle of an instance file's payload (``json.load`` of the file).
+
+    A malformed payload raises InstanceError: the errors that Python raises
+    on a value of the wrong shape or type are mapped to it here.
+    """
+    try:
+        kind = payload.get("kind")
+        if kind == "explicit":
+            sim = tree_as_simulator(payload_to_tree(payload))
+        elif kind == "generative":
+            gen = dict(_integers(payload.get("generator", {})))
+            family = gen.pop("family", None)
+            if family != "nrm":
+                raise InstanceError(f"unknown generator family {family!r}")
+            sim = generate_nrm(mode="generative", **gen)
+            structure = _integers(payload.get("structure", {}))
+            if structure:
+                sim = dataclasses.replace(sim, instance=dataclasses.replace(
+                    sim.instance, U=structure.get("U"), V=structure.get("V"),
+                    W=structure.get("W")))
+        elif kind == "encoded":
+            from .encodings import build_encoded  # encodings imports model
+            sim = build_encoded(_integers(payload["encoding"]))
+        else:
+            raise InstanceError(f"unknown instance kind {kind!r}")
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise InstanceError(f"malformed instance payload "
+                            f"({type(exc).__name__}: {exc})") from None
     return LoadedInstance(sim, payload)
 
 

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import one_node_tree, random_tree
 from onlinepack import engine, keys
+from onlinepack.encodings import encode_is, random_is_process
 from onlinepack.engine import (MemoTable, SolverConfig, _clip01,
                                conditional_draws, decide_pen, leaf_grad_table,
                                recursive_R, run_algorithm1_explicit,
@@ -60,10 +61,6 @@ class TestSolverConfig:
         assert acc.beta(1) == 0.0
         assert acc.beta(2) == pytest.approx(1 / 4)
         assert acc.beta(3) == pytest.approx(2 / 5)
-
-    def test_json_round_trip(self):
-        cfg = make_config(K=7, eta1=3)
-        assert SolverConfig.from_json(cfg.to_json()) == cfg
 
 
 class TestSampleIndexSet:
@@ -733,6 +730,146 @@ class TestDerivedNode:
             z, a = sim.node(p)
             assert derived.node(p) == (2.0 * z, a)
             assert kept.node(p) == (z, a)
+
+
+@st.composite
+def _range_cases(draw):
+    T = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    budgets = tuple(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.9]),
+                                  min_size=m, max_size=m)))
+    tree = random_tree(draw(st.integers(0, 10_000)), T=T, m=m,
+                       L=draw(st.integers(1, m)), budgets=budgets,
+                       zero_mass_prob=draw(st.sampled_from([0.0, 0.5])))
+    cfg = make_config(K=draw(st.integers(1, 6)), eta1=draw(st.integers(1, 3)),
+                      eta2=draw(st.integers(1, min(3, T))),
+                      alpha=draw(st.sampled_from([0.1, 0.6, 3.0])),
+                      theta=draw(st.sampled_from([0.05, 0.5])),
+                      momentum=draw(st.sampled_from(["unaccelerated",
+                                                     "accelerated"])),
+                      master_seed=draw(st.integers(0, 2**31)))
+    return tree, cfg
+
+
+class TestExtrapolationRange:
+    """The recursion's evaluator has no range check, because its inputs
+    rule out a value outside [-1, 2]: iterates lie in [0, 1] and beta_k in
+    [0, 1), so Y^k = (1 + beta_k) X^k - beta_k X^(k-1) lies in
+    [-beta_k, 1 + beta_k]."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_range_cases())
+    def test_every_entry_extrapolates_inside_the_range(self, case):
+        tree, cfg = case
+        sim = tree_as_simulator(tree)
+        memo = MemoTable()
+        for p in tree.prefixes():
+            if tree.mu(p) > 0.0:
+                decide_pen(sim, memo, p, cfg)
+        prefixes = {p.key: p for p in tree.prefixes()}
+        for key, k in memo.entries:
+            beta = cfg.beta(k)
+            y = engine._extrapolation(memo, beta, k)(prefixes[key])
+            assert 0.0 <= beta < 1.0
+            assert -beta <= y <= 1.0 + beta
+        y0 = engine._extrapolation(memo, cfg.beta(0), 0)
+        assert all(y0(p) == 0.0 for p in tree.prefixes())
+
+
+def _cost_bounds(cfg):
+    """The per-decision bounds of the recursion: a decision writes at most
+    sum_{j<K} r^j entries, r = eta1 * eta2 + 1 (an entry needs its own
+    level below and the heads of eta1 draws at eta2 periods), and only
+    entries at levels >= 2 simulate, eta1 completions each."""
+    r = cfg.eta1 * cfg.eta2 + 1
+    return (cfg.eta1 * sum(r ** j for j in range(cfg.K - 1)),
+            sum(r ** j for j in range(cfg.K)))
+
+
+def _nrm_handle(T):
+    return generate_nrm(seed=5, T=T, m=3, L=2, iota=0.3, budget_ratio=0.5,
+                        mode="generative", n_events=4)
+
+
+_COST_INSTANCES = {
+    "generative-nrm": _nrm_handle,
+    "explicit-nrm": lambda T: tree_as_simulator(generate_nrm(
+        seed=5, T=min(T, 5), m=3, L=2, iota=0.3, budget_ratio=0.5)),
+    "random-tree": lambda T: tree_as_simulator(random_tree(
+        T, T=min(T, 4), m=3, L=2, zero_mass_prob=0.5)),
+    "is-encoding": lambda T: encode_is(random_is_process(T, min(T, 8), 2))[1],
+}
+
+
+class TestCostTheorem:
+    """Each decision costs at most a number of simulator calls and memo
+    writes fixed by K, eta1 and eta2, whatever the horizon and however
+    many states the process has (the paper's central claim)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(sorted(_COST_INSTANCES)),
+           T=st.sampled_from([1, 3, 25, 100, 400]),
+           K=st.integers(1, 4), eta1=st.integers(1, 3), eta2=st.integers(1, 3),
+           momentum=st.sampled_from(["unaccelerated", "accelerated"]),
+           seed=st.integers(0, 2**31),
+           periods=st.lists(st.integers(0, 399), min_size=1, max_size=3))
+    # the largest work the strategy allows, on every kind of instance
+    @example(kind="generative-nrm", T=400, K=4, eta1=3, eta2=3,
+             momentum="unaccelerated", seed=7, periods=[0, 24, 199])
+    @example(kind="generative-nrm", T=400, K=4, eta1=3, eta2=3,
+             momentum="accelerated", seed=8, periods=[1, 99, 300])
+    @example(kind="explicit-nrm", T=5, K=4, eta1=3, eta2=3,
+             momentum="accelerated", seed=9, periods=[0, 1, 2])
+    @example(kind="random-tree", T=4, K=4, eta1=3, eta2=3,
+             momentum="unaccelerated", seed=10, periods=[0, 1, 3])
+    @example(kind="is-encoding", T=8, K=4, eta1=3, eta2=3,
+             momentum="accelerated", seed=11, periods=[0, 3, 6])
+    def test_decision_work_within_the_bound(self, kind, T, K, eta1, eta2,
+                                            momentum, seed, periods):
+        sim = _COST_INSTANCES[kind](T)
+        T = sim.instance.T
+        cfg = make_config(K=K, eta1=eta1, eta2=min(eta2, T),
+                          momentum=momentum, master_seed=seed)
+        calls_bound, writes_bound = _cost_bounds(cfg)
+        shared = MemoTable()
+        for e in range(2):
+            traj = sim.complete(EMPTY_PREFIX, (seed, "episode", e))
+            for t in sorted({p % T + 1 for p in periods}):
+                fresh = MemoTable()
+                decide_pen(sim, fresh, traj.head(t), cfg)
+                assert fresh.sim_calls <= calls_bound
+                assert fresh.writes <= writes_bound
+                before = shared.counters()
+                decide_pen(sim, shared, traj.head(t), cfg)
+                assert shared.sim_calls - before["sim_calls"] <= calls_bound
+                assert shared.writes - before["writes"] <= writes_bound
+
+    def test_bound_fails_when_level_1_entries_draw(self, monkeypatch):
+        # mutation check: level-1 entries that draw again read Y^0 = 0, so
+        # every derivative stays 0.0 and no value changes; only the bound
+        # on simulator calls can catch the extra draws
+        rule = engine._entry_draws
+
+        def drawing(sim, memo, prefix, k, config):
+            z_s, a_s, draws = rule(sim, memo, prefix, k, config)
+            if k == 1 and a_s:
+                draws = conditional_draws(sim, memo, prefix, 0, config)
+            return z_s, a_s, draws
+        sim = _nrm_handle(400)
+        cfg = make_config(K=4, eta1=3, eta2=3, master_seed=7)
+        traj = sim.complete(EMPTY_PREFIX, (7, "episode", 0))
+        kept = MemoTable()
+        decide_pen(sim, kept, traj.head(1), cfg)
+        monkeypatch.setattr(engine, "_entry_draws", drawing)
+        mutated = MemoTable()
+        decide_pen(sim, mutated, traj.head(1), cfg)
+        assert mutated.entries == kept.entries
+        assert kept.sim_calls <= _cost_bounds(cfg)[0] < mutated.sim_calls
+
+    def test_bound_is_the_closed_form(self):
+        # K = 4, eta1 = eta2 = 3: r = 10, so 3 * 111 calls and 1,111 writes
+        assert _cost_bounds(make_config(K=4, eta1=3, eta2=3)) == (333, 1111)
+        assert _cost_bounds(make_config(K=1, eta1=3, eta2=3)) == (0, 1)
 
 
 def _theory_gap(mode):

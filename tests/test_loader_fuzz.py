@@ -1,0 +1,171 @@
+"""Instance files that are not instances: only typed errors, and exit 2.
+
+``load_instance_payload`` takes whatever ``json.load`` returned.  Any value
+it cannot load must raise an ``OnlinePackError`` subclass, and ``onlinepack
+run`` on such a file must exit 2 without a traceback.  The properties run
+over arbitrary JSON values and over valid payloads with a key dropped or a
+value replaced.  Sizes stay small (T, n, n_events <= 8 in the valid
+payloads, integers <= 9 in the replacements) and the CLI plays one
+episode, so no example allocates or loops without bound.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onlinepack.cli import main
+from onlinepack.errors import InstanceError, OnlinePackError
+from onlinepack.model import (demo_tree, generate_nrm, generative_payload,
+                              load_instance_payload, tree_to_payload)
+
+FIELDS = ["kind", "T", "m", "b", "L", "iota", "tree", "nodes", "prefix_id",
+          "parent_id", "prob", "Z", "a", "obs", "structure", "U", "generator",
+          "family", "seed", "budget_ratio", "n_events", "encoding", "n",
+          "delta", "n_offline", "n_online", "n_scenarios"]
+
+scalars = (st.none() | st.booleans() | st.integers(-3, 9)
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from(["", "x", "3", "nrm", "is", "mwm", "mmo",
+                              "explicit", "generative", "encoded"]))
+json_values = st.recursive(
+    scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=2), kids,
+                      max_size=5),
+    max_leaves=16)
+
+
+VALID = [
+    tree_to_payload(demo_tree()),
+    tree_to_payload(generate_nrm(seed=1, T=2, m=2, L=2, iota=0.4,
+                                 budget_ratio=0.5)),
+    generative_payload("nrm", {"seed": 2, "T": 8, "m": 2, "L": 1,
+                               "iota": 0.5, "budget_ratio": 0.5,
+                               "n_events": 3}, {"U": 2, "V": 1, "W": 2}),
+    {"kind": "encoded",
+     "encoding": {"family": "is", "seed": 1, "n": 6, "delta": 2}},
+    {"kind": "encoded",
+     "encoding": {"family": "mwm", "seed": 1, "n": 5, "delta": 2}},
+    {"kind": "encoded",
+     "encoding": {"family": "mmo", "seed": 1, "n_offline": 3,
+                  "n_online": 3, "delta": 2}},
+]
+
+
+def _paths(value, path=()):
+    """Every path into a nested JSON value, the value's own () first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid payload with one to three keys dropped or values replaced."""
+    payload = json.loads(json.dumps(draw(st.sampled_from(VALID))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(payload) if p]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = payload
+        for k in path[:-1]:
+            parent = parent[k]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        elif isinstance(parent[path[-1]], (dict, list)):
+            parent[path[-1]] = draw(json_values)
+        else:  # a scalar gets a scalar, so more mutants load and run
+            parent[path[-1]] = draw(scalars)
+    return payload
+
+
+def _load_refuses(payload) -> bool:
+    try:
+        load_instance_payload(payload)
+    except OnlinePackError:
+        return True
+    return False
+
+
+@settings(max_examples=300)
+@given(payload=json_values | mutated_payloads())
+def test_loader_raises_only_typed_errors(payload):
+    _load_refuses(payload)  # any other exception fails the test
+
+
+@settings(max_examples=100)
+@given(payload=st.one_of(json_values, mutated_payloads(), mutated_payloads()))
+def test_run_on_any_instance_file_exits_without_traceback(payload):
+    refused = _load_refuses(payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = Path(tmp) / "inst.json"
+        inst.write_text(json.dumps(payload))
+        exp = Path(tmp) / "exp.json"
+        exp.write_text(json.dumps({
+            "instance": str(inst), "policy": "lp",
+            "solver": {"epsilon": 0.2, "theta": 0.5, "alpha": 0.1, "K": 2,
+                       "eta1": 2, "eta2": 1, "master_seed": 3}}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(exp), "--episodes", "1"])
+    assert code == 2 if refused else code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def _explicit(**changes):
+    return dict(tree_to_payload(demo_tree()), **changes)
+
+
+def _generative(**changes):
+    return generative_payload("nrm", dict(
+        {"seed": 2, "T": 3, "m": 2, "L": 1, "iota": 0.5, "budget_ratio": 0.5},
+        **changes))
+
+
+def _encoded(**changes):
+    return {"kind": "encoded",
+            "encoding": dict({"family": "is", "seed": 1, "n": 4, "delta": 2},
+                             **changes)}
+
+
+def _with_node(**changes):
+    payload = _explicit()
+    payload["tree"]["nodes"][0].update(changes)
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    [],                                   # AttributeError: a list
+    {"kind": "explicit"},                 # KeyError: 'T'
+    _explicit(T="x"),                     # ValueError at int("x")
+    _with_node(a=[[0, 1.0, 2.0]]),        # ValueError: a pair of length 3
+    _with_node(obs="ab"),                 # ValueError: float("a")
+    _generative(node_cap=5),              # TypeError: unknown generator key
+    _generative(n_events="3"),            # TypeError: a string count
+    _encoded(n="4"),                      # TypeError: a string size
+    _explicit(iota=10 ** 400),            # OverflowError at float()
+    _explicit(T=2.5),                     # int(2.5) would give T = 2
+    _explicit(T=2.0),
+    _explicit(m=True),
+    _generative(T=3.0),
+    _encoded(delta=2.0),
+    {k: v for k, v in _explicit().items() if k != "tree"},
+], ids=lambda p: json.dumps(p)[:48])
+def test_malformed_payload_is_an_instance_error(payload):
+    with pytest.raises(InstanceError):
+        load_instance_payload(payload)
+
+
+def test_valid_payloads_load():
+    for payload in VALID:
+        assert load_instance_payload(payload).sim.instance.T >= 1

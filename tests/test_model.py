@@ -13,8 +13,8 @@ from onlinepack.errors import CapacityError, InstanceError, SupportError
 from onlinepack.model import (EMPTY_PREFIX, InstanceSpec, Prefix, TreeBuilder,
                               demo_tree, derive_structure_constants,
                               generate_nrm, load_instance_payload,
-                              simulate_completion, tree_as_simulator,
-                              tree_to_payload, payload_to_tree)
+                              tree_as_simulator, tree_to_payload,
+                              payload_to_tree)
 
 
 class TestPrefix:
@@ -100,6 +100,8 @@ class TestTreeValidation:
 
 
 class TestSimulateCompletion:
+    """``complete`` returns a full-horizon trajectory that extends the prefix."""
+
     def test_deterministic_process_single_trajectory(self):
         tb = TreeBuilder(T=3, m=1, b=(1.0,), L=1, iota=1.0)
         p1 = tb.add(None, (0.0,), 1.0, z=0.1, a={0: 1.0})
@@ -108,20 +110,20 @@ class TestSimulateCompletion:
         tree = tb.build()
         sim = tree_as_simulator(tree)
         for t in (1, 2):
-            traj = simulate_completion(sim, p3.head(t), (1, "x", t))
-            assert traj == p3
+            traj = sim.complete(p3.head(t), (1, "x", t))
+            assert traj == p3 and len(traj) == 3
 
     def test_full_prefix_returned_unchanged(self):
         tree = demo_tree()
         sim = tree_as_simulator(tree)
         leaf = tree.leaves()[0]
-        assert simulate_completion(sim, leaf, (0,)) is leaf
+        assert sim.complete(leaf, (0,)) is leaf
 
     def test_out_of_support_rejected(self):
         tree = demo_tree()
         sim = tree_as_simulator(tree)
         with pytest.raises(SupportError):
-            simulate_completion(sim, Prefix(((99.0,),)), (0,))
+            sim.complete(Prefix(((99.0,),)), (0,))
         with pytest.raises(SupportError):
             sim.node(Prefix(((99.0,),)))
 
@@ -139,13 +141,13 @@ class TestSimulateCompletion:
         tree = random_tree(seed=5, T=3)
         sim = tree_as_simulator(tree)
         root = tree.prefixes()[0]
-        a = simulate_completion(sim, root, (3, "k", 9))
-        b = simulate_completion(sim, root, (3, "k", 9))
+        a = sim.complete(root, (3, "k", 9))
+        b = sim.complete(root, (3, "k", 9))
         assert a == b
-        c = simulate_completion(sim, root, (3, "k", 10))
+        c = sim.complete(root, (3, "k", 10))
         # different keys are allowed to coincide on tiny trees, but the
-        # returned object must still extend the prefix
-        assert c.startswith(root)
+        # returned object must still extend the prefix to the horizon
+        assert c.startswith(root) and len(a) == len(c) == tree.instance.T
 
 
 class TestTreeAsSimulator:
@@ -192,8 +194,6 @@ class TestTreeAsSimulator:
             sim.complete(dead, (5, 0))
         with pytest.raises(SupportError):
             sim.node(dead)
-        with pytest.raises(SupportError):
-            simulate_completion(sim, dead, (5, 0))
 
     def test_readout_matches_nodes(self):
         tree = demo_tree()
@@ -365,7 +365,7 @@ class TestGenerateNrm:
         assert checked >= 10_000
 
     def test_node_cap(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="cap is 100000"):
             generate_nrm(seed=0, T=30, m=2, L=1, iota=0.5, budget_ratio=0.5,
                          n_events=3)
 
