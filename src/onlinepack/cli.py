@@ -16,9 +16,10 @@ import sys
 
 from .engine import MemoTable, SolverConfig, theory_params, theta_default
 from .errors import (ConfigError, FeasibilityAuditError, OnlinePackError)
-from .model import (LoadedInstance, demo_tree, derive_structure_constants,
-                    generate_nrm, generative_payload, load_instance,
-                    load_instance_payload, save_instance, tree_to_payload)
+from .model import (SCHEMA_VERSION, LoadedInstance, demo_tree,
+                    derive_structure_constants, generate_nrm,
+                    generative_payload, load_instance, load_instance_payload,
+                    save_instance, tree_to_payload)
 from .oracle import (eval_policy_mc, reports_to_csv, solve_lp_explicit,
                      solve_pack_dp, solve_pen_lp)
 from .policies import (mwm_scaled_epsilon, new_episode_context, policy_is,
@@ -48,9 +49,9 @@ def _check_writable(path: str) -> None:
 
 def _default_config(loaded: LoadedInstance, args,
                     epsilon: float | None = None) -> SolverConfig:
-    inst, tree = loaded.sim.instance, loaded.sim.tree
-    V = derive_structure_constants(tree).V if tree is not None \
-        else inst.v_or_default()
+    """The solver config of ``verify``, whose instance is an explicit tree."""
+    inst = loaded.sim.instance
+    V = derive_structure_constants(loaded.sim.tree).V
     epsilon = epsilon if epsilon is not None else args.epsilon
     theta = args.theta if args.theta is not None else \
         theta_default(epsilon, inst.T, inst.iota, V)
@@ -130,7 +131,8 @@ def cmd_gen(args) -> int:
             encoding["n_online"] = args.n_online
         else:
             encoding["n"] = args.n
-        payload = {"schema_version": 1, "kind": "encoded", "encoding": encoding}
+        payload = {"schema_version": SCHEMA_VERSION, "kind": "encoded",
+                   "encoding": encoding}
         load_instance_payload(payload)  # validate before writing
     else:
         raise ConfigError(f"unknown instance kind {args.kind!r}")

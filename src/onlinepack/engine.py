@@ -521,7 +521,7 @@ class ParamBundle:
     K: int
     eta1: int
     eta2: int
-    alpha_exact: Fraction = field(repr=False, default=Fraction(0))
+    alpha_exact: Fraction = field(repr=False)
 
 
 def _frac(x) -> Fraction:
@@ -532,34 +532,9 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return int(math.ceil(x))
-
-
-def _int_root(n: int, root: int) -> int | None:
-    """Exact integer r with r**root == n, or None."""
-    if n <= 0:
-        return None
-    guess = round(n ** (1.0 / root))
-    for r in (guess - 1, guess, guess + 1):
-        if r > 0 and r ** root == n:
-            return r
-    return None
-
-
-def _ceil_root(value: Fraction, root: int) -> int:
-    """ceil(value ** (1/root)) with exact detection of perfect powers."""
-    if value <= 0:
-        raise ParameterError("root argument must be positive")
-    rn = _int_root(value.numerator, root)
-    rd = _int_root(value.denominator, root)
-    if rn is not None and rd is not None:
-        return _ceil_frac(Fraction(rn, rd))
-    approx = (value.numerator / value.denominator) ** (1.0 / root)
-    snapped = round(approx)
-    if abs(approx - snapped) < 1e-9:
-        return int(snapped)
-    return int(math.ceil(approx))
+def _ceil_sqrt(x: Fraction | int) -> int:
+    """ceil(sqrt(x)) for x > 0, exactly: the least s with s^2 >= ceil(x)."""
+    return 1 + math.isqrt(math.ceil(x) - 1)
 
 
 def theta_default(epsilon: float, T: int, iota: float, V: int) -> float:
@@ -578,30 +553,38 @@ def theory_params(mode: str, epsilon: float, L: int, iota: float, theta: float,
     L^2 T^2/(iota^2 theta^2 eps^2)), T).  Accelerated: with q =
     ceil((ULW)^(1/4)/sqrt(iota theta)), alpha = 1/(4 q^2), K = 8 q
     ceil(eps^(-1/2)), eta1 = ceil(45696 L^2/(iota^2 eps^2)), eta2 =
-    min(ceil(221184 L^2 T^2/(iota^2 theta^2 eps^2)), T).
+    min(ceil(221184 L^2 T^2/(iota^2 theta^2 eps^2)), T).  The float inputs
+    are read as the exact rationals they hold, and every ceiling, the roots
+    included, is taken in integer arithmetic: q is the least integer with
+    q^4 (iota theta)^2 >= ULW, computed as ceil(sqrt(ceil(sqrt(x)))) for x =
+    ULW/(iota theta)^2, and ceil(eps^(-1/2)) the least s with s^2 eps >= 1.
     """
     eps = _frac(epsilon)
     io = _frac(iota)
     th = _frac(theta)
     if not 0 < eps <= 1:
         raise ParameterError("epsilon must lie in (0, 1]")
+    if not 0 < io <= 1:
+        raise ParameterError("iota must lie in (0, 1]")
     if not 0 < th <= T:
         raise ParameterError("theta must lie in (0, T]")
     if L < 1:
         raise ParameterError("L must be >= 1")
     if mode == "unaccelerated":
         alpha = io * io * eps / (24 * L * L)
-        K = _ceil_frac(288 * L * L / (eps * eps * io * io))
-        eta1 = _ceil_frac(2304 * L * L / (io * io * eps * eps))
-        eta2 = min(_ceil_frac(20736 * L * L * T * T / (io * io * th * th * eps * eps)), T)
+        K = math.ceil(288 * L * L / (eps * eps * io * io))
+        eta1 = math.ceil(2304 * L * L / (io * io * eps * eps))
+        eta2 = min(math.ceil(20736 * L * L * T * T / (io * io * th * th * eps * eps)), T)
         return ParamBundle(float(alpha), K, eta1, eta2, alpha)
     if mode == "accelerated":
         if U is None or W is None:
             raise ParameterError("accelerated schedule needs U and W")
-        q = _ceil_root(_frac(U * L * W) / (io * th) ** 2, 4)
+        if not (U > 0 and W > 0):
+            raise ParameterError("U and W must be positive")
+        q = _ceil_sqrt(_ceil_sqrt(_frac(U * L * W) / (io * th) ** 2))
         alpha = Fraction(1, 4) / (q * q)
-        K = 8 * q * _ceil_root(1 / eps, 2)
-        eta1 = _ceil_frac(45696 * L * L / (io * io * eps * eps))
-        eta2 = min(_ceil_frac(221184 * L * L * T * T / (io * io * th * th * eps * eps)), T)
+        K = 8 * q * _ceil_sqrt(1 / eps)
+        eta1 = math.ceil(45696 * L * L / (io * io * eps * eps))
+        eta2 = min(math.ceil(221184 * L * L * T * T / (io * io * th * th * eps * eps)), T)
         return ParamBundle(float(alpha), K, eta1, eta2, alpha)
     raise ParameterError(f"unknown schedule {mode!r}")

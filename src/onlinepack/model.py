@@ -135,10 +135,11 @@ class InstanceSpec:
 
     ``b`` holds the m resource budgets, ``L`` bounds the number of resources
     any one arrival touches, and ``iota`` is the lower bound on nonzero
-    consumption values.  ``U``, ``V``, ``W`` are the structure constants used
-    by the accelerated schedule and the smoothing default; on generative
-    instances they are user-supplied, with ``V`` defaulting to the
-    min(m, ceil(L/nu)) bound.
+    consumption values.  ``V`` is the structure constant that sets the
+    default smoothing level; it is supplied only on generative instances,
+    whose V cannot be derived, and defaults to the min(m, ceil(L/nu))
+    bound.  Explicit trees derive U, V, W and lambda from their paths
+    (``derive_structure_constants``).
     """
 
     T: int
@@ -146,11 +147,7 @@ class InstanceSpec:
     b: tuple[float, ...]
     L: int
     iota: float
-    U: int | None = None
     V: int | None = None
-    W: int | None = None
-    nu: float | None = None
-    lam: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
@@ -164,18 +161,17 @@ class InstanceSpec:
             raise InstanceError("iota must lie in (0, 1]")
         if self.L < 0:
             raise InstanceError("column sparsity bound L must be >= 0")
-        if self.nu is None:
-            nu = min(self.b) / self.T if self.b else 0.0
-            object.__setattr__(self, "nu", nu)
-        if self.lam is None:
-            min_b = min(self.b) if self.b else 0.0
-            lam = min(self.m, self.L * self.T / min_b) if min_b > 0 else float(self.m)
-            object.__setattr__(self, "lam", lam)
+
+    @property
+    def nu(self) -> float:
+        """The smallest budget per period, min(b)/T (0 without resources)."""
+        return min(self.b) / self.T if self.b else 0.0
 
     def v_bound(self) -> int:
         """min(m, ceil(L/nu)) when nu > 0, else m."""
-        if self.nu and self.nu > 0:
-            return min(self.m, math.ceil(self.L / self.nu))
+        nu = self.nu
+        if nu > 0:
+            return min(self.m, math.ceil(self.L / nu))
         return self.m
 
     def v_or_default(self) -> int:
@@ -409,13 +405,13 @@ class TreeBuilder:
     """Incremental construction of an ExplicitScenarioTree.
 
     Nodes are added with probabilities conditional on their parent; absolute
-    probabilities are accumulated down the tree at build time.
+    probabilities are accumulated down the tree at build time.  Only the
+    instance's T, m, b, L and iota are given: the tree's structure
+    constants are derived from its paths, never supplied.
     """
 
-    def __init__(self, T: int, m: int, b: Sequence[float], L: int, iota: float,
-                 U: int | None = None, V: int | None = None, W: int | None = None):
-        self.instance = InstanceSpec(T=T, m=m, b=tuple(b), L=L, iota=iota,
-                                     U=U, V=V, W=W)
+    def __init__(self, T: int, m: int, b: Sequence[float], L: int, iota: float):
+        self.instance = InstanceSpec(T=T, m=m, b=tuple(b), L=L, iota=iota)
         self._nodes: dict[bytes, TreeNode] = {}
         self._roots: list[bytes] = []
         self._order: list[bytes] = []
@@ -547,7 +543,8 @@ def derive_structure_constants(tree: ExplicitScenarioTree) -> StructureConstants
     U is the largest per-resource request count on any trajectory (clamped
     to >= 2), V the largest number of budget-saturating resources (clamped
     to >= 1), and W the largest total resource overlap between one arrival
-    and all arrivals on the same trajectory.  V_bound is min(m, ceil(L/nu)).
+    and all arrivals on the same trajectory.  V_bound is min(m, ceil(L/nu)),
+    nu = min(b)/T, and lam = min(m, L T / min(b)) (m when a budget is 0).
     """
     inst = tree.instance
     if not tree.leaf_keys:
@@ -576,9 +573,11 @@ def derive_structure_constants(tree: ExplicitScenarioTree) -> StructureConstants
                 continue
             overlap = sum(len(ref & s) for s in supports)
             W = max(W, overlap)
+    min_b = min(inst.b) if inst.b else 0.0
+    lam = min(inst.m, inst.L * inst.T / min_b) if min_b > 0 else float(inst.m)
     return StructureConstants(
         U=max(U, 2), V=max(V, 1), W=W, L=L_seen, iota=iota_seen,
-        nu=inst.nu, lam=inst.lam, V_bound=inst.v_bound(),
+        nu=inst.nu, lam=lam, V_bound=inst.v_bound(),
     )
 
 
@@ -760,7 +759,7 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
 # Instance files
 # ---------------------------------------------------------------------------
 
-_SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1
 
 
 def tree_to_payload(tree: ExplicitScenarioTree) -> dict:
@@ -782,47 +781,44 @@ def tree_to_payload(tree: ExplicitScenarioTree) -> dict:
             "a": [[i, v] for i, v in n.a],
             "obs": list(n.prefix.last),
         })
-    payload = {
-        "schema_version": _SCHEMA_VERSION,
+    return {
+        "schema_version": SCHEMA_VERSION,
         "kind": "explicit",
         "T": inst.T, "m": inst.m, "b": list(inst.b),
         "L": inst.L, "iota": inst.iota,
         "tree": {"nodes": nodes},
     }
-    structure = {k: getattr(inst, k) for k in ("U", "V", "W")
-                 if getattr(inst, k) is not None}
-    if structure:
-        payload["structure"] = structure
-    return payload
 
 
 def payload_to_tree(payload: dict) -> ExplicitScenarioTree:
     _integers(payload)
-    structure = _integers(payload.get("structure", {}))
     tb = TreeBuilder(T=payload["T"], m=payload["m"], b=payload["b"],
-                     L=payload["L"], iota=float(payload["iota"]),
-                     U=structure.get("U"), V=structure.get("V"),
-                     W=structure.get("W"))
+                     L=payload["L"], iota=float(payload["iota"]))
     by_id: dict[int, TreeNode] = {}
     for rec in payload["tree"]["nodes"]:
+        prefix_id, parent_id = rec["prefix_id"], rec["parent_id"]
+        a = [(i, v) for i, v in rec.get("a", [])]
+        # a float or bool id would be read as an integer (0.7 as resource 0)
+        if not all(type(i) is int for i in (prefix_id, *(i for i, _ in a))) \
+                or type(parent_id) not in (int, type(None)):
+            raise InstanceError(f"node ids must be integers, got {rec!r}")
         parent = None
-        if rec["parent_id"] is not None:
-            parent = by_id.get(rec["parent_id"])
+        if parent_id is not None:
+            parent = by_id.get(parent_id)
             if parent is None:
                 raise InstanceError("node listed before its parent")
         obs = rec.get("obs")
         if obs is None:
-            obs = [float(rec["prefix_id"])]  # synthesize a distinct observation
-        by_id[rec["prefix_id"]] = tb._attach(
-            parent, obs, float(rec["prob"]), float(rec["Z"]),
-            _sorted_rcv(rec.get("a", [])))
+            obs = [float(prefix_id)]  # synthesize a distinct observation
+        by_id[prefix_id] = tb._attach(
+            parent, obs, float(rec["prob"]), float(rec["Z"]), _sorted_rcv(a))
     return tb.build()
 
 
 def generative_payload(family: str, params: dict,
                        structure: dict | None = None) -> dict:
     payload = {
-        "schema_version": _SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "kind": "generative",
         "generator": {"family": family, **params},
     }
@@ -840,8 +836,8 @@ class LoadedInstance:
 
 
 # the fields of instance records that hold integers
-_INTEGER_FIELDS = ("T", "m", "L", "U", "V", "W", "seed", "n_events", "n",
-                   "delta", "n_offline", "n_online", "n_scenarios")
+_INTEGER_FIELDS = ("T", "m", "L", "V", "seed", "n_events", "n", "delta",
+                   "n_offline", "n_online", "n_scenarios")
 
 
 def _integers(record: dict) -> dict:
@@ -858,10 +854,20 @@ def load_instance_payload(payload: dict) -> LoadedInstance:
     """The handle of an instance file's payload (``json.load`` of the file).
 
     A malformed payload raises InstanceError: the errors that Python raises
-    on a value of the wrong shape or type are mapped to it here.
+    on a value of the wrong shape or type are mapped to it here.  A present
+    ``schema_version`` must be the integer ``SCHEMA_VERSION``.  Only a
+    generative payload may carry a ``structure`` record, and only with the
+    key ``V``: explicit and encoded instances derive their constants.
     """
     try:
         kind = payload.get("kind")
+        version = payload.get("schema_version", SCHEMA_VERSION)
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise InstanceError(f"schema_version {version!r} is not "
+                                f"{SCHEMA_VERSION}")
+        if "structure" in payload and kind != "generative":
+            raise InstanceError(f"a {kind!r} instance takes no structure "
+                                f"record; its constants are derived")
         if kind == "explicit":
             sim = tree_as_simulator(payload_to_tree(payload))
         elif kind == "generative":
@@ -872,9 +878,11 @@ def load_instance_payload(payload: dict) -> LoadedInstance:
             sim = generate_nrm(mode="generative", **gen)
             structure = _integers(payload.get("structure", {}))
             if structure:
+                if set(structure) != {"V"}:
+                    raise InstanceError(f"a structure record holds only V, "
+                                        f"got {structure!r}")
                 sim = dataclasses.replace(sim, instance=dataclasses.replace(
-                    sim.instance, U=structure.get("U"), V=structure.get("V"),
-                    W=structure.get("W")))
+                    sim.instance, V=structure["V"]))
         elif kind == "encoded":
             from .encodings import build_encoded  # encodings imports model
             sim = build_encoded(_integers(payload["encoding"]))

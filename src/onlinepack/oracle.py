@@ -38,11 +38,11 @@ _LP_DIM_CAP = 10_000
 # ---------------------------------------------------------------------------
 
 
-def _common_grid(values, max_denominator=512) -> Fraction | None:
+def _common_grid(values) -> Fraction | None:
     """A rational grid g such that every value is an integer multiple of g."""
     grid: Fraction | None = None
     for v in values:
-        f = Fraction(v).limit_denominator(max_denominator)
+        f = Fraction(v).limit_denominator(512)
         if abs(float(f) - v) > 1e-9:
             return None
         if f == 0:

@@ -12,7 +12,7 @@ from onlinepack import keys, load_instance
 from onlinepack.cli import main
 from onlinepack.encodings import encode_is, random_is_process
 from onlinepack.engine import MemoTable, SolverConfig
-from onlinepack.model import EMPTY_PREFIX, tree_to_payload
+from onlinepack.model import EMPTY_PREFIX, SCHEMA_VERSION, tree_to_payload
 from onlinepack.oracle import eval_policy_mc, reports_to_csv
 from onlinepack.policies import new_episode_context, policy_lp, policy_nrm
 
@@ -46,6 +46,12 @@ class TestGen:
         payload = json.loads(out.read_text())
         assert payload["kind"] == "encoded"
 
+    def test_encoded_instance_carries_the_model_schema_version(self, tmp_path):
+        out = tmp_path / "is.json"
+        assert run_cli("gen", "--kind", "is", "--seed", "2", "--n", "4",
+                       "--delta", "2", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["schema_version"] == SCHEMA_VERSION
+
     def test_encoded_instance_loads_publicly(self, tmp_path):
         out = tmp_path / "is.json"
         assert run_cli("gen", "--kind", "is", "--seed", "2", "--n", "5",
@@ -67,6 +73,28 @@ class TestParams:
         assert rows[0]["alpha"] == pytest.approx(1 / 24)
         assert rows[0]["K"] == 288
         assert rows[0]["eta1"] == 2304
+
+    @pytest.mark.parametrize("argv,alpha", [
+        # ceil(sqrt(1/eps)) = 3, not 2: 1/eps is just above 4
+        (["--epsilon", "0.2499999999", "--theta", "1", "--U", "1"], 1 / 4),
+        # ULW/(iota theta)^2 = 16.000000000001 needs q = 3, not 2
+        (["--epsilon", "1", "--theta", "0.99999999999997", "--U", "16"],
+         1 / 36),
+    ], ids=["eps-just-below-quarter", "q4-just-above-16"])
+    def test_schedule_roots_are_exact(self, capsys, argv, alpha):
+        assert run_cli("params", "--mode", "accelerated", "--L", "1",
+                       "--iota", "1", "--T", "4", "--W", "1", "--json",
+                       *argv) == 0
+        row, = json.loads(capsys.readouterr().out)
+        assert (row["K"], row["alpha"]) == (24, alpha)
+
+    @pytest.mark.parametrize("U,W", [("0", "1"), ("1", "-1")])
+    def test_non_positive_U_or_W_exits_2(self, capsys, U, W):
+        assert run_cli("params", "--epsilon", "0.5", "--L", "1", "--iota", "1",
+                       "--theta", "1", "--T", "4", "--U", U, "--W", W) == 2
+        err = capsys.readouterr().err
+        assert "U and W must be positive" in err
+        assert "Traceback" not in err
 
     def test_bad_epsilon_is_config_error(self, capsys):
         assert run_cli("params", "--mode", "unaccelerated", "--epsilon", "2",
@@ -124,6 +152,18 @@ class TestRun:
         assert run_cli("run", "--config", str(exp), "--out", str(out)) == 2
         assert "budgets must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("version", [99, "1", 1.0])
+    def test_foreign_schema_version_exits_2(self, tmp_path, capsys, version):
+        exp = self.write_experiment(tmp_path, episodes=5)
+        inst = Path(json.loads(exp.read_text())["instance"])
+        payload = json.loads(inst.read_text())
+        payload["schema_version"] = version
+        inst.write_text(json.dumps(payload))
+        assert run_cli("run", "--config", str(exp)) == 2
+        err = capsys.readouterr().err
+        assert "schema_version" in err
+        assert "Traceback" not in err
 
     def test_same_seed_byte_identical(self, tmp_path, capsys):
         exp = self.write_experiment(tmp_path)

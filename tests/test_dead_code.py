@@ -1,11 +1,12 @@
 """Static checks that ``src/onlinepack`` carries no dead code.
 
-Four kinds of leftovers are caught with the standard-library ``ast`` module:
+Five kinds of leftovers are caught with the standard-library ``ast`` module:
 an import a module never uses, a module-private (``_name``) function or
 method that nothing in the package references outside its own body, a
 module-level private assignment (``_NAME = ...``) that nothing in the
-package reads, and a function parameter (other than ``self`` or ``cls``)
-that its body never reads.
+package reads, a function parameter (other than ``self`` or ``cls``)
+that its body never reads, and a defaulted parameter of a private function
+that no call in the package passes.
 ``__init__.py`` only re-exports the public API, so its imports count as used.
 """
 
@@ -124,3 +125,61 @@ def test_no_unread_parameters():
                        for param in _parameters(node)
                        if param not in ("self", "cls") and param not in read]
     assert unread == []
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` may set ``param`` (at position ``index``, if any)."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def _unset_private_options(modules: dict[str, ast.Module]) -> list[str]:
+    """Defaulted parameters of private functions that no call passes.
+
+    Such a default is a constant in disguise: every caller gets it, so it
+    belongs in the body.  A method's ``self`` or ``cls`` is not counted
+    among the positions a call fills.
+    """
+    defs, calls = [], []
+    for name, module in modules.items():
+        for node in ast.walk(module):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    node.name.startswith("_") and not node.name.endswith("__"):
+                defs.append((name, node))
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+    unset = []
+    for name, fn in defs:
+        args = fn.args
+        positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+        if positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        defaulted = positional[len(positional) - len(args.defaults):] \
+            if args.defaults else []
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        mine = [c for c in calls if fn.name in
+                (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+        for param in defaulted:
+            index = positional.index(param) if param in positional else None
+            if not any(_passes(c, param, index) for c in mine):
+                unset.append(f"{fn.name}({param}) ({name}:{fn.lineno})")
+    return sorted(unset)
+
+
+def test_no_unset_private_options():
+    assert _unset_private_options(_modules()) == []
+
+
+def test_unset_private_option_is_caught():
+    planted = ast.parse("def _scaled(x, factor=2, *, shift=0):\n"
+                        "    return x * factor + shift\n"
+                        "def _offset(self, x, by=1):\n"
+                        "    return x + by\n"
+                        "a = _scaled(1, shift=1)\n"
+                        "b = obj._offset(1, 2)\n")
+    modules = dict(_modules(), planted=planted)
+    assert _unset_private_options(modules) == ["_scaled(factor) (planted:1)"]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -917,7 +918,53 @@ class TestTheorySchedule:
         assert dead.key not in its[0]
 
 
+def _ulps(x: float, steps: int) -> float:
+    """x moved ``steps`` representable floats up (down when negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+    return x
+
+
+@st.composite
+def near_integer_roots(draw):
+    """Float eps and theta a few ulps from the points where eps^(-1/2) or
+    (ULW)^(1/4)/sqrt(iota theta) is an integer, where a float root rounds
+    to either side."""
+    s = draw(st.integers(1, 40))
+    eps = min(_ulps(1 / s ** 2, draw(st.integers(-3, 3))), 1.0)
+    L, U, W = draw(st.integers(1, 6)), draw(st.integers(1, 9)), \
+        draw(st.integers(1, 30))
+    iota = draw(st.sampled_from([1.0, 0.5, 0.3, 0.25]))
+    q = draw(st.integers(1, 12))
+    theta = _ulps(math.sqrt(U * L * W) / (iota * q * q),
+                  draw(st.integers(-3, 3)))
+    return eps, L, iota, theta, math.ceil(theta), U, W
+
+
 class TestTheoryParams:
+    @settings(max_examples=300, deadline=None)
+    @given(args=near_integer_roots())
+    def test_accelerated_roots_are_the_least_integers(self, args):
+        eps, L, iota, theta, T, U, W = args
+        pb = theory_params("accelerated", eps, L, iota, theta, T, U=U, W=W)
+        q = math.isqrt(int(1 / (4 * pb.alpha_exact)))
+        assert pb.alpha_exact == Fraction(1, 4) / (q * q)
+        s, rest = divmod(pb.K, 8 * q)
+        assert rest == 0
+        # q is the least with q^4 (iota theta)^2 >= ULW, s the least with
+        # s^2 eps >= 1, both in the exact rationals the floats hold
+        io_th2 = (Fraction(iota) * Fraction(theta)) ** 2
+        assert q ** 4 * io_th2 >= U * L * W > (q - 1) ** 4 * io_th2
+        assert s * s * Fraction(eps) >= 1 > (s - 1) ** 2 * Fraction(eps)
+
+    @pytest.mark.parametrize("eps,theta,U,q,K", [
+        (0.2499999999, 1.0, 1, 1, 24),
+        (1.0, 0.99999999999997, 16, 3, 24),
+    ], ids=["eps-just-below-quarter", "q4-just-above-16"])
+    def test_reproducer_rows(self, eps, theta, U, q, K):
+        pb = theory_params("accelerated", eps, 1, 1.0, theta, 4, U=U, W=1)
+        assert (pb.K, pb.alpha_exact) == (K, Fraction(1, 4 * q * q))
+
     def test_unaccelerated_known_row(self):
         pb = theory_params("unaccelerated", 1.0, 1, 1.0, 8.0, 8)
         assert pb.alpha == pytest.approx(1 / 24)
@@ -940,3 +987,10 @@ class TestTheoryParams:
             theory_params("unaccelerated", 0.5, 1, 1.0, 9.0, 4)
         with pytest.raises(ParameterError):
             theory_params("accelerated", 0.5, 1, 1.0, 1.0, 4)  # missing U, W
+
+    def test_non_positive_U_or_W_and_zero_iota_refused(self):
+        for U, W in ((0, 1), (1, -1), (-1, -1)):
+            with pytest.raises(ParameterError, match="U and W"):
+                theory_params("accelerated", 0.5, 1, 1.0, 1.0, 4, U=U, W=W)
+        with pytest.raises(ParameterError, match="iota"):
+            theory_params("unaccelerated", 0.5, 1, 0.0, 1.0, 4)

@@ -6,7 +6,9 @@ run`` on such a file must exit 2 without a traceback.  The properties run
 over arbitrary JSON values and over valid payloads with a key dropped or a
 value replaced.  Sizes stay small (T, n, n_events <= 8 in the valid
 payloads, integers <= 9 in the replacements) and the CLI plays one
-episode, so no example allocates or loops without bound.
+episode, so no example allocates or loops without bound.  Every JSON
+integer in the valid payloads is an id, a size, a seed or the schema
+version, so each must also refuse its float and bool twins.
 """
 
 import contextlib
@@ -47,7 +49,7 @@ VALID = [
                                  budget_ratio=0.5)),
     generative_payload("nrm", {"seed": 2, "T": 8, "m": 2, "L": 1,
                                "iota": 0.5, "budget_ratio": 0.5,
-                               "n_events": 3}, {"U": 2, "V": 1, "W": 2}),
+                               "n_events": 3}, {"V": 1}),
     {"kind": "encoded",
      "encoding": {"family": "is", "seed": 1, "n": 6, "delta": 2}},
     {"kind": "encoded",
@@ -67,6 +69,13 @@ def _paths(value, path=()):
         yield from _paths(v, path + (k,))
 
 
+def _at(value, path):
+    """The value at ``path`` inside a nested JSON value."""
+    for k in path:
+        value = value[k]
+    return value
+
+
 @st.composite
 def mutated_payloads(draw):
     """A valid payload with one to three keys dropped or values replaced."""
@@ -76,16 +85,22 @@ def mutated_payloads(draw):
         if not paths:
             break
         path = draw(st.sampled_from(paths))
-        parent = payload
-        for k in path[:-1]:
-            parent = parent[k]
+        parent = _at(payload, path[:-1])
+        old = parent[path[-1]]
         if draw(st.booleans()):
             del parent[path[-1]]
-        elif isinstance(parent[path[-1]], (dict, list)):
+        elif isinstance(old, (dict, list)):
             parent[path[-1]] = draw(json_values)
+        elif type(old) is int:  # an id or size may turn float or bool
+            parent[path[-1]] = draw(st.sampled_from(_twins(old)) | scalars)
         else:  # a scalar gets a scalar, so more mutants load and run
             parent[path[-1]] = draw(scalars)
     return payload
+
+
+def _twins(value: int) -> list:
+    """The float and the bool that JSON would carry for an integer."""
+    return [float(value), value == 1]
 
 
 def _load_refuses(payload) -> bool:
@@ -138,9 +153,9 @@ def _encoded(**changes):
                              **changes)}
 
 
-def _with_node(**changes):
-    payload = _explicit()
-    payload["tree"]["nodes"][0].update(changes)
+def _with_node(j=0, tree=None, **changes):
+    payload = tree_to_payload(tree or demo_tree())
+    payload["tree"]["nodes"][j].update(changes)
     return payload
 
 
@@ -160,6 +175,17 @@ def _with_node(**changes):
     _generative(T=3.0),
     _encoded(delta=2.0),
     {k: v for k, v in _explicit().items() if k != "tree"},
+    _with_node(a=[[0.7, 1.0]]),           # int(0.7) would read resource 0
+    _with_node(a=[[True, 1.0]], tree=generate_nrm(   # bool(1) as resource 1
+        seed=1, T=2, m=2, L=2, iota=0.4, budget_ratio=0.5)),
+    _with_node(1, parent_id=0.0),
+    _with_node(prefix_id=0.0),
+    _explicit(schema_version=99),
+    _explicit(schema_version="1"),
+    _explicit(schema_version=1.0),
+    _explicit(structure={"V": 1}),        # explicit trees derive V
+    dict(_encoded(), structure={"V": 1}),
+    dict(_generative(), structure={"U": 2, "V": 1, "W": 2}),
 ], ids=lambda p: json.dumps(p)[:48])
 def test_malformed_payload_is_an_instance_error(payload):
     with pytest.raises(InstanceError):
@@ -169,3 +195,17 @@ def test_malformed_payload_is_an_instance_error(payload):
 def test_valid_payloads_load():
     for payload in VALID:
         assert load_instance_payload(payload).sim.instance.T >= 1
+
+
+def test_every_integer_refuses_its_float_and_bool_twins():
+    # in the valid payloads every JSON integer is an id, a size, a seed or
+    # the schema version, and none may be read from a float or a bool
+    loaded = []
+    for payload in VALID:
+        for path in (p for p in _paths(payload) if type(_at(payload, p)) is int):
+            for twin in _twins(_at(payload, path)):
+                mutant = json.loads(json.dumps(payload))
+                _at(mutant, path[:-1])[path[-1]] = twin
+                if not _load_refuses(mutant):
+                    loaded.append((path, twin))
+    assert loaded == []

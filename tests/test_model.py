@@ -50,8 +50,14 @@ class TestInstanceSpec:
     def test_derived_fields(self):
         spec = InstanceSpec(T=4, m=2, b=(2.0, 4.0), L=2, iota=0.5)
         assert spec.nu == 0.5
-        assert spec.lam == min(2, 2 * 4 / 2.0)
         assert spec.v_bound() == min(2, math.ceil(2 / 0.5))
+        tb = TreeBuilder(T=4, m=2, b=(2.0, 4.0), L=2, iota=0.5)
+        node = None
+        for t in range(4):
+            node = tb.add(node, (float(t),), 1.0, z=0.0)
+        sc = derive_structure_constants(tb.build())
+        assert sc.lam == min(2, 2 * 4 / 2.0)
+        assert (sc.nu, sc.V_bound) == (spec.nu, spec.v_bound())
 
     def test_validation(self):
         with pytest.raises(InstanceError):
