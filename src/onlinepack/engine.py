@@ -113,8 +113,11 @@ class PathDraw:
     period.  ``terms[i]`` lists the pairs (traj^t, a_i(traj^t)) over the
     indexed periods t at which it requests resource i, in ascending t;
     traj^t is the length-t head of ``traj``, one shared object per period,
-    so readers take the prefixes from the terms.  Draws index only the
-    sampled periods of their level: O(eta2) node lookups, not O(T).
+    so readers take the prefixes from the terms: ``grad_component`` reads
+    its values there, and ``recursive_R`` walks the same terms for an
+    entry's dependencies.  The engine keys a draw by the object (equal cuts
+    are one object within a table), never by ``traj``.  Draws index only
+    the sampled periods of their level: O(eta2) node lookups, not O(T).
     """
 
     __slots__ = ("traj", "terms")
@@ -143,7 +146,8 @@ class MemoTable:
     eta1 times the number of those entries.
     ``_paths`` holds one ``PathDraw`` per (cut, sampled periods), shared by
     completions that agree through the cut and by levels whose period
-    subsamples are equal.  ``decisions`` caches decide_pen's averaged value
+    subsamples are equal, so a repeated draw is a repeated object and
+    shares one derivative.  ``decisions`` caches decide_pen's averaged value
     per prefix key.  ``sim_calls`` and ``writes`` (the entry count) count
     the recursion's work for the complexity and horizon checks.
     Every entry is a pure function of (master seed, prefix, level), so one
@@ -258,11 +262,12 @@ def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
 
     The draws are indexed at the sampled periods aleph only, so their
     ``terms`` already range over aleph ^ T_i(S'), and each term carries the
-    prefix S'^t that ``evalx`` reads.  Draws with equal cuts (``traj``)
-    have equal terms, so they share one derivative.  The iteration order
-    (resources ascending, draws in key order, periods ascending) is part of
-    the bitwise-equivalence contract between the full-sweep and on-demand
-    implementations.
+    prefix S'^t that ``evalx`` reads.  A draw object repeated in ``draws``
+    shares one derivative; within a table, equal cuts are one object
+    (``MemoTable._paths``), and distinct objects with equal terms give the
+    same bits anyway.  The iteration order (resources ascending, draws in
+    key order, periods ascending) is part of the bitwise-equivalence
+    contract between the full-sweep and on-demand implementations.
     """
     if not a_s:
         return z_s
@@ -270,14 +275,14 @@ def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
     total = 0.0
     for i, ai in a_s:
         acc = 0.0
-        by_traj: dict[bytes, float] = {}  # repeated draws share one derivative
+        by_draw: dict[PathDraw, float] = {}
         for d in draws:
-            phi = by_traj.get(d.traj.key)
+            phi = by_draw.get(d)
             if phi is None:
                 s = 0.0
                 for head, v in d.terms.get(i, ()):
                     s += v * evalx(head)
-                phi = by_traj[d.traj.key] = huber_deriv(scale * s - b[i], theta)
+                phi = by_draw[d] = huber_deriv(scale * s - b[i], theta)
             acc += phi
         total += ai * (acc / eta1)
     return z_s - 2.0 / iota * total
@@ -362,60 +367,52 @@ def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     memo.put(prefix, k, _clip01(y(prefix) + config.alpha * ghat))
 
 
-def _needed_heads(a_s: Sequence[tuple[int, float]],
-                  draw: PathDraw) -> list[Prefix]:
-    """The distinct prefixes in ``draw``'s terms for a_s's resources, by length."""
-    terms = draw.terms
-    if len(a_s) == 1:  # one resource's terms are already distinct and sorted
-        return [head for head, _ in terms.get(a_s[0][0], ())]
-    heads = {len(head.obs): head
-             for i, _ in a_s for head, _ in terms.get(i, ())}
-    return [heads[t] for t in sorted(heads)]
-
-
 def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
                 config: SolverConfig) -> float:
     """On-demand computation of X^k(prefix) with memoization.
 
     Runs the recursion over an explicit work stack: computing (S, k) first
-    requires (S, k-1), then level-(k-1) values at every sampled period of
-    every completion in the draw set ``_entry_draws`` gives (S, k) that
-    touches a resource S requests.  Each table entry is computed exactly
-    once; the recursion count equals the number of memo writes.  A call
-    costs eta1 sim calls per new entry (S, k) at level >= 2 whose node
-    requests a resource and whose handle does not fix S's first
-    max(aleph_(k-1)) rows (``SimulatorHandle.fixed_head``), and none for
-    any other entry.
+    requires (S, k-1), then (h, k-1) for each head h that ``grad_component``
+    reads from the draws ``_entry_draws`` gives (S, k), walked once each in
+    the gradient's order.  Each table entry is computed exactly once; an
+    entry already present is returned without a write.  No frame needs a
+    present-check: its dependencies are distinct entries one level below
+    it, pushed only if absent, and while one of them is processed the only
+    entry written at its level is itself (``MemoTable.put`` refuses a
+    second write).  A call costs eta1 sim calls per new entry (S, k) at
+    level >= 2 whose node requests a resource and whose handle does not fix
+    S's first max(aleph_(k-1)) rows (``SimulatorHandle.fixed_head``), and
+    none for any other entry.
     """
     if k <= 0:
         return 0.0
     entries = memo.entries
+    key = (prefix.key, k)
+    if key in entries:
+        return entries[key]
     # a frame is [prefix, level, its _entry_draws once expanded, else None]
     stack: list[list] = [[prefix, k, None]]
     while stack:
         frame = stack[-1]
         S, kk, reads = frame
-        if (S.key, kk) in entries:
-            stack.pop()
-            continue
         if reads is None:
             _, a_s, draws = frame[2] = _entry_draws(sim, memo, S, kk, config)
             if kk > 1:  # level 0 is implicitly zero: nothing to compute
-                # each dependency once, in first-occurrence order: a later
-                # duplicate is computed before its turn comes, so skipping
-                # it does not reorder the memo writes
+                # S, then the heads the gradient reads, in its order
                 deps = {S.key: S}
-                for d in dict.fromkeys(draws):  # repeated draws share one object
-                    for head in _needed_heads(a_s, d):
-                        if head.key not in deps:
-                            deps[head.key] = head
+                unique = dict.fromkeys(draws)  # repeated draws share one object
+                for i, _ in a_s:
+                    for d in unique:
+                        for head, _ in d.terms.get(i, ()):
+                            if head.key not in deps:
+                                deps[head.key] = head
                 for dep in reversed(deps.values()):
                     if (dep.key, kk - 1) not in entries:
                         stack.append([dep, kk - 1, None])
         else:
             _compute_entry(sim, memo, S, kk, config, reads)
             stack.pop()
-    return memo.value(prefix, k)
+    return entries[key]
 
 
 def _averaged(memo: MemoTable, prefix: Prefix, K: int) -> float:

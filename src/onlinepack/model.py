@@ -791,13 +791,14 @@ def tree_to_payload(tree: ExplicitScenarioTree) -> dict:
 
 
 def payload_to_tree(payload: dict) -> ExplicitScenarioTree:
-    _integers(payload)
-    tb = TreeBuilder(T=payload["T"], m=payload["m"], b=payload["b"],
+    _numbers(payload)
+    tb = TreeBuilder(T=payload["T"], m=payload["m"],
+                     b=[_number("b", x) for x in payload["b"]],
                      L=payload["L"], iota=float(payload["iota"]))
     by_id: dict[int, TreeNode] = {}
     for rec in payload["tree"]["nodes"]:
         prefix_id, parent_id = rec["prefix_id"], rec["parent_id"]
-        a = [(i, v) for i, v in rec.get("a", [])]
+        a = [(i, _number("a", v)) for i, v in rec.get("a", [])]
         # a float or bool id would be read as an integer (0.7 as resource 0)
         if not all(type(i) is int for i in (prefix_id, *(i for i, _ in a))) \
                 or type(parent_id) not in (int, type(None)):
@@ -811,7 +812,8 @@ def payload_to_tree(payload: dict) -> ExplicitScenarioTree:
         if obs is None:
             obs = [float(prefix_id)]  # synthesize a distinct observation
         by_id[prefix_id] = tb._attach(
-            parent, obs, float(rec["prob"]), float(rec["Z"]), _sorted_rcv(a))
+            parent, [_number("obs", x) for x in obs],
+            _number("prob", rec["prob"]), _number("Z", rec["Z"]), _sorted_rcv(a))
     return tb.build()
 
 
@@ -835,18 +837,33 @@ class LoadedInstance:
     payload: dict
 
 
-# the fields of instance records that hold integers
+# the fields of instance records that hold integers, and those that hold
+# real numbers
 _INTEGER_FIELDS = ("T", "m", "L", "V", "seed", "n_events", "n", "delta",
                    "n_offline", "n_online", "n_scenarios")
+_REAL_FIELDS = ("iota", "budget_ratio")
 
 
-def _integers(record: dict) -> dict:
-    """``record``, its integer fields checked: a float or bool is refused,
-    where ``int(2.5)`` would silently read 2."""
+def _number(name: str, value) -> float:
+    """The float of a JSON number (an integer or a float): a string or a
+    bool is refused, where ``float("1.0")`` or ``float(True)`` would
+    silently read it."""
+    if type(value) not in (int, float):
+        raise InstanceError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(record: dict) -> dict:
+    """``record``, its numeric fields checked: a float or bool is refused in
+    an integer field, where ``int(2.5)`` would silently read 2, and a
+    string or bool in a real one."""
     for name in _INTEGER_FIELDS:
         value = record.get(name)
         if value is not None and type(value) is not int:
             raise InstanceError(f"{name} must be an integer, got {value!r}")
+    for name in _REAL_FIELDS:
+        if name in record:
+            _number(name, record[name])
     return record
 
 
@@ -871,12 +888,12 @@ def load_instance_payload(payload: dict) -> LoadedInstance:
         if kind == "explicit":
             sim = tree_as_simulator(payload_to_tree(payload))
         elif kind == "generative":
-            gen = dict(_integers(payload.get("generator", {})))
+            gen = dict(_numbers(payload.get("generator", {})))
             family = gen.pop("family", None)
             if family != "nrm":
                 raise InstanceError(f"unknown generator family {family!r}")
             sim = generate_nrm(mode="generative", **gen)
-            structure = _integers(payload.get("structure", {}))
+            structure = _numbers(payload.get("structure", {}))
             if structure:
                 if set(structure) != {"V"}:
                     raise InstanceError(f"a structure record holds only V, "
@@ -885,7 +902,7 @@ def load_instance_payload(payload: dict) -> LoadedInstance:
                     sim.instance, V=structure["V"]))
         elif kind == "encoded":
             from .encodings import build_encoded  # encodings imports model
-            sim = build_encoded(_integers(payload["encoding"]))
+            sim = build_encoded(_numbers(payload["encoding"]))
         else:
             raise InstanceError(f"unknown instance kind {kind!r}")
     except (AttributeError, KeyError, OverflowError, TypeError,

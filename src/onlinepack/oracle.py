@@ -344,9 +344,6 @@ class EvalReport:
             "wall_time": self.wall_time,
         }, sort_keys=True)
 
-    CSV_FIELDS = ("mean_reward", "std_error", "episodes", "violation_count",
-                  "max_violation")
-
     def csv_row(self) -> dict:
         # wall_time is excluded so identical seeds give identical bytes
         return {

@@ -1,12 +1,14 @@
 """Static checks that ``src/onlinepack`` carries no dead code.
 
-Five kinds of leftovers are caught with the standard-library ``ast`` module:
+Six kinds of leftovers are caught with the standard-library ``ast`` module:
 an import a module never uses, a module-private (``_name``) function or
 method that nothing in the package references outside its own body, a
 module-level private assignment (``_NAME = ...``) that nothing in the
-package reads, a function parameter (other than ``self`` or ``cls``)
-that its body never reads, and a defaulted parameter of a private function
-that no call in the package passes.
+package reads, a class-level constant (a plain assignment in a class body,
+other than ``__slots__``) that nothing in the package reads, a function
+parameter (other than ``self`` or ``cls``) that its body never reads, and
+a defaulted parameter of a private function that no call in the package
+passes.
 ``__init__.py`` only re-exports the public API, so its imports count as used.
 """
 
@@ -71,15 +73,22 @@ def test_no_unreferenced_private_functions():
     assert dead == []
 
 
-def _unread_private_constants(modules: dict[str, ast.Module]) -> list[str]:
+def _reads(modules: dict[str, ast.Module]) -> Counter:
+    """Names read as a bare name or as an attribute anywhere in the package."""
     reads: Counter = Counter()
-    assigned = {}
-    for name, module in modules.items():
+    for module in modules.values():
         for sub in ast.walk(module):
             if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
                 reads[sub.id] += 1
             elif isinstance(sub, ast.Attribute):
                 reads[sub.attr] += 1
+    return reads
+
+
+def _unread_private_constants(modules: dict[str, ast.Module]) -> list[str]:
+    reads = _reads(modules)
+    assigned = {}
+    for name, module in modules.items():
         for stmt in module.body:
             if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) \
@@ -101,6 +110,36 @@ def test_unread_private_constant_is_caught():
                         "_UNREAD_DRAW = PathDraw(EMPTY_PREFIX, ())\n")
     modules = dict(_modules(), planted=planted)
     assert _unread_private_constants(modules) == ["_UNREAD_DRAW (planted:2)"]
+
+
+def _unread_class_constants(modules: dict[str, ast.Module]) -> list[str]:
+    """Plain assignments in a class body, other than ``__slots__``, whose
+    names nothing in the package reads."""
+    reads = _reads(modules)
+    unread = []
+    for name, module in modules.items():
+        for cls in (n for n in ast.walk(module) if isinstance(n, ast.ClassDef)):
+            for stmt in (s for s in cls.body if isinstance(s, ast.Assign)):
+                for sub in (n for t in stmt.targets for n in ast.walk(t)):
+                    if isinstance(sub, ast.Name) and sub.id != "__slots__" \
+                            and not reads[sub.id]:
+                        unread.append(f"{cls.name}.{sub.id} ({name}:{stmt.lineno})")
+    return sorted(unread)
+
+
+def test_no_unread_class_constants():
+    assert _unread_class_constants(_modules()) == []
+
+
+def test_unread_class_constant_is_caught():
+    planted = ast.parse("class _Report:\n"
+                        "    __slots__ = ('total',)\n"
+                        "    FIELDS = ('total', 'count')\n"
+                        "    SCALE = 2\n"
+                        "    def scaled(self):\n"
+                        "        return self.total * self.SCALE\n")
+    modules = dict(_modules(), planted=planted)
+    assert _unread_class_constants(modules) == ["_Report.FIELDS (planted:3)"]
 
 
 def _parameters(fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda):

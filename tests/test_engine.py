@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import one_node_tree, random_tree
 from onlinepack import engine, keys
-from onlinepack.encodings import encode_is, random_is_process
+from onlinepack.encodings import (encode_is, encode_mmo, encode_mwm,
+                                  random_is_process, random_mmo_process,
+                                  random_mwm_process)
 from onlinepack.engine import (MemoTable, SolverConfig, _clip01,
                                conditional_draws, decide_pen, leaf_grad_table,
                                recursive_R, run_algorithm1_explicit,
@@ -363,6 +366,21 @@ class TestRecursiveR:
         memo.put(p, 1, 0.5)
         with pytest.raises(MemoIntegrityError):
             memo.put(p, 1, 0.6)
+
+    def test_present_entry_is_returned_without_a_write(self):
+        tree = random_tree(seed=3, T=3, m=2)
+        sim = tree_as_simulator(tree)
+        cfg = make_config(K=4, eta1=2, eta2=2)
+        memo = MemoTable()
+        recursive_R(sim, memo, tree.prefixes()[-1], cfg.K, cfg)
+        entries, draws = list(memo.entries.items()), dict(memo.draws)
+        before = memo.counters()
+        prefixes = {p.key: p for p in tree.prefixes()}
+        for (key, k), value in entries:
+            assert recursive_R(sim, memo, prefixes[key], k, cfg) == value
+        assert list(memo.entries.items()) == entries
+        assert memo.draws == draws
+        assert memo.counters() == before
 
     def test_on_demand_is_lazier_than_sweep(self):
         tree = random_tree(seed=3, T=4, m=2, max_children=3)
@@ -792,13 +810,22 @@ def _nrm_handle(T):
                         mode="generative", n_events=4)
 
 
+@functools.lru_cache(maxsize=None)
+def _explicit_nrm_handle(T):
+    # 9,840 nodes at T = 8: built once per horizon, not once per example
+    return tree_as_simulator(generate_nrm(seed=5, T=T, m=3, L=2, iota=0.3,
+                                          budget_ratio=0.5))
+
+
 _COST_INSTANCES = {
     "generative-nrm": _nrm_handle,
-    "explicit-nrm": lambda T: tree_as_simulator(generate_nrm(
-        seed=5, T=min(T, 5), m=3, L=2, iota=0.3, budget_ratio=0.5)),
+    "explicit-nrm": lambda T: _explicit_nrm_handle(min(T, 8)),
     "random-tree": lambda T: tree_as_simulator(random_tree(
         T, T=min(T, 4), m=3, L=2, zero_mass_prob=0.5)),
     "is-encoding": lambda T: encode_is(random_is_process(T, min(T, 8), 2))[1],
+    "mwm-encoding": lambda T: encode_mwm(random_mwm_process(T, min(T, 8), 2))[1],
+    "mmo-encoding": lambda T: encode_mmo(random_mmo_process(
+        T, min(T, 4), min(T, 4), 2))[1],
 }
 
 
@@ -819,12 +846,16 @@ class TestCostTheorem:
              momentum="unaccelerated", seed=7, periods=[0, 24, 199])
     @example(kind="generative-nrm", T=400, K=4, eta1=3, eta2=3,
              momentum="accelerated", seed=8, periods=[1, 99, 300])
-    @example(kind="explicit-nrm", T=5, K=4, eta1=3, eta2=3,
-             momentum="accelerated", seed=9, periods=[0, 1, 2])
+    @example(kind="explicit-nrm", T=8, K=4, eta1=3, eta2=3,
+             momentum="accelerated", seed=9, periods=[0, 3, 7])
     @example(kind="random-tree", T=4, K=4, eta1=3, eta2=3,
              momentum="unaccelerated", seed=10, periods=[0, 1, 3])
     @example(kind="is-encoding", T=8, K=4, eta1=3, eta2=3,
              momentum="accelerated", seed=11, periods=[0, 3, 6])
+    @example(kind="mwm-encoding", T=8, K=4, eta1=3, eta2=3,
+             momentum="unaccelerated", seed=12, periods=[0, 3, 7])
+    @example(kind="mmo-encoding", T=8, K=4, eta1=3, eta2=3,
+             momentum="accelerated", seed=13, periods=[0, 4, 7])
     def test_decision_work_within_the_bound(self, kind, T, K, eta1, eta2,
                                             momentum, seed, periods):
         sim = _COST_INSTANCES[kind](T)
@@ -871,6 +902,62 @@ class TestCostTheorem:
         # K = 4, eta1 = eta2 = 3: r = 10, so 3 * 111 calls and 1,111 writes
         assert _cost_bounds(make_config(K=4, eta1=3, eta2=3)) == (333, 1111)
         assert _cost_bounds(make_config(K=1, eta1=3, eta2=3)) == (0, 1)
+
+
+@st.composite
+def _closure_cases(draw):
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(["random-tree", "generative-nrm", "is-encoding"]))
+    if kind == "random-tree":
+        m = draw(st.integers(1, 3))
+        sim = tree_as_simulator(random_tree(
+            seed, T=draw(st.integers(1, 4)), m=m, L=draw(st.integers(1, m)),
+            zero_mass_prob=0.5))
+    elif kind == "generative-nrm":
+        sim = _nrm_handle(draw(st.integers(1, 100)))
+    else:
+        sim = encode_is(random_is_process(seed, draw(st.integers(2, 8)), 2))[1]
+    T = sim.instance.T
+    cfg = make_config(K=draw(st.integers(1, 4)), eta1=draw(st.integers(1, 3)),
+                      eta2=draw(st.integers(1, min(3, T))),
+                      momentum=draw(st.sampled_from(["unaccelerated",
+                                                     "accelerated"])),
+                      master_seed=draw(st.integers(0, 2**31)))
+    traj = sim.complete(EMPTY_PREFIX, (seed, "episode"))
+    return sim, cfg, traj.head(draw(st.integers(1, T)))
+
+
+def _dependency_closure(sim, prefix, cfg):
+    """The (prefix key, level) pairs that decide_pen at ``prefix`` needs,
+    with draws from a table of its own: (S, k) needs (S, k-1) and, if k >= 2
+    and S requests resources, (h, k-1) for every head h in d.terms[i] of
+    its level-(k-1) draws d, for each resource i that S requests."""
+    drawn = MemoTable()
+    need, todo = set(), [(prefix, cfg.K)]
+    while todo:
+        S, k = todo.pop()
+        if k < 1 or (S.key, k) in need:
+            continue
+        need.add((S.key, k))
+        todo.append((S, k - 1))
+        a_s = sim.node(S)[1]
+        if k >= 2 and a_s:
+            for d in conditional_draws(sim, drawn, S, k - 1, cfg):
+                todo += [(h, k - 1) for i, _ in a_s for h, _ in d.terms.get(i, ())]
+    return need
+
+
+class TestDependencyClosure:
+    """One decision writes exactly the entries its gradients read, closed
+    under 'needs': no entry is missing, and none is written for nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_closure_cases())
+    def test_written_entries_are_the_closure(self, case):
+        sim, cfg, prefix = case
+        memo = MemoTable()
+        decide_pen(sim, memo, prefix, cfg)
+        assert set(memo.entries) == _dependency_closure(sim, prefix, cfg)
 
 
 def _theory_gap(mode):

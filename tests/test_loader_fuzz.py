@@ -8,7 +8,8 @@ value replaced.  Sizes stay small (T, n, n_events <= 8 in the valid
 payloads, integers <= 9 in the replacements) and the CLI plays one
 episode, so no example allocates or loops without bound.  Every JSON
 integer in the valid payloads is an id, a size, a seed or the schema
-version, so each must also refuse its float and bool twins.
+version, so each must also refuse its float and bool twins; every float is
+a number, so each must refuse its string and bool twins.
 """
 
 import contextlib
@@ -103,6 +104,11 @@ def _twins(value: int) -> list:
     return [float(value), value == 1]
 
 
+def _float_twins(value: float) -> list:
+    """The string and the bool that JSON would carry for a float."""
+    return [str(value), bool(value)]
+
+
 def _load_refuses(payload) -> bool:
     try:
         load_instance_payload(payload)
@@ -186,6 +192,16 @@ def _with_node(j=0, tree=None, **changes):
     _explicit(structure={"V": 1}),        # explicit trees derive V
     dict(_encoded(), structure={"V": 1}),
     dict(_generative(), structure={"U": 2, "V": 1, "W": 2}),
+    _explicit(iota="1.0"),                # float("1.0") would read 1.0
+    _explicit(b=["1.0"]),
+    _with_node(prob="1.0"),
+    _with_node(Z="0.5"),
+    _with_node(obs=["0"]),
+    _with_node(a=[[0, "1.0"]]),
+    _explicit(iota=True),                 # float(True) would read 1.0
+    _with_node(prob=True),
+    _with_node(Z=False),
+    _generative(iota=True, budget_ratio=True),
 ], ids=lambda p: json.dumps(p)[:48])
 def test_malformed_payload_is_an_instance_error(payload):
     with pytest.raises(InstanceError):
@@ -197,15 +213,28 @@ def test_valid_payloads_load():
         assert load_instance_payload(payload).sim.instance.T >= 1
 
 
-def test_every_integer_refuses_its_float_and_bool_twins():
-    # in the valid payloads every JSON integer is an id, a size, a seed or
-    # the schema version, and none may be read from a float or a bool
+def _twins_that_load(kind: type, twins) -> list:
+    """(path, twin) for each twin of a ``kind`` value in the valid payloads
+    that loads in that value's place."""
     loaded = []
     for payload in VALID:
-        for path in (p for p in _paths(payload) if type(_at(payload, p)) is int):
-            for twin in _twins(_at(payload, path)):
+        for path in (p for p in _paths(payload) if type(_at(payload, p)) is kind):
+            for twin in twins(_at(payload, path)):
                 mutant = json.loads(json.dumps(payload))
                 _at(mutant, path[:-1])[path[-1]] = twin
                 if not _load_refuses(mutant):
                     loaded.append((path, twin))
-    assert loaded == []
+    return loaded
+
+
+def test_every_integer_refuses_its_float_and_bool_twins():
+    # in the valid payloads every JSON integer is an id, a size, a seed or
+    # the schema version, and none may be read from a float or a bool
+    assert _twins_that_load(int, _twins) == []
+
+
+def test_every_float_refuses_its_string_and_bool_twins():
+    # every JSON float in the valid payloads is a budget, a probability, a
+    # reward, an observation entry, a consumption value, iota or a budget
+    # ratio, and none may be read from a string or a bool
+    assert _twins_that_load(float, _float_twins) == []
