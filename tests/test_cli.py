@@ -513,6 +513,15 @@ class TestGoldenOutputs:
                "policy_std_error": 0.020280246032767138, "violations": 0},
     }
 
+    # `run --trace` line count and sha256: lp on the tree (the RUN["lp"]
+    # row), nrm on a generative file with a smaller solver
+    TRACE = {
+        "lp": ("nrm.json", {"eta2": 2}, 300, 900,
+               "3bd3c543b4f248fe845e117939b1dae0eec4d190ec209422bf2ab8fcf3adb815"),
+        "nrm": ("gen.json", {"K": 4, "eta1": 2, "eta2": 2}, 20, 120,
+                "b2ac2048e553e72e2b918068da630606770ad64df3dafb7bef4bdbdd5ecde21a"),
+    }
+
     @pytest.fixture
     def instances(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # relative paths keep the CSV bytes fixed
@@ -520,6 +529,8 @@ class TestGoldenOutputs:
                 "--L", "2", "--iota", "0.4", "--rho", "0.6", "--out", "nrm.json")
         run_cli("gen", "--kind", "is", "--seed", "2", "--n", "6", "--delta",
                 "2", "--out", "is.json")
+        run_cli("gen", "--kind", "nrm", "--mode", "generative", "--seed", "2",
+                "--T", "6", "--out", "gen.json")
         return {"lp": ("nrm.json", 2), "is": ("is.json", 6)}
 
     @pytest.mark.parametrize("policy", ["lp", "is"])
@@ -534,6 +545,19 @@ class TestGoldenOutputs:
         header = "instance,policy,seed,episodes,mean_reward,std_error," \
             "violation_count,max_violation"
         assert capsys.readouterr().out == f"{header}\n{self.RUN[policy]}\n"
+
+    @pytest.mark.parametrize("policy", ["lp", "nrm"])
+    def test_run_trace(self, instances, policy, capsys):
+        instance, solver, episodes, n_lines, digest = self.TRACE[policy]
+        with open("exp.json", "w", encoding="utf-8") as fh:
+            json.dump({"instance": instance, "policy": policy,
+                       "solver": dict(self.SOLVER, **solver),
+                       "n_episodes": episodes}, fh)
+        assert run_cli("run", "--config", "exp.json",
+                       "--trace", "trace.jsonl") == 0
+        trace = Path("trace.jsonl").read_bytes()
+        assert len(trace.splitlines()) == n_lines
+        assert hashlib.sha256(trace).hexdigest() == digest
 
     @pytest.mark.parametrize("policy", ["lp", "is"])
     def test_verify_json(self, instances, policy, capsys):
