@@ -14,6 +14,7 @@ import json
 import os
 import sys
 
+from . import keys
 from .engine import MemoTable, SolverConfig, theory_params, theta_default
 from .errors import (ConfigError, FeasibilityAuditError, OnlinePackError)
 from .model import (SCHEMA_VERSION, LoadedInstance, demo_tree,
@@ -72,7 +73,8 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
     are pure in (master seed, prefix, level), so the table stays within
     nodes x K and each decision is computed once per run.  Generative
     instances, whose support is unbounded, get a fresh table per episode.
-    ``trace_sink``, if given, is called with one JSON line per decision.
+    ``trace_sink``, if given, is called with one JSON line per decision,
+    built here from the context the policy leaves behind.
     """
     sim = loaded.sim
     memo = MemoTable() if sim.tree is not None else None
@@ -83,16 +85,17 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
         raise ConfigError("policy 'mmo-greedy' needs an online-node encoded instance")
 
     def factory(episode: int):
-        ctx = new_episode_context(sim, config, episode, memo=memo,
-                                  trace=trace_sink is not None)
+        ctx = new_episode_context(sim, config, episode, memo=memo)
 
         def decide(prefix):
             if trace_sink is None:
                 return policy_fn(ctx, sim, prefix, config)
             before = ctx.memo.counters()
             value = policy_fn(ctx, sim, prefix, config)
-            rec = dict(ctx.trace[-1])
-            rec["episode"] = episode
+            rec = {"t": len(prefix), "episode": episode,
+                   "prefix_id": keys.key_digest(prefix.key).hex(),
+                   "fractional": ctx.fractional, "decision": value,
+                   "remaining": list(ctx.feas.remaining)}
             # the work this decision did, not the episode's running totals
             rec.update((name, count - before[name])
                        for name, count in ctx.memo.counters().items())

@@ -101,7 +101,10 @@ class EpisodeContext:
     independent-set threshold rounding.  ``memo`` is the table decide_pen
     computes the fractional values in; since its entries are pure in
     (master seed, prefix, level), episodes of one (instance, SolverConfig)
-    may share it.
+    may share it.  ``fractional`` is the last call's value before its
+    decision: decide_pen's x for lp, nrm and is, and for mmo-greedy the
+    FEAS-patched value of the period's edge in its block (0.0 on an
+    unrealized period).
     """
 
     memo: MemoTable
@@ -111,19 +114,23 @@ class EpisodeContext:
     epoch: int = 0
     pending_block: dict[int, tuple[int, float]] = field(default_factory=dict)
     matched_offline: set[int] = field(default_factory=set)
-    trace: list[dict] | None = None
+    fractional: float = 0.0
 
 
 def new_episode_context(sim: SimulatorHandle, config: SolverConfig,
-                        episode: int, memo: MemoTable | None = None,
-                        trace: bool = False) -> EpisodeContext:
-    """A context for ``episode``; a fresh ``MemoTable`` unless one is given."""
+                        episode: int,
+                        memo: MemoTable | None = None) -> EpisodeContext:
+    """A context for ``episode``; a fresh ``MemoTable`` unless one is given.
+
+    The context records no history: a caller that wants a per-decision
+    record reads ``fractional``, ``feas.remaining`` and ``memo.counters()``
+    after each call.
+    """
     return EpisodeContext(
         memo=memo if memo is not None else MemoTable(),
         feas=FeasState(sim.instance.b),
         shared_uniform=keys.uniform(config.master_seed, "is-uniform", episode),
         episode=episode,
-        trace=[] if trace else None,
     )
 
 
@@ -134,27 +141,13 @@ def _advance_epoch(ctx: EpisodeContext, prefix: Prefix) -> None:
     ctx.epoch += 1
 
 
-def _record(ctx: EpisodeContext, prefix: Prefix, fractional: float,
-            decision: float) -> None:
-    if ctx.trace is not None:
-        ctx.trace.append({
-            "t": len(prefix),
-            "prefix_id": keys.key_digest(prefix.key).hex(),
-            "fractional": fractional,
-            "decision": decision,
-            "remaining": list(ctx.feas.remaining),
-        })
-
-
 def policy_lp(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
               config: SolverConfig) -> float:
     """Fractional admissible policy: FEAS applied to the penalty decision."""
     _advance_epoch(ctx, prefix)
-    x = decide_pen(sim, ctx.memo, prefix, config)
+    x = ctx.fractional = decide_pen(sim, ctx.memo, prefix, config)
     _, a = sim.node(prefix)
-    val = ctx.feas.step(a, x)
-    _record(ctx, prefix, x, val)
-    return val
+    return ctx.feas.step(a, x)
 
 
 def policy_nrm(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
@@ -166,14 +159,11 @@ def policy_nrm(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
     (T of order iota^-2 eps^-2 m L), which is not enforced here.
     """
     _advance_epoch(ctx, prefix)
-    x = decide_pen(sim, ctx.memo, prefix, config)
+    x = ctx.fractional = decide_pen(sim, ctx.memo, prefix, config)
     r = round_bernoulli(x, (config.master_seed, "round", ctx.episode,
                             len(prefix)))
     _, a = sim.node(prefix)
-    patched = ctx.feas.step(a, float(r))
-    decision = floor_policy(patched)
-    _record(ctx, prefix, x, decision)
-    return decision
+    return floor_policy(ctx.feas.step(a, float(r)))
 
 
 def policy_is(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
@@ -222,12 +212,11 @@ def policy_mmo_greedy(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
     _advance_epoch(ctx, prefix)
     t = len(prefix)
     if t in ctx.pending_block:
-        decision, frac = ctx.pending_block.pop(t)
-        _record(ctx, prefix, frac, decision)
+        decision, ctx.fractional = ctx.pending_block.pop(t)
         return decision
     _, a = sim.node(prefix)
     if not a:  # unrealized period: no edge, decision zero
-        _record(ctx, prefix, 0.0, 0)
+        ctx.fractional = 0.0
         return 0
     if sim.block_lookup is None:
         raise InstanceError("online-node policy needs a block lookup")
@@ -252,5 +241,5 @@ def policy_mmo_greedy(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
         ctx.matched_offline.add(best[2])
     for s in range(t1 + 1, t2 + 1):
         ctx.pending_block[s] = (decisions[s], fracs[s - t1])
-    _record(ctx, prefix, fracs[0], decisions[t1])
+    ctx.fractional = fracs[0]
     return decisions[t1]

@@ -642,6 +642,43 @@ class TestMatchingGoldenOutputs:
             json.dumps(self.VERIFY[policy], indent=1, sort_keys=True) + "\n"
 
 
+# policy -> `gen` arguments of an instance it runs on
+_GEN = {
+    "lp": ("--kind", "demo2"),
+    "nrm": ("--kind", "nrm", "--mode", "generative", "--seed", "2",
+            "--T", "4"),
+    "is": ("--kind", "is", "--seed", "2", "--n", "6", "--delta", "2"),
+    "mwmlp": ("--kind", "mwm", "--seed", "3", "--n", "5", "--delta", "2"),
+    "mmo-greedy": ("--kind", "mmo", "--seed", "4", "--n-offline", "3",
+                   "--n-online", "3", "--delta", "2"),
+}
+
+
+@pytest.mark.parametrize("policy", list(_GEN))
+def test_trace_decision_is_the_returned_value(tmp_path, capsys, monkeypatch,
+                                              policy):
+    import onlinepack.cli as cli
+    inst, exp, trace = (tmp_path / f for f in ("i.json", "e.json", "t.jsonl"))
+    assert run_cli("gen", *_GEN[policy], "--out", str(inst)) == 0
+    exp.write_text(json.dumps({
+        "instance": str(inst), "policy": policy, "n_episodes": 8,
+        "solver": dict(TestGoldenOutputs.SOLVER, K=4, eta1=2, eta2=2)}))
+    returned = []
+    policy_fn = cli._POLICIES[policy]
+
+    def recording(*args):
+        returned.append(policy_fn(*args))
+        return returned[-1]
+
+    monkeypatch.setitem(cli._POLICIES, policy, recording)
+    assert run_cli("run", "--config", str(exp), "--trace", str(trace)) == 0
+    decisions = [json.loads(line)["decision"]
+                 for line in trace.read_text().splitlines()]
+    assert decisions == returned and len(decisions) > 0
+    if policy in ("nrm", "is", "mmo-greedy"):  # the integral policies
+        assert set(decisions) <= {0, 1}
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy serves the LP oracles only, which import it when they run
     src = str(Path(onlinepack.__file__).resolve().parent.parent)

@@ -419,11 +419,12 @@ class TestOneTablePerRun:
         for policy in (policy_lp, policy_nrm):
             for e in range(4):
                 traj = sim.complete(EMPTY_PREFIX, (master_seed, "episode", e))
-                ctxs = [new_episode_context(sim, cfg, e, memo=memo, trace=True)
+                ctxs = [new_episode_context(sim, cfg, e, memo=memo)
                         for memo in (shared, None, sweep)]
+                runs = [[] for _ in ctxs]
                 for t in range(1, T + 1):
-                    for ctx in ctxs:
-                        policy(ctx, sim, traj.head(t), cfg)
-                runs = [[(r["fractional"].hex(), float(r["decision"]).hex())
-                         for r in ctx.trace] for ctx in ctxs]
+                    for ctx, run in zip(ctxs, runs):
+                        decision = policy(ctx, sim, traj.head(t), cfg)
+                        run.append((ctx.fractional.hex(),
+                                    float(decision).hex()))
                 assert runs[0] == runs[1] == runs[2]
