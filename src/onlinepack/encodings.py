@@ -82,27 +82,35 @@ def _mixture_tree(T, m, L, iota, b, scenarios):
     """
     tb = TreeBuilder(T=T, m=m, b=b, L=L, iota=iota)
 
-    def expand(parent: Prefix | None, group, depth: int):
+    def children(parent: Prefix | None, group, depth: int):
+        """(parent, conditional mass, members, depth) of each child of
+        ``parent``, last observation first."""
         by_obs: dict[tuple, list] = {}
         for prob, periods in group:
-            obs, z, a = periods[depth]
-            by_obs.setdefault(obs, []).append((prob, periods))
+            by_obs.setdefault(periods[depth][0], []).append((prob, periods))
         parent_mass = sum(p for p, _ in group)
-        for obs, members in sorted(by_obs.items()):
+        out = []
+        for _, members in sorted(by_obs.items()):
             mass = sum(p for p, _ in members)
             cond = mass / parent_mass if parent_mass > 0 else 0.0
-            obs_row, z, a = members[0][1][depth]
-            for prob, periods in members[1:]:
-                _, z2, a2 = periods[depth]
-                if z2 != z or a2 != a:
-                    raise InstanceError(
-                        "scenarios disagree on a shared prefix; "
-                        "reward and consumption must be observation-measurable")
-            node = tb.add(parent, obs_row, cond, z=z, a=dict(a))
-            if depth + 1 < T:
-                expand(node, members, depth + 1)
+            out.append((parent, cond, members, depth))
+        return out[::-1]
 
-    expand(None, [(p, periods) for p, periods in scenarios], 0)
+    # pre-order with an explicit stack, so a horizon of any length builds:
+    # each node's subtree is added before its next sibling
+    stack = children(None, scenarios, 0)
+    while stack:
+        parent, cond, members, depth = stack.pop()
+        obs_row, z, a = members[0][1][depth]
+        for _, periods in members[1:]:
+            _, z2, a2 = periods[depth]
+            if z2 != z or a2 != a:
+                raise InstanceError(
+                    "scenarios disagree on a shared prefix; "
+                    "reward and consumption must be observation-measurable")
+        node = tb.add(parent, obs_row, cond, z=z, a=dict(a))
+        if depth + 1 < T:
+            stack.extend(children(node, members, depth + 1))
     return tb.build()
 
 

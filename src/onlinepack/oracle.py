@@ -69,7 +69,9 @@ def solve_pack_dp(tree: ExplicitScenarioTree) -> PackSolution:
     integer grid units, which merges equivalent states aggressively;
     otherwise they are tracked as exact float tuples, which is still exact
     on a tree because only finitely many decision histories reach any node.
-    The memo is capped; exceeding the cap raises rather than approximating.
+    The memo is capped, and so is the recursion's depth by the
+    interpreter's; exceeding either raises CapacityError rather than
+    approximating.
     """
     inst = tree.instance
     values = [v for p in tree.prefixes() for _, v in tree.node(p).a]
@@ -128,10 +130,14 @@ def solve_pack_dp(tree: ExplicitScenarioTree) -> PackSolution:
         return val
 
     total = 0.0
-    for rk in tree.root_keys:
-        root = tree.node(rk)
-        if root.mu > 0:
-            total += root.mu * best(rk, b_state)
+    try:
+        for rk in tree.root_keys:
+            root = tree.node(rk)
+            if root.mu > 0:
+                total += root.mu * best(rk, b_state)
+    except RecursionError:  # one frame per period
+        raise CapacityError(f"DP recursion over T = {inst.T} periods exceeds "
+                            f"the interpreter's depth limit") from None
     return PackSolution(value=total, policy=choice, grid=gridf)
 
 

@@ -642,6 +642,26 @@ class TestMatchingGoldenOutputs:
             json.dumps(self.VERIFY[policy], indent=1, sort_keys=True) + "\n"
 
 
+def test_tree_deeper_than_the_recursion_limit_runs_and_verifies(
+        tmp_path, capsys):
+    # 1,500 periods: one Python frame per period would exceed the limit.
+    # The file is what `gen --kind is --n 1500 --delta 2` writes, whose
+    # check loads it just as `run` does.
+    inst, exp = tmp_path / "is.json", tmp_path / "exp.json"
+    assert sys.getrecursionlimit() < 1500
+    inst.write_text(json.dumps({
+        "schema_version": SCHEMA_VERSION, "kind": "encoded",
+        "encoding": {"family": "is", "seed": 0, "n": 1500, "delta": 2}}))
+    exp.write_text(json.dumps({
+        "instance": str(inst), "policy": "is", "n_episodes": 1,
+        "solver": dict(TestGoldenOutputs.SOLVER, K=2, eta1=2, eta2=2)}))
+    assert run_cli("run", "--config", str(exp)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--instance", str(inst), "--policy", "is",
+                   "--episodes", "1", "--K", "2", "--eta1", "2") in (0, 3)
+    assert json.loads(capsys.readouterr().out)["OPT_pack"] is None
+
+
 # policy -> `gen` arguments of an instance it runs on
 _GEN = {
     "lp": ("--kind", "demo2"),
