@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from . import keys
 from .errors import InstanceError, SupportError
-from .model import Prefix, SimulatorHandle, TreeBuilder, tree_as_simulator
+from .model import (Prefix, SimulatorHandle, TreeBuilder, _check_sizes,
+                    tree_as_simulator)
 
 _PAD = -1.0
 
@@ -387,11 +388,23 @@ def build_encoded(encoding: dict) -> SimulatorHandle:
 
     The record names the family ("is", "mwm" or "mmo") and the parameters
     of its random process generator; the handle carries the explicit tree.
+    The sizes the record implies (T, m and the periods of all scenarios)
+    are checked against the instance size cap before anything is built.
     """
     family = encoding.get("family")
     builder = _BUILDERS.get(family)
     if builder is None:
         raise InstanceError(f"unknown encoding family {family!r}")
+    if family == "mmo":
+        n_off, n_on = encoding["n_offline"], encoding["n_online"]
+        _check_sizes({"n_offline": n_off, "n_online": n_on})
+        n = n_off + n_on
+    else:
+        n = encoding["n"]
+    edges = (encoding["delta"] * n) // 2  # is: m; mwm and mmo: T
+    T, m = (n, edges) if family == "is" else (edges, n)
+    _check_sizes({"T": T, "m": m, "n_scenarios x T":
+                  encoding.get("n_scenarios", 3) * max(T, 1)})
     _, sim = builder(encoding)
     return sim
 

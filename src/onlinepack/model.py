@@ -599,7 +599,17 @@ def demo_tree() -> ExplicitScenarioTree:
 # ---------------------------------------------------------------------------
 
 _NRM_URN_BONUS = 0.5
-_NRM_NODE_CAP = 100_000
+# the most nodes of a generated explicit tree, and the largest size (T, m,
+# event codes, encoding nodes, scenario periods) an instance may ask for
+_INSTANCE_SIZE_CAP = 100_000
+
+
+def _check_sizes(sizes: Mapping[str, int]) -> None:
+    """Refuse, before anything is built, a size above the instance cap."""
+    for name, value in sizes.items():
+        if value > _INSTANCE_SIZE_CAP:
+            raise InstanceError(f"{name} = {value} exceeds the instance size "
+                                f"cap {_INSTANCE_SIZE_CAP}")
 
 
 class _NrmTables:
@@ -673,7 +683,7 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
     """Reproducible correlated-demand instance.
 
     ``mode="explicit"`` enumerates the full scenario tree (capped at
-    ``_NRM_NODE_CAP`` nodes); ``mode="generative"`` returns a
+    ``_INSTANCE_SIZE_CAP`` nodes); ``mode="generative"`` returns a
     SimulatorHandle for the same process without enumeration.  Budgets
     are ``budget_ratio * T`` for every resource, so nu equals the ratio by
     construction.
@@ -685,9 +695,9 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
 
     if mode == "explicit":
         count = sum(n_events ** t for t in range(1, T + 1))
-        if count > _NRM_NODE_CAP:
-            raise CapacityError(
-                f"explicit tree needs {count} nodes, cap is {_NRM_NODE_CAP}")
+        if count > _INSTANCE_SIZE_CAP:
+            raise CapacityError(f"explicit tree needs {count} nodes, cap is "
+                                f"{_INSTANCE_SIZE_CAP}")
         tb = TreeBuilder(T=T, m=m, b=b, L=L, iota=iota)
         frontier: list[tuple[Prefix | None, tuple[int, ...], int]] = \
             [(None, (0,) * n_events, 0)]
@@ -875,6 +885,9 @@ def load_instance_payload(payload: dict) -> LoadedInstance:
     ``schema_version`` must be the integer ``SCHEMA_VERSION``.  Only a
     generative payload may carry a ``structure`` record, and only with the
     key ``V``: explicit and encoded instances derive their constants.
+    A generative or encoded payload that asks for a size above
+    ``_INSTANCE_SIZE_CAP`` is refused before anything is built; an explicit
+    one holds its tree, so the file bounds it.
     """
     try:
         kind = payload.get("kind")
@@ -892,6 +905,8 @@ def load_instance_payload(payload: dict) -> LoadedInstance:
             family = gen.pop("family", None)
             if family != "nrm":
                 raise InstanceError(f"unknown generator family {family!r}")
+            _check_sizes({name: gen.get(name, 0)
+                          for name in ("T", "m", "n_events")})
             sim = generate_nrm(mode="generative", **gen)
             structure = _numbers(payload.get("structure", {}))
             if structure:

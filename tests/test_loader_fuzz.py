@@ -5,8 +5,10 @@ it cannot load must raise an ``OnlinePackError`` subclass, and ``onlinepack
 run`` on such a file must exit 2 without a traceback.  The properties run
 over arbitrary JSON values and over valid payloads with a key dropped or a
 value replaced.  Sizes stay small (T, n, n_events <= 8 in the valid
-payloads, integers <= 9 in the replacements) and the CLI plays one
-episode, so no example allocates or loops without bound.  Every JSON
+payloads) and the CLI plays one episode.  A replacement integer is either
+at most 9 or above the instance size cap, up to 10^9: the loader must
+refuse every size above the cap before it builds anything, so no example
+allocates or loops without bound.  Every JSON
 integer in the valid payloads is an id, a size, a seed or the schema
 version, so each must also refuse its float and bool twins; every float is
 a number, so each must refuse its string and bool twins.
@@ -24,15 +26,17 @@ from hypothesis import strategies as st
 
 from onlinepack.cli import main
 from onlinepack.errors import InstanceError, OnlinePackError
-from onlinepack.model import (demo_tree, generate_nrm, generative_payload,
-                              load_instance_payload, tree_to_payload)
+from onlinepack.model import (_INSTANCE_SIZE_CAP, demo_tree, generate_nrm,
+                              generative_payload, load_instance_payload,
+                              tree_to_payload)
 
 FIELDS = ["kind", "T", "m", "b", "L", "iota", "tree", "nodes", "prefix_id",
           "parent_id", "prob", "Z", "a", "obs", "structure", "U", "generator",
           "family", "seed", "budget_ratio", "n_events", "encoding", "n",
           "delta", "n_offline", "n_online", "n_scenarios"]
 
-scalars = (st.none() | st.booleans() | st.integers(-3, 9)
+above_cap = st.integers(_INSTANCE_SIZE_CAP + 1, 10 ** 9)
+scalars = (st.none() | st.booleans() | st.integers(-3, 9) | above_cap
            | st.floats(allow_nan=True, allow_infinity=True)
            | st.sampled_from(["", "x", "3", "nrm", "is", "mwm", "mmo",
                               "explicit", "generative", "encoded"]))
@@ -165,45 +169,80 @@ def _with_node(j=0, tree=None, **changes):
     return payload
 
 
-@pytest.mark.parametrize("payload", [
-    [],                                   # AttributeError: a list
-    {"kind": "explicit"},                 # KeyError: 'T'
-    _explicit(T="x"),                     # ValueError at int("x")
-    _with_node(a=[[0, 1.0, 2.0]]),        # ValueError: a pair of length 3
-    _with_node(obs="ab"),                 # ValueError: float("a")
-    _generative(node_cap=5),              # TypeError: unknown generator key
-    _generative(n_events="3"),            # TypeError: a string count
-    _encoded(n="4"),                      # TypeError: a string size
-    _explicit(iota=10 ** 400),            # OverflowError at float()
-    _explicit(T=2.5),                     # int(2.5) would give T = 2
-    _explicit(T=2.0),
-    _explicit(m=True),
-    _generative(T=3.0),
-    _encoded(delta=2.0),
-    {k: v for k, v in _explicit().items() if k != "tree"},
-    _with_node(a=[[0.7, 1.0]]),           # int(0.7) would read resource 0
-    _with_node(a=[[True, 1.0]], tree=generate_nrm(   # bool(1) as resource 1
+# case name (the field it breaks) -> payload
+MALFORMED = {
+    "payload-is-a-list": [],                    # AttributeError
+    "explicit-without-T": {"kind": "explicit"},  # KeyError: 'T'
+    "T-string": _explicit(T="x"),
+    "node-a-pair-of-three": _with_node(a=[[0, 1.0, 2.0]]),
+    "node-obs-string": _with_node(obs="ab"),    # ValueError: float("a")
+    "generator-unknown-key": _generative(node_cap=5),
+    "generator-n_events-string": _generative(n_events="3"),
+    "encoding-n-string": _encoded(n="4"),
+    "iota-overflow": _explicit(iota=10 ** 400),  # OverflowError at float()
+    "T-float": _explicit(T=2.5),                # int(2.5) would give T = 2
+    "T-integral-float": _explicit(T=2.0),
+    "m-bool": _explicit(m=True),
+    "generator-T-float": _generative(T=3.0),
+    "encoding-delta-float": _encoded(delta=2.0),
+    "explicit-without-tree":
+        {k: v for k, v in _explicit().items() if k != "tree"},
+    "node-resource-id-float": _with_node(a=[[0.7, 1.0]]),  # not resource 0
+    "node-resource-id-bool": _with_node(a=[[True, 1.0]], tree=generate_nrm(
         seed=1, T=2, m=2, L=2, iota=0.4, budget_ratio=0.5)),
-    _with_node(1, parent_id=0.0),
-    _with_node(prefix_id=0.0),
-    _explicit(schema_version=99),
-    _explicit(schema_version="1"),
-    _explicit(schema_version=1.0),
-    _explicit(structure={"V": 1}),        # explicit trees derive V
-    dict(_encoded(), structure={"V": 1}),
-    dict(_generative(), structure={"U": 2, "V": 1, "W": 2}),
-    _explicit(iota="1.0"),                # float("1.0") would read 1.0
-    _explicit(b=["1.0"]),
-    _with_node(prob="1.0"),
-    _with_node(Z="0.5"),
-    _with_node(obs=["0"]),
-    _with_node(a=[[0, "1.0"]]),
-    _explicit(iota=True),                 # float(True) would read 1.0
-    _with_node(prob=True),
-    _with_node(Z=False),
-    _generative(iota=True, budget_ratio=True),
-], ids=lambda p: json.dumps(p)[:48])
+    "node-parent_id-float": _with_node(1, parent_id=0.0),
+    "node-prefix_id-float": _with_node(prefix_id=0.0),
+    "schema_version-99": _explicit(schema_version=99),
+    "schema_version-string": _explicit(schema_version="1"),
+    "schema_version-float": _explicit(schema_version=1.0),
+    "explicit-structure": _explicit(structure={"V": 1}),  # trees derive V
+    "encoded-structure": dict(_encoded(), structure={"V": 1}),
+    "structure-U-and-W":
+        dict(_generative(), structure={"U": 2, "V": 1, "W": 2}),
+    "iota-string": _explicit(iota="1.0"),       # float("1.0") would read 1.0
+    "b-string": _explicit(b=["1.0"]),
+    "node-prob-string": _with_node(prob="1.0"),
+    "node-Z-string": _with_node(Z="0.5"),
+    "node-obs-entry-string": _with_node(obs=["0"]),
+    "node-a-value-string": _with_node(a=[[0, "1.0"]]),
+    "iota-bool": _explicit(iota=True),          # float(True) would read 1.0
+    "node-prob-bool": _with_node(prob=True),
+    "node-Z-bool": _with_node(Z=False),
+    "generator-iota-and-budget_ratio-bool":
+        _generative(iota=True, budget_ratio=True),
+    # sizes that would exhaust memory or time, refused before any build
+    "generator-T-above-cap": _generative(T=10 ** 8),
+    "generator-m-above-cap": _generative(m=10 ** 6),
+    "generator-n_events-above-cap": _generative(n_events=10 ** 6),
+    "is-T-above-cap": _encoded(n=10 ** 6),
+    "is-implied-m-above-cap": _encoded(delta=10 ** 5),
+    "mwm-implied-T-above-cap": _encoded(family="mwm", n=1000, delta=1000),
+    "mmo-n_offline-above-cap": {"kind": "encoded", "encoding": {
+        "family": "mmo", "seed": 1, "n_offline": 10 ** 9,
+        "n_online": 2 - 10 ** 9, "delta": 2}},
+    "n_scenarios-x-T-above-cap": _encoded(n_scenarios=50_000),
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_payload_is_an_instance_error(payload):
+    with pytest.raises(InstanceError):
+        load_instance_payload(payload)
+
+
+# the fields that size what a generative or encoded payload builds
+SIZES = {"T", "m", "n_events", "n", "delta", "n_offline", "n_online",
+         "n_scenarios"}
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_every_size_above_the_cap_is_refused(data):
+    payload = json.loads(json.dumps(data.draw(st.sampled_from(VALID))))
+    payload.get("encoding", {}).setdefault("n_scenarios", 3)
+    path = data.draw(st.sampled_from(
+        [p for p in _paths(payload) if p and p[-1] in SIZES]))
+    _at(payload, path[:-1])[path[-1]] = data.draw(above_cap)
     with pytest.raises(InstanceError):
         load_instance_payload(payload)
 
@@ -238,3 +277,17 @@ def test_every_float_refuses_its_string_and_bool_twins():
     # reward, an observation entry, a consumption value, iota or a budget
     # ratio, and none may be read from a string or a bool
     assert _twins_that_load(float, _float_twins) == []
+
+
+def test_run_refuses_a_horizon_above_the_cap(tmp_path, capsys):
+    # a horizon the first decision could not simulate in memory
+    inst, exp = tmp_path / "inst.json", tmp_path / "exp.json"
+    inst.write_text(json.dumps(_generative(T=10 ** 8)))
+    exp.write_text(json.dumps({
+        "instance": str(inst), "policy": "nrm",
+        "solver": {"epsilon": 0.2, "theta": 0.5, "alpha": 0.1, "K": 2,
+                   "eta1": 2, "eta2": 1, "master_seed": 3}}))
+    assert main(["run", "--config", str(exp), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "T = 100000000 exceeds the instance size cap" in err
+    assert "Traceback" not in err
