@@ -26,6 +26,9 @@ from .oracle import (eval_policy_mc, reports_to_csv, solve_lp_explicit,
 from .policies import (mwm_scaled_epsilon, new_episode_context, policy_is,
                        policy_lp, policy_mmo_greedy, policy_nrm)
 
+# the keys an experiment config may hold; any other is refused, not ignored
+_RUN_KEYS = ("schema_version", "instance", "policy", "solver", "n_episodes",
+             "out")
 # policy name -> decision function; mwmlp is lp under mwm_scaled_epsilon
 _POLICIES = {"lp": policy_lp, "nrm": policy_nrm, "is": policy_is,
              "mwmlp": policy_lp, "mmo-greedy": policy_mmo_greedy}
@@ -168,9 +171,25 @@ def cmd_run(args) -> int:
             exp = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(exp, dict):
+        raise ConfigError("experiment config must be a JSON object")
+    unknown = sorted(set(exp) - set(_RUN_KEYS))
+    if unknown:
+        raise ConfigError(f"experiment config has unknown keys {unknown}; "
+                          f"it takes only {', '.join(_RUN_KEYS)}")
+    version = exp.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"experiment config schema_version {version!r} is "
+                          f"not {SCHEMA_VERSION}")
     for key in ("instance", "policy", "solver"):
         if key not in exp:
             raise ConfigError(f"experiment config is missing {key!r}")
+    for key, kind in (("instance", str), ("policy", str), ("solver", dict),
+                      ("out", str)):
+        if key in exp and not isinstance(exp[key], kind):
+            raise ConfigError(f"experiment config {key} must be a "
+                              f"{'string' if kind is str else 'JSON object'}, "
+                              f"got {exp[key]!r}")
     if exp["policy"] not in _POLICIES:
         raise ConfigError(f"unknown policy {exp['policy']!r}")
     out = args.out or exp.get("out")

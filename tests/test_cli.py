@@ -123,7 +123,6 @@ class TestRun:
                        "eta1": 8, "eta2": 2, "master_seed": 5,
                        "practical_override": True},
             "n_episodes": episodes,
-            "seed": 5,
         }
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(cfg))
@@ -379,6 +378,39 @@ class TestRun:
         exp = self.write_experiment(tmp_path, episodes=5)
         assert run_cli("run", "--config", str(exp)) == 4
         assert "feasibility audit failed: forced" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes", [
+        {"seed": 7}, {"n_epsiodes": 5}, {"schema_version": "1"},
+        {"schema_version": 1.0}, {"schema_version": True},
+        {"schema_version": 2}, {"solver": 3}, {"policy": ["lp"]},
+        {"instance": 3}, {"out": 3}],
+        ids=["seed", "typo", "version-string", "version-float",
+             "version-bool", "version-2", "solver-number", "policy-list",
+             "instance-number", "out-number"])
+    def test_config_key_run_does_not_read_exits_2(self, tmp_path, capsys,
+                                                  changes):
+        exp = self.write_experiment(tmp_path, episodes=5)
+        exp.write_text(json.dumps(dict(json.loads(exp.read_text()),
+                                       **changes)))
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(exp)) == 2
+        captured = capsys.readouterr()
+        assert "config error: experiment config" in captured.err
+        assert captured.out == ""
+
+    def test_readme_example_config_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md")
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("An experiment config is JSON:")[1]
+        cfg = json.loads(block.split("```json")[1].split("```")[0])
+        inst = tmp_path / "nrm.json"
+        run_cli("gen", "--kind", "nrm", "--seed", "7", "--T", "5", "--m", "3",
+                "--L", "2", "--iota", "0.3", "--rho", "0.5", "--out", str(inst))
+        cfg["instance"] = str(inst)
+        cfg["solver"].update(K=4, eta1=2)  # the example's sizes, scaled down
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(exp), "--episodes", "2") == 0
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 2

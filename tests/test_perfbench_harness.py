@@ -4,8 +4,9 @@
 ``SolverConfig`` fields, the handle's ``readout``, the probe targets of
 ``spans.PROBES``), and its own suite is not part of this one.  This test
 imports the harness unedited and plays one short round of every workload
-through ``workloads.Loop``, untraced and then under a ``spans.Tracer``, so
-a library change that breaks the benchmark fails here.
+through ``workloads.Loop``, untraced and then under a ``spans.Tracer``,
+and runs the CLI on the experiment config the harness writes, so a library
+or CLI change that breaks the benchmark fails here.
 """
 
 import sys
@@ -41,3 +42,15 @@ def test_round_plays_untraced_and_traced(name):
     assert not any(checks.decision_out_of_range(x, w.integral)
                    for x in plain.decisions)
     assert tracer.skipped == []
+
+
+def test_cli_reads_the_harness_config(monkeypatch, tmp_path):
+    # the config perfbench writes for `onlinepack run` loads, and the CLI
+    # prints the library's mean_reward bits, as the tree workload checks
+    monkeypatch.setattr(workloads, "OUT_DIR", tmp_path)
+    op, _ = workloads.import_onlinepack()
+    w = workloads.WORKLOADS["tree-nrm-oracle"]
+    s = workloads.setup(op, w, with_oracles=False)
+    loop = workloads.Loop(op, w, s, seed=1)
+    lib = loop.run_round(workloads.SOLVER_SEED, 2)
+    assert workloads.cli_mean_reward(loop, s, 2) == repr(lib.mean_reward)
