@@ -312,12 +312,12 @@ def random_is_process(seed: int, n: int, delta: int,
     if "L" not in partite or "R" not in partite:
         partite = tuple("L" if j % 2 == 0 else "R" for j in range(n))
     probs = _normalized_probs(gen, n_scenarios)
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if partite[u] != partite[v]]
     scenarios = []
     for p in probs:
         degree = [0] * n
         edges = []
-        candidates = [(u, v) for u in range(n) for v in range(u + 1, n)
-                      if partite[u] != partite[v]]
         for idx in gen.permutation(len(candidates)):
             u, v = candidates[idx]
             if degree[u] < delta and degree[v] < delta and gen.random() < 0.6:
@@ -335,11 +335,11 @@ def random_mwm_process(seed: int, n: int, delta: int,
     """Random mixture of edge-arrival sequences for the matching encoding."""
     gen = keys.generator(seed, "mwm-process")
     probs = _normalized_probs(gen, n_scenarios)
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
     scenarios = []
     for p in probs:
         degree = [0] * n
         edges = []
-        candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for idx in gen.permutation(len(candidates)):
             u, v = candidates[idx]
             if degree[u] < delta and degree[v] < delta and gen.random() < 0.5:

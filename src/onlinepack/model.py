@@ -827,16 +827,12 @@ def payload_to_tree(payload: dict) -> ExplicitScenarioTree:
     return tb.build()
 
 
-def generative_payload(family: str, params: dict,
-                       structure: dict | None = None) -> dict:
-    payload = {
+def generative_payload(family: str, params: dict) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": "generative",
         "generator": {"family": family, **params},
     }
-    if structure:
-        payload["structure"] = structure
-    return payload
 
 
 @dataclass(frozen=True)

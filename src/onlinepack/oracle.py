@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
@@ -31,6 +28,9 @@ from .penalty import _reward, exact_grad_f_theta, eval_f_theta
 _AUDIT_TOL = 1e-9
 _DP_STATE_CAP = 1_000_000
 _LP_DIM_CAP = 10_000
+_ENUM_CAP = 22
+_PEN_TOL = 1e-8
+_PEN_MAX_ITERS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -38,64 +38,23 @@ _LP_DIM_CAP = 10_000
 # ---------------------------------------------------------------------------
 
 
-def _common_grid(values) -> Fraction | None:
-    """A rational grid g such that every value is an integer multiple of g."""
-    grid: Fraction | None = None
-    for v in values:
-        f = Fraction(v).limit_denominator(512)
-        if abs(float(f) - v) > 1e-9:
-            return None
-        if f == 0:
-            continue
-        grid = f if grid is None else Fraction(
-            math.gcd(grid.numerator * f.denominator, f.numerator * grid.denominator),
-            grid.denominator * f.denominator,
-        )
-    return grid
-
-
 @dataclass(frozen=True)
 class PackSolution:
     value: float
     policy: Mapping[tuple[bytes, tuple], int]
-    grid: float | None
 
 
 def solve_pack_dp(tree: ExplicitScenarioTree) -> PackSolution:
     """Exact optimum of the integer program by backward induction.
 
-    The state is (node, remaining budget vector).  When consumption and
-    budget values share a rational grid the remainders are tracked in
-    integer grid units, which merges equivalent states aggressively;
-    otherwise they are tracked as exact float tuples, which is still exact
-    on a tree because only finitely many decision histories reach any node.
-    The memo is capped, and so is the recursion's depth by the
-    interpreter's; exceeding either raises CapacityError rather than
-    approximating.
+    The state is (node, remaining budget vector), the remainders kept as
+    exact float tuples; an arrival fits when each budget it requests has at
+    least its consumption left, within 1e-9.  This is exact on a tree
+    because only finitely many decision histories reach any node.  The
+    memo is capped, and so is the recursion's depth by the interpreter's;
+    exceeding either raises CapacityError rather than approximating.
     """
     inst = tree.instance
-    values = [v for p in tree.prefixes() for _, v in tree.node(p).a]
-    values.extend(inst.b)
-    grid = _common_grid(values)
-    gridf = float(grid) if grid is not None else None
-
-    if grid is not None:
-        b_state = tuple(int(round(x / gridf)) for x in inst.b)
-
-        def need_of(pairs):
-            return {i: int(round(v / gridf)) for i, v in pairs}
-
-        def feasible(rem, need):
-            return all(rem[i] >= u for i, u in need.items())
-    else:
-        b_state = tuple(inst.b)
-
-        def need_of(pairs):
-            return dict(pairs)
-
-        def feasible(rem, need):
-            return all(rem[i] >= u - _AUDIT_TOL for i, u in need.items())
-
     memo: dict[tuple[bytes, tuple], float] = {}
     choice: dict[tuple[bytes, tuple], int] = {}
 
@@ -105,9 +64,10 @@ def solve_pack_dp(tree: ExplicitScenarioTree) -> PackSolution:
         if cached is not None:
             return cached
         node = tree.node(node_key)
-        need = need_of(node.a)
+        need = dict(node.a)
+        fits = all(rem[i] >= u - _AUDIT_TOL for i, u in need.items())
         options = []
-        for d in (0, 1) if feasible(rem, need) else (0,):
+        for d in (0, 1) if fits else (0,):
             rem_after = rem
             if d and need:
                 rem_list = list(rem)
@@ -134,19 +94,20 @@ def solve_pack_dp(tree: ExplicitScenarioTree) -> PackSolution:
         for rk in tree.root_keys:
             root = tree.node(rk)
             if root.mu > 0:
-                total += root.mu * best(rk, b_state)
+                total += root.mu * best(rk, tuple(inst.b))
     except RecursionError:  # one frame per period
         raise CapacityError(f"DP recursion over T = {inst.T} periods exceeds "
                             f"the interpreter's depth limit") from None
-    return PackSolution(value=total, policy=choice, grid=gridf)
+    return PackSolution(value=total, policy=choice)
 
 
-def enumerate_pack(tree: ExplicitScenarioTree, cap: int = 22) -> float:
+def enumerate_pack(tree: ExplicitScenarioTree) -> float:
     """Brute-force optimum over all 0/1 assignments; oracle for the DP."""
     prefixes = tree.prefixes()
     n = len(prefixes)
-    if n > cap:
-        raise CapacityError(f"{n} decision nodes exceed enumeration cap {cap}")
+    if n > _ENUM_CAP:
+        raise CapacityError(
+            f"{n} decision nodes exceed enumeration cap {_ENUM_CAP}")
     inst = tree.instance
     index = {k: j for j, k in enumerate(tree.order)}
     leaf_rows = []
@@ -259,14 +220,13 @@ def solve_pen_lp(tree: ExplicitScenarioTree):
     return float(-res.fun)
 
 
-def solve_pen_explicit(tree: ExplicitScenarioTree, theta: float,
-                       tol: float = 1e-8, max_iters: int = 200_000):
+def solve_pen_explicit(tree: ExplicitScenarioTree, theta: float):
     """Optimum of the smoothed penalty program by projected gradient ascent.
 
     Deterministic full-gradient ascent on the exact conditional-expectation
     gradient, with the step implied by the objective's smoothness bound and
     Nesterov momentum restarted whenever it stops helping.  Stops when the
-    gradient mapping's sup norm falls below ``tol``.
+    gradient mapping's sup norm falls below 1e-8.
     """
     inst = tree.instance
     consts = derive_structure_constants(tree)
@@ -278,7 +238,7 @@ def solve_pen_explicit(tree: ExplicitScenarioTree, theta: float,
     prev = x
     since_restart = 0
     check_every = 20
-    for it in range(max_iters):
+    for it in range(_PEN_MAX_ITERS):
         beta = (since_restart - 1) / (since_restart + 2) if since_restart >= 1 else 0.0
         probe = {k: x[k] + beta * (x[k] - prev[k]) for k in keys_order}
         g = exact_grad_f_theta(tree, probe, theta)
@@ -295,17 +255,18 @@ def solve_pen_explicit(tree: ExplicitScenarioTree, theta: float,
         since_restart = 0 if progress < 0 else since_restart + 1
         # stationarity is certified at the accepted point, not the probe;
         # the exact check is amortized over a window once movement is small
-        if raw_move <= tol or it % check_every == check_every - 1:
+        if raw_move <= _PEN_TOL or it % check_every == check_every - 1:
             g_here = exact_grad_f_theta(tree, x, theta)
             sup = 0.0
             for k in keys_order:
                 moved = x[k] + step * g_here[k]
                 moved = 0.0 if moved < 0.0 else (1.0 if moved > 1.0 else moved)
                 sup = max(sup, abs(moved - x[k]) / step)
-            if sup <= tol:
+            if sup <= _PEN_TOL:
                 return eval_f_theta(tree, x, theta), x
     raise ConvergenceError(
-        f"projected ascent did not reach tol {tol} in {max_iters} iterations")
+        f"projected ascent did not reach tol {_PEN_TOL} in {_PEN_MAX_ITERS} "
+        f"iterations")
 
 
 def eval_policy_exact(tree: ExplicitScenarioTree,
@@ -324,11 +285,13 @@ def eval_policy_exact(tree: ExplicitScenarioTree,
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Monte Carlo score of a policy with its feasibility audit.
+    """Monte Carlo score of a policy that passed its feasibility audit.
 
-    ``per_resource_max`` is the largest budget excess seen for each resource
-    across all episodes (zero means the budget always held); ``max_violation``
-    is its maximum.
+    ``eval_policy_mc`` raises on the first episode that overdraws a budget,
+    so a report exists only for a clean run: ``violation_count`` is 0 by
+    construction and ``max_violation`` is the largest budget excess within
+    the 1e-9 tolerance, across all episodes and resources (zero means every
+    budget held exactly).
     """
 
     mean_reward: float
@@ -336,22 +299,8 @@ class EvalReport:
     episodes: int
     violation_count: int
     max_violation: float
-    wall_time: float
-    per_resource_max: tuple[float, ...] = ()
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "mean_reward": self.mean_reward,
-            "std_error": self.std_error,
-            "episodes": self.episodes,
-            "violation_count": self.violation_count,
-            "max_violation": self.max_violation,
-            "per_resource_max": list(self.per_resource_max),
-            "wall_time": self.wall_time,
-        }, sort_keys=True)
 
     def csv_row(self) -> dict:
-        # wall_time is excluded so identical seeds give identical bytes
         return {
             "mean_reward": repr(self.mean_reward),
             "std_error": repr(self.std_error),
@@ -365,24 +314,21 @@ PolicyFactory = Callable[[int], Callable[[Prefix], float]]
 
 
 def eval_policy_mc(sim: SimulatorHandle, policy_factory: PolicyFactory,
-                   n_episodes: int, seed: int,
-                   audit: bool = True) -> EvalReport:
+                   n_episodes: int, seed: int) -> EvalReport:
     """Score a streaming policy over independent episodes.
 
     ``policy_factory(episode)`` must return a fresh per-episode decision
     callable.  Every episode is audited against the budgets; any violation
-    beyond 1e-9 aborts the evaluation with the offending trace.
-    ``n_episodes`` must be an int >= 1.
+    beyond 1e-9 aborts the evaluation with FeasibilityAuditError carrying
+    the offending trace.  ``n_episodes`` must be an int >= 1.
     """
     if isinstance(n_episodes, bool) or not isinstance(n_episodes, int) \
             or n_episodes < 1:
         raise ParameterError(
             f"episode count must be an integer >= 1, got {n_episodes!r}")
     inst = sim.instance
-    start = time.perf_counter()
     rewards = np.empty(n_episodes)
-    per_resource = [0.0] * inst.m
-    violations = 0
+    max_violation = 0.0
     for e in range(n_episodes):
         policy = policy_factory(e)
         traj = sim.complete(EMPTY_PREFIX, (seed, "episode", e))
@@ -400,23 +346,18 @@ def eval_policy_mc(sim: SimulatorHandle, policy_factory: PolicyFactory,
         for i in range(inst.m):
             excess = consumption[i] - inst.b[i]
             if excess > _AUDIT_TOL:
-                if audit:
-                    raise FeasibilityAuditError(
-                        f"episode {e} overdraws resource {i} by {excess}",
-                        trace={"episode": e, "resource": i,
-                               "decisions": decisions,
-                               "consumption": consumption})
-                violations += 1
-            if excess > per_resource[i]:
-                per_resource[i] = excess
+                raise FeasibilityAuditError(
+                    f"episode {e} overdraws resource {i} by {excess}",
+                    trace={"episode": e, "resource": i,
+                           "decisions": decisions,
+                           "consumption": consumption})
+            if excess > max_violation:
+                max_violation = excess
         rewards[e] = reward
     mean = float(rewards.mean())
     se = float(rewards.std(ddof=1) / math.sqrt(n_episodes)) if n_episodes > 1 else 0.0
     return EvalReport(mean_reward=mean, std_error=se, episodes=n_episodes,
-                      violation_count=violations,
-                      max_violation=max(per_resource, default=0.0),
-                      wall_time=time.perf_counter() - start,
-                      per_resource_max=tuple(per_resource))
+                      violation_count=0, max_violation=max_violation)
 
 
 def reports_to_csv(rows: list[dict]) -> str:

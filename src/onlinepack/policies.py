@@ -62,22 +62,23 @@ class FeasState:
 
 
 def feas_table(tree, x: Mapping[bytes, float]) -> dict[bytes, float]:
-    """FEAS(X) at every prefix of an explicit tree, by forward recursion.
+    """FEAS(X) at every prefix of an explicit tree, parents first.
 
-    Each root-to-node path carries its own ``FeasState``, copied at every
-    branch, and each node is patched by ``FeasState.step``, so the value at
-    a node is exact for the (unique) history leading to it and ``step``'s
-    checks apply: x outside [0, 1] and an overdrawn counter raise.
+    Each node starts a ``FeasState`` from its parent's counters after the
+    parent's step (the budgets at a root) and is patched by
+    ``FeasState.step``, so the value at a node is exact for the (unique)
+    history leading to it and ``step``'s checks apply: x outside [0, 1] and
+    an overdrawn counter raise.  The walk follows ``tree.order`` without
+    recursion, so a horizon of any length is patched.
     """
     out: dict[bytes, float] = {}
-
-    def walk(node_key: bytes, feas: FeasState) -> None:
-        out[node_key] = feas.step(tree.node(node_key).a, x[node_key])
-        for child in tree.children(node_key):
-            walk(child.prefix.key, FeasState(feas.remaining))
-
-    for rk in tree.root_keys:
-        walk(rk, FeasState(tree.instance.b))
+    after: dict[bytes, list[float]] = {}  # each node's counters after its step
+    for key in tree.order:
+        node = tree.node(key)
+        feas = FeasState(tree.instance.b if node.parent is None
+                         else after[node.parent])
+        out[key] = feas.step(node.a, x[key])
+        after[key] = feas.remaining
     return out
 
 

@@ -226,9 +226,9 @@ def test_node_values_match_readout_on_generative_prefixes(draw_seed, t):
 
 
 def test_handles_carry_node_lookup(nrm_tree):
-    gen_payload = generative_payload(
+    gen_payload = dict(generative_payload(
         "nrm", {"seed": 3, "T": 4, "m": 2, "L": 1, "iota": 0.5,
-                "budget_ratio": 0.5}, structure={"V": 1})
+                "budget_ratio": 0.5}), structure={"V": 1})
     sims = [
         tree_as_simulator(nrm_tree),
         encode_is(random_is_process(1, 4, 2))[1],

@@ -9,6 +9,8 @@ other than ``__slots__``) that nothing in the package reads, a function
 parameter (other than ``self`` or ``cls``) that its body never reads, and
 a defaulted parameter of a private function that no call in the package
 passes.
+A seventh check reads the benchmark harness too: a defaulted parameter of a
+public function that no call in the package or the harness passes.
 ``__init__.py`` only re-exports the public API, so its imports count as used.
 """
 
@@ -17,6 +19,7 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "onlinepack"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -175,21 +178,23 @@ def _passes(call: ast.Call, param: str, index: int | None) -> bool:
     return index is not None and len(call.args) > index
 
 
-def _unset_private_options(modules: dict[str, ast.Module]) -> list[str]:
-    """Defaulted parameters of private functions that no call passes.
+def _unset_options(modules: dict[str, ast.Module], callers: dict[str, ast.Module],
+                   public: bool) -> list[str]:
+    """Defaulted parameters of the public (or the private) functions defined
+    in ``modules`` that no call in ``callers`` passes.
 
-    Such a default is a constant in disguise: every caller gets it, so it
-    belongs in the body.  A method's ``self`` or ``cls`` is not counted
-    among the positions a call fills.
+    A method's ``self`` or ``cls`` is not counted among the positions a
+    call fills.
     """
     defs, calls = [], []
     for name, module in modules.items():
         for node in ast.walk(module):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
-                    node.name.startswith("_") and not node.name.endswith("__"):
+                    node.name.startswith("_") != public and \
+                    not node.name.endswith("__"):
                 defs.append((name, node))
-            elif isinstance(node, ast.Call):
-                calls.append(node)
+    for module in callers.values():
+        calls += [node for node in ast.walk(module) if isinstance(node, ast.Call)]
     unset = []
     for name, fn in defs:
         args = fn.args
@@ -209,6 +214,15 @@ def _unset_private_options(modules: dict[str, ast.Module]) -> list[str]:
     return sorted(unset)
 
 
+def _unset_private_options(modules: dict[str, ast.Module]) -> list[str]:
+    """Defaulted parameters of private functions that no call passes.
+
+    Such a default is a constant in disguise: every caller gets it, so it
+    belongs in the body.
+    """
+    return _unset_options(modules, modules, public=False)
+
+
 def test_no_unset_private_options():
     assert _unset_private_options(_modules()) == []
 
@@ -222,3 +236,35 @@ def test_unset_private_option_is_caught():
                         "b = obj._offset(1, 2)\n")
     modules = dict(_modules(), planted=planted)
     assert _unset_private_options(modules) == ["_scaled(factor) (planted:1)"]
+
+
+def _test_only_options(modules: dict[str, ast.Module]) -> list[str]:
+    """Defaulted parameters of public functions that no call in the package
+    or in the benchmark harness passes.
+
+    Only a test can set such an option, so every user gets the default: it
+    is a constant in disguise.  ``cli.main(argv)`` is exempt, because the
+    console entry point calls ``main()`` with no argument.
+    """
+    callers = dict(modules)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        callers[f"perfbench/{path.name}"] = ast.parse(
+            path.read_text(encoding="utf-8"), str(path))
+    return [option for option in _unset_options(modules, callers, public=True)
+            if not option.startswith("main(argv) (cli.py:")]
+
+
+def test_no_test_only_options():
+    assert _test_only_options(_modules()) == []
+
+
+def test_test_only_option_is_caught():
+    planted = ast.parse("def scaled(x, factor=2, *, shift=0):\n"
+                        "    return x * factor + shift\n"
+                        "class Meter:\n"
+                        "    def read(self, x, unit='s'):\n"
+                        "        return x\n"
+                        "def _helper(x, by=1):\n"
+                        "    return scaled(x, shift=by) + Meter().read(x, 'ms')\n")
+    modules = dict(_modules(), planted=planted)
+    assert _test_only_options(modules) == ["scaled(factor) (planted:1)"]

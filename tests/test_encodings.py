@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -185,3 +186,18 @@ def test_encoded_decisions_simulate_nothing(encoding):
     assert fixed_calls == 0 < drawn_calls
     assert fixed == drawn
     assert fixed_writes == drawn_writes
+
+
+@pytest.mark.parametrize("make, args, digest", [
+    (random_is_process, (3, 12, 3, 30),
+     "dc5c8e5a7dd3616633cccb4fcad2324028f2a077936d234f73397ff93209a621"),
+    (random_is_process, (0, 40, 2, 3),
+     "e8652491d6c13f12c9830e03ac8852c91b626bd8efea6897ed754effa4c81c62"),
+    (random_mwm_process, (5, 8, 2, 10),
+     "294a575eb6356856c5ffb4265f67e79f1327270ce2db795527790841751aa04b"),
+])
+def test_random_process_golden(make, args, digest):
+    # args are (seed, n, delta, n_scenarios); the repr holds every field:
+    # partite labels, scenario probabilities, edges and weights
+    process = make(*args)
+    assert hashlib.sha256(repr(process).encode()).hexdigest() == digest

@@ -978,7 +978,7 @@ def _theory_gap(mode):
                        eta1=pb.eta1, eta2=pb.eta2, master_seed=19,
                        momentum=mode)
     avg = averaged_solution(tree, cfg)
-    opt, _ = solve_pen_explicit(tree, theta, tol=1e-8)
+    opt, _ = solve_pen_explicit(tree, theta)
     return opt - eval_f_theta(tree, avg, theta), eps * inst.T, pb
 
 

@@ -52,9 +52,9 @@ VALID = [
     tree_to_payload(demo_tree()),
     tree_to_payload(generate_nrm(seed=1, T=2, m=2, L=2, iota=0.4,
                                  budget_ratio=0.5)),
-    generative_payload("nrm", {"seed": 2, "T": 8, "m": 2, "L": 1,
-                               "iota": 0.5, "budget_ratio": 0.5,
-                               "n_events": 3}, {"V": 1}),
+    dict(generative_payload("nrm", {"seed": 2, "T": 8, "m": 2, "L": 1,
+                                    "iota": 0.5, "budget_ratio": 0.5,
+                                    "n_events": 3}), structure={"V": 1}),
     {"kind": "encoded",
      "encoding": {"family": "is", "seed": 1, "n": 6, "delta": 2}},
     {"kind": "encoded",

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import one_node_tree, random_tree
 from onlinepack.engine import MemoTable, SolverConfig
@@ -14,6 +16,41 @@ from onlinepack.oracle import (EvalReport, enumerate_pack, eval_policy_exact,
                                solve_pen_explicit, solve_pen_lp)
 from onlinepack.penalty import eval_f_theta
 from onlinepack.policies import new_episode_context, policy_lp, policy_nrm
+
+
+_NODE_CAP = 16
+
+
+@st.composite
+def _decimal_trees(draw):
+    """An explicit tree of at most 16 nodes whose consumptions and budgets
+    are multiples of 0.1.
+
+    Built a level at a time: every node has a child, and a level holds no
+    more nodes than leave one per node for each level below it.
+    """
+    T = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    tenths = st.integers(1, 10).map(lambda k: k / 10)
+    b = draw(st.lists(st.integers(0, 20).map(lambda k: k / 10),
+                      min_size=m, max_size=m))
+    tb = TreeBuilder(T=T, m=m, b=b, L=m, iota=0.1)
+    parents, size = [None], 0
+    for depth in range(T):
+        level_cap = (_NODE_CAP - size) // (T - depth)
+        level = []
+        for j, parent in enumerate(parents):
+            room = level_cap - len(level) - (len(parents) - j - 1)
+            weights = draw(st.lists(st.integers(1, 4), min_size=1,
+                                    max_size=min(3, room)))
+            for w in weights:
+                ids = draw(st.sets(st.integers(0, m - 1)))
+                a = {i: draw(tenths) for i in sorted(ids)}
+                level.append(tb.add(parent, (float(size + len(level)),),
+                                    w / sum(weights), z=draw(st.floats(0, 1)),
+                                    a=a))
+        parents, size = level, size + len(level)
+    return tb.build()
 
 
 class TestSolvePackDp:
@@ -41,6 +78,15 @@ class TestSolvePackDp:
             dp = solve_pack_dp(tree)
             brute = enumerate_pack(tree)
             assert dp.value == pytest.approx(brute, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_decimal_trees())
+    def test_matches_enumeration_on_decimal_consumption(self, tree):
+        # tenths share no exact float grid, so budgets are kept as float
+        # remainders and checked within the audit tolerance
+        assert len(tree) <= _NODE_CAP
+        assert solve_pack_dp(tree).value == \
+            pytest.approx(enumerate_pack(tree), abs=1e-12)
 
     def test_fractional_grid_still_exact(self):
         tb = TreeBuilder(T=2, m=1, b=(0.75,), L=1, iota=0.25)
@@ -89,14 +135,14 @@ class TestSolvePen:
         consts = derive_structure_constants(tree)
         pen = solve_pen_lp(tree)
         for theta in (0.2, 0.05):
-            val, x = solve_pen_explicit(tree, theta, tol=1e-8)
+            val, x = solve_pen_explicit(tree, theta)
             bound = consts.V * theta / tree.instance.iota
             assert val >= pen - bound - 1e-9
             assert val <= pen + bound + 1e-9
 
     def test_ascent_reaches_stationarity(self):
         tree = random_tree(seed=6, T=3, m=2)
-        val, x = solve_pen_explicit(tree, 0.4, tol=1e-8)
+        val, x = solve_pen_explicit(tree, 0.4)
         assert val == pytest.approx(eval_f_theta(tree, x, 0.4), abs=1e-12)
         assert all(0.0 <= v <= 1.0 for v in x.values())
 
@@ -104,7 +150,7 @@ class TestSolvePen:
         # OPT_pen_theta >= f_theta at the LP solution >= OPT_lp - theta slack
         tree = demo_tree()
         lp, xlp = solve_lp_explicit(tree)
-        val, _ = solve_pen_explicit(tree, 0.1, tol=1e-8)
+        val, _ = solve_pen_explicit(tree, 0.1)
         assert val >= eval_f_theta(tree, xlp, 0.1) - 1e-9
 
 
@@ -128,10 +174,8 @@ class TestEvalPolicyExact:
     def test_dp_policy_replay_matches_value(self):
         tree = demo_tree()
         dp = solve_pack_dp(tree)
-        # replay the optimal policy along the tree, tracking budget units
+        # replay the optimal policy along the tree, tracking the remainders
         decisions = {}
-        gridf = dp.grid
-        b_units = tuple(int(round(x / gridf)) for x in tree.instance.b)
 
         def walk(node_key, rem):
             node = tree.node(node_key)
@@ -140,13 +184,13 @@ class TestEvalPolicyExact:
             if d:
                 rem_list = list(rem)
                 for i, v in node.a:
-                    rem_list[i] -= int(round(v / gridf))
+                    rem_list[i] -= v
                 rem = tuple(rem_list)
             for child in tree.children(node_key):
                 walk(child.prefix.key, rem)
 
         for rk in tree.root_keys:
-            walk(rk, b_units)
+            walk(rk, tuple(tree.instance.b))
         assert eval_policy_exact(tree, decisions) == \
             pytest.approx(dp.value, abs=1e-12)
 
@@ -231,25 +275,15 @@ class TestEvalPolicyMc:
         with pytest.raises(FeasibilityAuditError) as err:
             eval_policy_mc(sim, factory, 50, seed=0)
         assert err.value.trace is not None
-        rep = eval_policy_mc(sim, factory, 50, seed=0, audit=False)
-        assert rep.violation_count > 0
 
 
 class TestReports:
     def test_csv_schema_stable(self):
         rep = EvalReport(mean_reward=0.5, std_error=0.01, episodes=10,
-                         violation_count=0, max_violation=0.0, wall_time=1.0)
+                         violation_count=0, max_violation=0.0)
         row = {"instance": "x.json", "policy": "lp", "seed": 1}
         row.update(rep.csv_row())
         text = reports_to_csv([row])
         header = text.splitlines()[0]
         assert header == ("instance,policy,seed,episodes,mean_reward,"
                           "std_error,violation_count,max_violation")
-
-    def test_json_round_trip(self):
-        import json
-        rep = EvalReport(mean_reward=0.25, std_error=0.002, episodes=7,
-                         violation_count=0, max_violation=0.0, wall_time=0.1)
-        data = json.loads(rep.to_json())
-        assert data["mean_reward"] == 0.25
-        assert data["episodes"] == 7

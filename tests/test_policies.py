@@ -125,6 +125,19 @@ class TestFeasTable:
         with pytest.raises(InstanceError):
             feas_table(tree, x)
 
+    def test_deep_chain_is_patched(self):
+        # 1,500 periods lie past the interpreter's depth limit, so a walk
+        # with one frame per period cannot patch this chain
+        T = 1500
+        tb = TreeBuilder(T=T, m=1, b=(1.0,), L=1, iota=1.0)
+        node = None
+        for t in range(T):
+            node = tb.add(node, (float(t),), 1.0, z=0.5, a={0: 1.0})
+        tree = tb.build()
+        patched = feas_table(tree, {k: 0.0 for k in tree.order})
+        assert list(patched) == list(tree.order)
+        assert all(v == 0.0 for v in patched.values())
+
 
 class TestRounding:
     def test_degenerate_bernoulli(self):
