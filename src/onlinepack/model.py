@@ -129,6 +129,46 @@ class Prefix:
 EMPTY_PREFIX = Prefix(())
 
 
+class _Completion(Prefix):
+    """A length-T completion whose rows are simulated when first read.
+
+    ``extend(t)`` returns the completion's first t rows as a plain prefix,
+    simulating only the periods after the conditioning prefix, and a short
+    answer is the head of the long one, bit for bit.  The first ``head(t)``
+    with t < T is answered by ``extend(t)`` alone.  Any other read of
+    ``obs`` or ``key`` (equality, hashing, ``last``, a readout, a second
+    head) fills both slots from ``extend(T)`` once; from then on the
+    completion reads as a plain prefix.  ``len`` is T without simulating.
+    """
+
+    __slots__ = ("_T", "_extend", "_headed")
+
+    def __init__(self, T: int, extend: Callable[[int], Prefix]):
+        self._T = T
+        self._extend = extend
+        self._headed = False
+
+    def __getattr__(self, name):
+        # reached only while the obs and key slots are unset; once they
+        # are filled, reads cost what a plain prefix's reads cost
+        if name not in ("obs", "key") or self._extend is None:
+            raise AttributeError(name)
+        full = self._extend(self._T)
+        self.obs, self.key = full.obs, full.key
+        self._extend = None
+        return getattr(full, name)
+
+    def __len__(self) -> int:
+        return self._T
+
+    def head(self, t: int) -> Prefix:
+        if self._extend is None or self._headed or t >= self._T:
+            return Prefix.head(self, t)
+        cut = self._extend(t)
+        self._headed = True
+        return cut
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Static description of a packing instance.
@@ -199,9 +239,14 @@ class Readout:
 
 
 def _sorted_rcv(a: Mapping[int, float] | Iterable[tuple[int, float]]):
+    """The nonzero (resource, value) pairs sorted by resource; a resource
+    named twice is refused, since readers would disagree on its value."""
     items = a.items() if isinstance(a, Mapping) else a
-    pairs = tuple(sorted((int(i), float(v)) for i, v in items if float(v) != 0.0))
-    return pairs
+    pairs = sorted((int(i), float(v)) for i, v in items)
+    for (i, _), (j, _) in zip(pairs, pairs[1:]):
+        if i == j:
+            raise InstanceError(f"resource {i} is named twice in one r.c.v.")
+    return tuple(p for p in pairs if p[1] != 0.0)
 
 
 @dataclass(frozen=True)
@@ -210,13 +255,17 @@ class SimulatorHandle:
 
     ``complete(prefix, key)`` returns a full trajectory drawn from the law of
     the process conditional on the prefix; the empty prefix yields an
-    unconditional draw.  Identical keys give identical trajectories.
-    ``readout(prefix)`` returns rewards and r.c.v.s along any in-support
-    prefix.  ``node(prefix)`` returns ``(Z, a)`` of the prefix's final
-    period only -- exactly ``readout(prefix).reward(t)`` and ``.rcv(t)``
-    with t = len(prefix).  The engine reads the process through ``node``
-    alone, at the eta2 sampled periods of each completion, so a lookup in
-    time independent of t keeps that O(eta2).  A handle built without
+    unconditional draw.  Identical keys give identical trajectories.  The
+    trajectory may be a plain ``Prefix`` or one whose rows are simulated
+    when first read (generative NRM), so a wrapper's time around
+    ``complete`` need not hold the simulation: per-layer traces show it
+    where the rows are read, under ``engine.draws`` for the engine's
+    draws.  ``readout(prefix)`` returns rewards and r.c.v.s along any
+    in-support prefix.  ``node(prefix)`` returns ``(Z, a)`` of the
+    prefix's final period only -- exactly ``readout(prefix).reward(t)``
+    and ``.rcv(t)`` with t = len(prefix).  The engine reads the process
+    through ``node`` alone, at the eta2 sampled periods of each
+    completion, so a lookup in time independent of t keeps that O(eta2).  A handle built without
     ``node`` gets one derived from ``readout`` (one full readout per
     lookup); ``dataclasses.replace(sim, node=None, readout=r)`` derives it
     from ``r``.  ``fixed_head(prefix, c)`` returns the length-c head that
@@ -687,6 +736,14 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
     SimulatorHandle for the same process without enumeration.  Budgets
     are ``budget_ratio * T`` for every resource, so nu equals the ratio by
     construction.
+
+    The generative ``complete`` checks the prefix (``SupportError`` for an
+    invalid event row or more than T rows) and returns a completion whose
+    rows are simulated on first read: the engine reads each draw only
+    through its head at c = max(aleph_k), so it simulates c - |prefix|
+    events, not T - |prefix|.  Per-layer traces therefore show the
+    simulation under ``engine.draws`` (and an episode trajectory's under
+    ``model.readout``), not under ``model.complete`` self time.
     """
     if mode not in ("explicit", "generative"):
         raise InstanceError(f"unknown mode {mode!r}")
@@ -719,15 +776,20 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
     shock = tables.shock_event
     weight = tables.weight
 
-    def complete(prefix: Prefix, key: tuple) -> Prefix:
+    def simulate(prefix: Prefix, counts: list[int], regime: int, key: tuple,
+                 stop: int) -> Prefix:
         # the same arithmetic as sampling from tables.law(counts, regime) at
         # every step, bit for bit: only the drawn event's weight changes,
         # except on a regime flip, and each probability is divided out only
         # as far as the cumulative search reaches
-        counts, regime = tables.counts_of(prefix)
+        if stop <= len(prefix):
+            return prefix.head(stop)
+        counts = counts[:]  # the prefix's counts serve every read
         w = tables.weights(counts, regime)
         new_events = []
-        for u in keys.uniforms(T - len(prefix), *key):
+        # the first n uniforms of a key's stream do not depend on n, so a
+        # short path is the head of the long one
+        for u in keys.uniforms(stop - len(prefix), *key):
             total = 0.0
             for x in w:
                 total += x
@@ -748,9 +810,18 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
         # event rows are canonical one-entry floats, so the trajectory's key
         # is the prefix's doubles followed by the new ones
         rows = prefix.obs + tuple(map(tables.rows.__getitem__, new_events))
-        key = struct.pack("<II", 1, len(rows)) + prefix.key[8:] + \
-            b"".join(map(packed.__getitem__, new_events))
-        return Prefix._trusted(rows, key)
+        return Prefix._trusted(rows, struct.pack("<II", 1, len(rows)) +
+                               prefix.key[8:] +
+                               b"".join(map(packed.__getitem__, new_events)))
+
+    def complete(prefix: Prefix, key: tuple) -> Prefix:
+        # the support check is eager; the rows are simulated when read
+        if len(prefix) > T:
+            raise SupportError(f"prefix of {len(prefix)} periods is longer "
+                               f"than the horizon {T}")
+        counts, regime = tables.counts_of(prefix)
+        return _Completion(
+            T, lambda stop: simulate(prefix, counts, regime, key, stop))
 
     def readout(prefix: Prefix) -> Readout:
         events = tables.events_of(prefix.obs)

@@ -15,6 +15,7 @@ bits however it is built.
 import bisect
 import hashlib
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -288,6 +289,67 @@ def test_generative_nrm_complete_matches_per_step_law(case):
     traj = sim.complete(prefix, key)
     ref = _reference_nrm_complete(tables, T, prefix, key)
     assert traj.key == ref.key and traj.obs == ref.obs
+
+
+# a read of a completion: a head length, or one of these names
+_READS = ("obs", "key", "len", "last", "hash", "eq", "startswith", "readout")
+
+
+@st.composite
+def _truncation_cases(draw):
+    n_events = draw(st.integers(2, 5))
+    T = draw(st.integers(1, 400))
+    events = draw(st.lists(st.integers(0, n_events - 1), max_size=T))
+    key = (draw(st.integers(0, 2**63 - 1)), draw(st.integers(0, 50)))
+    reads = draw(st.lists(st.integers(0, T) | st.sampled_from(_READS),
+                          max_size=6))
+    return draw(st.integers(0, 1000)), n_events, T, events, key, reads
+
+
+def _read(sim, traj, prefix, how):
+    """What one read of ``traj`` sees, comparable across completions."""
+    if type(how) is int:
+        h = traj.head(how)
+        return h.obs, h.key
+    return {"obs": lambda: traj.obs, "key": lambda: traj.key,
+            "len": lambda: len(traj), "last": lambda: traj.last,
+            "hash": lambda: hash(traj), "eq": lambda: traj == prefix,
+            "startswith": lambda: traj.startswith(prefix),
+            "readout": lambda: sim.readout(traj).a}[how]()
+
+
+def _drawn(spy) -> int:
+    """Uniforms drawn through ``keys.uniforms`` since the spy's last reset."""
+    n = sum(c.args[0] for c in spy.call_args_list)
+    spy.reset_mock()
+    return n
+
+
+@settings(max_examples=40, deadline=None)
+@given(_truncation_cases())
+def test_generative_completion_heads_are_the_full_paths_heads(case):
+    # truncation law: the rows of a completion are simulated on first read,
+    # and a head read first is the head of the fully read path, bit for bit
+    seed, n_events, T, events, key, reads = case
+    sim = generate_nrm(seed=seed, T=T, m=3, L=2, iota=0.3, budget_ratio=0.5,
+                       mode="generative", n_events=n_events)
+    prefix = Prefix([(float(e),) for e in events])
+    new = T - len(prefix)
+    full = sim.complete(prefix, key)
+    assert len(full) == T and full.startswith(prefix) and len(full.obs) == T
+    with mock.patch.object(keys, "uniforms", wraps=keys.uniforms) as spy:
+        for t in range(T + 1):
+            h, ref = sim.complete(prefix, key).head(t), full.head(t)
+            assert h.obs == ref.obs and h.key == ref.key
+            assert _drawn(spy) == max(0, t - len(prefix))
+        # any order of reads, then every head in turn: at most 2 (T - |p|)
+        # events, and each read sees what it sees on the full path
+        traj = sim.complete(prefix, key)
+        assert _drawn(spy) == 0
+        for how in (*reads, *range(1, T + 1)):
+            assert _read(sim, traj, prefix, how) == _read(sim, full, prefix, how)
+        assert _drawn(spy) <= 2 * new
+        assert traj == full and traj.key == full.key and len(traj) == T
 
 
 # -- bulk uniforms ------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from onlinepack.errors import (ContractViolationError, MemoIntegrityError,
 from onlinepack.model import (EMPTY_PREFIX, Prefix, Readout, TreeBuilder,
                               demo_tree, derive_structure_constants,
                               generate_nrm, tree_as_simulator)
+from onlinepack.oracle import eval_policy_mc
 from onlinepack.penalty import exact_grad_f_theta
 
 
@@ -708,6 +710,47 @@ class TestDrawCut:
                     assert stochastic_grad_component(evalx, sim, memo, p, k,
                                                      cfg) == want
         assert memo.sim_calls <= full.sim_calls
+
+    def test_generative_draws_simulate_only_their_cut(self):
+        # a completion is read only through its cut, so it simulates
+        # c - |S| events, c = max(aleph_k); an episode trajectory is read in
+        # full and simulates T
+        raw = _nrm_handle(60)
+        T = raw.instance.T
+        cfg = make_config(K=3, eta1=2, eta2=2, master_seed=4)
+        completed = {}
+
+        def complete(prefix, key):
+            completed[key] = prefix
+            return raw.complete(prefix, key)
+        sim = dataclasses.replace(raw, complete=complete)
+
+        def factory(_):
+            memo = MemoTable()
+
+            def policy(prefix):
+                decide_pen(sim, memo, prefix, cfg)
+                return 0.0  # within every budget
+            return policy
+        with mock.patch.object(keys, "uniforms", wraps=keys.uniforms) as spy:
+            eval_policy_mc(sim, factory, 2, seed=9)
+        drawn = {}
+        for call in spy.call_args_list:
+            n, *key = call.args
+            assert tuple(key) not in drawn  # each completion simulated once
+            drawn[tuple(key)] = n
+        assert drawn.keys() == completed.keys()
+        cuts = []
+        for key, prefix in completed.items():
+            if key[1:2] == ("episode",):
+                assert prefix == EMPTY_PREFIX and drawn[key] == T
+                continue
+            k, = [k for k in range(cfg.K) if key[0] == keys.key_digest(
+                cfg.master_seed, "traj", k, prefix.key)]
+            c = sample_index_set(cfg, T, k)[-1]
+            assert drawn[key] == c - len(prefix) > 0
+            cuts.append(c)
+        assert min(cuts) < T and len(completed) > 2
 
 
 class TestDerivedNode:

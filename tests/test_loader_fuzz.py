@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 
 from onlinepack.cli import main
 from onlinepack.errors import InstanceError, OnlinePackError
-from onlinepack.model import (_INSTANCE_SIZE_CAP, demo_tree, generate_nrm,
-                              generative_payload, load_instance_payload,
-                              tree_to_payload)
+from onlinepack.model import (_INSTANCE_SIZE_CAP, TreeBuilder, demo_tree,
+                              generate_nrm, generative_payload,
+                              load_instance_payload, tree_to_payload)
 
 FIELDS = ["kind", "T", "m", "b", "L", "iota", "tree", "nodes", "prefix_id",
           "parent_id", "prob", "Z", "a", "obs", "structure", "U", "generator",
@@ -290,4 +290,33 @@ def test_run_refuses_a_horizon_above_the_cap(tmp_path, capsys):
     assert main(["run", "--config", str(exp), "--episodes", "1"]) == 2
     err = capsys.readouterr().err
     assert "T = 100000000 exceeds the instance size cap" in err
+    assert "Traceback" not in err
+
+
+def _resource_named_twice():
+    """The demo payload with L 2, iota 0.5 and ``"a": [[0, 0.5], [0, 0.5]]``
+    at every node.  Were it loaded, the oracles would disagree: the pack DP
+    read one pair per node (1.1), the enumeration and the LP both (0.6)."""
+    payload = _explicit(L=2, iota=0.5)
+    for node in payload["tree"]["nodes"]:
+        node["a"] = [[0, 0.5], [0, 0.5]]
+    return payload
+
+
+def test_a_resource_named_twice_is_refused(tmp_path, capsys):
+    with pytest.raises(InstanceError, match="resource 0 is named twice"):
+        load_instance_payload(_resource_named_twice())
+    tb = TreeBuilder(T=1, m=1, b=(1.0,), L=2, iota=0.5)
+    with pytest.raises(InstanceError, match="resource 0 is named twice"):
+        tb.add(None, (0.0,), 1.0, z=0.5, a=[(0, 0.5), (0, 0.5)])
+    inst, exp = tmp_path / "inst.json", tmp_path / "exp.json"
+    inst.write_text(json.dumps(_resource_named_twice()))
+    exp.write_text(json.dumps({
+        "instance": str(inst), "policy": "lp",
+        "solver": {"epsilon": 0.2, "theta": 0.5, "alpha": 0.1, "K": 2,
+                   "eta1": 2, "eta2": 1, "master_seed": 3}}))
+    assert main(["run", "--config", str(exp), "--episodes", "1"]) == 2
+    assert main(["verify", "--instance", str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("resource 0 is named twice") == 2
     assert "Traceback" not in err

@@ -383,6 +383,12 @@ class TestGenerateNrm:
             sim.complete(bad, (0,))
         with pytest.raises(SupportError):
             sim.readout(bad)
+        # checked when complete is called, before any row is read, and a
+        # history longer than the horizon is no history of the process
+        with pytest.raises(SupportError):
+            sim.complete(Prefix(((0.0,), (7.5,))), (0,))
+        with pytest.raises(SupportError, match="longer than the horizon"):
+            sim.complete(Prefix(((0.0,),) * 4), (0,))
 
     def test_generative_matches_explicit_law(self):
         # the explicit enumeration and the forward sampler encode one process
