@@ -15,6 +15,7 @@ the on-demand values equal the full-sweep values bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -26,7 +27,7 @@ from .errors import (CapacityError, ContractViolationError, MemoIntegrityError,
                      ParameterError)
 from .model import (ExplicitScenarioTree, Prefix, SimulatorHandle,
                     tree_as_simulator)
-from .penalty import huber_deriv
+from .penalty import _check_theta, huber_deriv
 
 _EVAL_TOL = 1e-12
 _ALG1_NODE_CAP = 20_000
@@ -59,6 +60,11 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
+        for name in ("epsilon", "theta", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(
+                    f"{name} must be a real number, got {value!r}")
         if not 0 < self.alpha < math.inf:
             raise ParameterError("step size alpha must be finite and positive")
         if not 0 < self.theta < math.inf:
@@ -271,6 +277,7 @@ def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
     """
     if not a_s:
         return z_s
+    theta = _check_theta(theta)  # once per gradient, not per derivative
     scale = T / eta2
     total = 0.0
     for i, ai in a_s:
@@ -314,9 +321,14 @@ def _extrapolation(memo: MemoTable, beta: float, k: int):
 
     The one place Y is formed; levels below 1 are zero, so Y^0 = 0.  No
     range check: iterates lie in [0, 1] (``_clip01``) and beta in [0, 1),
-    so Y^k lies in [-beta, 1 + beta], inside [-1, 2].
+    so Y^k lies in [-beta, 1 + beta], inside [-1, 2].  With beta = 0 (every
+    unaccelerated level, and accelerated k <= 1) Y^k is X^k bit for bit:
+    (1 + 0.0) x - 0.0 y is x for iterates, which are never -0.0, so the
+    evaluator reads the one entry.
     """
     entries = memo.entries
+    if not beta and k > 0:
+        return lambda p: entries[(p.key, k)]
 
     def evalx(p: Prefix) -> float:
         if k > 1:

@@ -22,6 +22,7 @@ _INV_2_53 = 2.0 ** -53
 _blake2b = hashlib.blake2b
 _len4 = struct.Struct("<I").pack
 _word = struct.Struct("<Q").unpack_from
+_pack_counter = struct.Struct("<Q").pack
 _BLOCK0 = (0).to_bytes(8, "little")
 
 
@@ -116,12 +117,13 @@ def uniform(*parts: KeyPart) -> float:
 def uniforms(n: int, *parts: KeyPart) -> list[float]:
     """The first n values of ``UniformStream(*parts).next()``, in one call."""
     blocks = (n + 3) // 4
-    # block c hashes digest || c; the digest's part of the state is shared
-    seeded = hashlib.blake2b(key_digest(*parts), digest_size=32)
+    # block c hashes digest || c as 8 little-endian bytes; the digest's part
+    # of the state is shared
+    seeded = _blake2b(key_digest(*parts), digest_size=32)
     raw = []
     for c in range(blocks):
         h = seeded.copy()
-        h.update(c.to_bytes(8, "little"))
+        h.update(_pack_counter(c))
         raw.append(h.digest())
     words = struct.unpack(f"<{4 * blocks}Q", b"".join(raw))
     return [(w >> 11) * _INV_2_53 for w in words[:n]]

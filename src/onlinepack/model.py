@@ -16,7 +16,6 @@ import json
 import math
 import struct
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -719,10 +718,10 @@ class _NrmTables:
 
     def counts_of(self, prefix: Prefix) -> tuple[list[int], int]:
         """(event counts, regime) of a prefix's history, validating its rows."""
-        counts = [0] * self.n_events
-        tally = Counter(prefix.obs)
-        for e, c in zip(self.events_of(tally), tally.values()):
-            counts[e] += c
+        obs = prefix.obs
+        counts = [obs.count(row) for row in self.rows]
+        if sum(counts) != len(obs):  # a row that is no event code
+            raise SupportError("observation is not a valid event code")
         return counts, counts[self.shock_event] % 2
 
 
@@ -744,6 +743,17 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
     events, not T - |prefix|.  Per-layer traces therefore show the
     simulation under ``engine.draws`` (and an episode trajectory's under
     ``model.readout``), not under ``model.complete`` self time.
+
+    The simulation kernel draws each event with the arithmetic of
+    ``_NrmTables.law`` followed by one cumulative search, bit for bit.  The
+    weight of event e is ``base[regime][e] * (1.0 + _NRM_URN_BONUS *
+    count_e)``, ``_NrmTables.weight``'s expression written inline; only the
+    drawn event's weight is recomputed, or all of them on a regime flip.
+    The total is a left-to-right float loop, never ``sum()``: from Python
+    3.12 on ``sum()`` of floats is compensated, which would change the
+    bits.  Event e is drawn for uniform u when u < acc after acc +=
+    w_e / total over e ascending, the last event if u passes every acc;
+    each quotient is formed only as far as the search reaches.
     """
     if mode not in ("explicit", "generative"):
         raise InstanceError(f"unknown mode {mode!r}")
@@ -773,19 +783,18 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
 
     instance = InstanceSpec(T=T, m=m, b=b, L=L, iota=iota)
     packed = [struct.pack("<d", row[0]) for row in tables.rows]
-    shock = tables.shock_event
-    weight = tables.weight
+    shock, last = tables.shock_event, n_events - 1
+    base, bonus = tables.base, _NRM_URN_BONUS
 
     def simulate(prefix: Prefix, counts: list[int], regime: int, key: tuple,
                  stop: int) -> Prefix:
-        # the same arithmetic as sampling from tables.law(counts, regime) at
-        # every step, bit for bit: only the drawn event's weight changes,
-        # except on a regime flip, and each probability is divided out only
-        # as far as the cumulative search reaches
+        # the arithmetic of sampling from tables.law(counts, regime) at every
+        # step, bit for bit (see the docstring)
         if stop <= len(prefix):
             return prefix.head(stop)
         counts = counts[:]  # the prefix's counts serve every read
-        w = tables.weights(counts, regime)
+        bw = base[regime]
+        w = [bw[e] * (1.0 + bonus * c) for e, c in enumerate(counts)]
         new_events = []
         # the first n uniforms of a key's stream do not depend on n, so a
         # short path is the head of the long one
@@ -794,18 +803,21 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
             for x in w:
                 total += x
             acc = 0.0
-            e = n_events - 1
-            for cand, x in enumerate(w):
+            e = 0
+            for x in w:
                 acc += x / total
                 if u < acc:
-                    e = cand
                     break
-            counts[e] += 1
+                e += 1
+            else:
+                e = last
+            n = counts[e] = counts[e] + 1
             if e == shock:
                 regime ^= 1
-                w = tables.weights(counts, regime)
+                bw = base[regime]
+                w = [bw[j] * (1.0 + bonus * c) for j, c in enumerate(counts)]
             else:
-                w[e] = weight(regime, e, counts[e])
+                w[e] = bw[e] * (1.0 + bonus * n)
             new_events.append(e)
         # event rows are canonical one-entry floats, so the trajectory's key
         # is the prefix's doubles followed by the new ones
@@ -828,9 +840,15 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
         return Readout([tables.z[e] for e in events],
                        [tables.a[e] for e in events])
 
+    node_of_row = {row: (tables.z[e], tables.a[e])
+                   for e, row in enumerate(tables.rows)}
+
     def node(prefix: Prefix):
-        e, = tables.events_of((prefix.last,))
-        return tables.z[e], tables.a[e]
+        try:
+            return node_of_row[prefix.last]
+        except KeyError:
+            raise SupportError("observation is not a valid event code") \
+                from None
 
     return SimulatorHandle(instance=instance, complete=complete,
                            readout=readout, node=node)

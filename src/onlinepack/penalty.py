@@ -37,11 +37,17 @@ def huber(x: float, theta: float) -> float:
 
 
 def huber_deriv(x: float, theta: float) -> float:
-    """Derivative of the one-sided Huber: min(x^+ / theta, 1)."""
-    t = _check_theta(theta)
+    """Derivative of the one-sided Huber: min(x^+ / theta, 1).
+
+    A positive float theta is used as it is; any other theta goes through
+    ``_check_theta``, so a caller that takes many derivatives at one theta
+    checks it once and passes the float on (``engine.grad_component``).
+    """
+    if type(theta) is not float or not theta > 0.0:
+        theta = _check_theta(theta)
     if x <= 0.0:
         return 0.0
-    return min(x / t, 1.0)
+    return min(x / theta, 1.0)
 
 
 def _leaf_loads(tree: ExplicitScenarioTree, leaf: Prefix, x: SolutionVector):

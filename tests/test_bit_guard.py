@@ -270,7 +270,7 @@ def _reference_nrm_complete(tables, T, prefix, key):
 @st.composite
 def _nrm_cases(draw):
     n_events = draw(st.integers(2, 5))
-    T = draw(st.integers(1, 60))
+    T = draw(st.integers(1, 400))
     # weight the shock event (the last code) heavily so regimes flip often
     codes = st.one_of(st.just(n_events - 1), st.integers(0, n_events - 1))
     events = draw(st.lists(codes, max_size=T))
@@ -357,11 +357,15 @@ def test_generative_completion_heads_are_the_full_paths_heads(case):
 
 @pytest.mark.parametrize("parts", [(0,), (b"\x01" * 16, 3), (9, "traj", 2)])
 def test_bulk_uniforms_equal_stream(parts):
-    for n in range(41):
-        stream = keys.UniformStream(*parts)
-        expected = [stream.next() for _ in range(n)]
+    # every length a generative completion draws on a 60-period horizon
+    # (up to 59), and lengths on either side of 256 blocks (1,024 values),
+    # where a block counter not written as 8 little-endian bytes would
+    # first differ
+    stream = keys.UniformStream(*parts)
+    expected = [stream.next().hex() for _ in range(4097)]
+    for n in (*range(65), 1023, 1025, 4097):
         got = keys.uniforms(n, *parts)
-        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        assert [v.hex() for v in got] == expected[:n]
 
 
 # -- key digests and single uniforms -----------------------------------------

@@ -367,6 +367,23 @@ class TestRun:
         assert f"{name} must be an integer" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("name,value", [
+        ("alpha", True), ("alpha", "0.5"), ("theta", False),
+        ("epsilon", "0.2"), ("theta", None), ("alpha", [0.1])])
+    def test_non_real_solver_field_exits_2(self, tmp_path, capsys, name,
+                                           value):
+        exp = self.write_experiment(tmp_path, episodes=5)
+        cfg = json.loads(exp.read_text())
+        cfg["solver"][name] = value
+        exp.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(exp)) == 2
+        captured = capsys.readouterr()
+        assert f"config error: bad solver config: {name} must be a real " \
+            f"number, got {value!r}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_audit_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         import onlinepack.cli as cli
         from onlinepack.errors import FeasibilityAuditError

@@ -59,6 +59,20 @@ class TestSolverConfig:
         with pytest.raises(ParameterError, match=name):
             make_config(**{name: value})
 
+    @pytest.mark.parametrize("name", ["alpha", "theta", "epsilon"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5],
+                                       0.5j])
+    def test_real_fields_rejected_unless_real(self, name, value):
+        # a bool is not read as 1 or 0, and a string is refused by name,
+        # not by a comparison's TypeError
+        with pytest.raises(ParameterError, match=f"{name} must be a real"):
+            make_config(**{name: value})
+
+    @pytest.mark.parametrize("value", [1, Fraction(1, 2), np.float64(0.5)])
+    def test_real_fields_accept_every_real_type(self, value):
+        cfg = make_config(alpha=value, theta=value, epsilon=value)
+        assert cfg.alpha == cfg.theta == cfg.epsilon == value
+
     def test_beta_schedules(self):
         un = make_config()
         assert [un.beta(k) for k in range(4)] == [0.0, 0.0, 0.0, 0.0]
@@ -836,6 +850,56 @@ class TestExtrapolationRange:
             assert -beta <= y <= 1.0 + beta
         y0 = engine._extrapolation(memo, cfg.beta(0), 0)
         assert all(y0(p) == 0.0 for p in tree.prefixes())
+
+
+def _law_value(beta: float, x_k: float, x_prev: float) -> str:
+    """Y^k = (1 + beta) X^k - beta X^(k-1), as the bits of its hex form."""
+    return ((1.0 + beta) * x_k - beta * x_prev).hex()
+
+
+class TestExtrapolationLaw:
+    """The recursion's evaluator of level k is Y^k = (1 + beta_k) X^k -
+    beta_k X^(k-1) bit for bit, with levels <= 0 zero, at every k and under
+    both schedules, whichever way it reads the table.  Recursion and sweep
+    share the evaluator, so only this law can catch a wrong shortcut (say,
+    the one-entry read of beta = 0 taken for a beta > 0)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(0, 40),
+           momentum=st.sampled_from(["unaccelerated", "accelerated"]),
+           values=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                           min_size=1, max_size=4))
+    def test_evaluator_is_the_formula(self, k, momentum, values):
+        beta = make_config(momentum=momentum).beta(k)
+        memo = MemoTable()
+        rows = [Prefix([(float(j),)]) for j in range(len(values))]
+        for p, (x_k, x_prev) in zip(rows, values):
+            if k >= 1:
+                memo.put(p, k, x_k)
+            if k >= 2:
+                memo.put(p, k - 1, x_prev)
+        y = engine._extrapolation(memo, beta, k)
+        for p, (x_k, x_prev) in zip(rows, values):
+            assert y(p).hex() == _law_value(beta, x_k if k >= 1 else 0.0,
+                                            x_prev if k >= 2 else 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_range_cases())
+    def test_recursion_tables_obey_the_formula(self, case):
+        # the one-entry read rests on iterates never being -0.0
+        tree, cfg = case
+        sim = tree_as_simulator(tree)
+        memo = MemoTable()
+        for p in tree.prefixes():
+            if tree.mu(p) > 0.0:
+                decide_pen(sim, memo, p, cfg)
+        assert all(math.copysign(1.0, v) == 1.0 for v in memo.entries.values())
+        prefixes = {p.key: p for p in tree.prefixes()}
+        for key, k in memo.entries:
+            y = engine._extrapolation(memo, cfg.beta(k), k)
+            x_prev = memo.entries[(key, k - 1)] if k >= 2 else 0.0
+            assert y(prefixes[key]).hex() == _law_value(
+                cfg.beta(k), memo.entries[(key, k)], x_prev)
 
 
 def _cost_bounds(cfg):
