@@ -14,6 +14,7 @@ the on-demand values equal the full-sweep values bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .penalty import _check_theta, huber_deriv
 
 _EVAL_TOL = 1e-12
 _ALG1_NODE_CAP = 20_000
+_ALEPH_CACHE = 1024  # period subsamples kept per process, least recent out
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,26 @@ def sample_index_set(config: SolverConfig, T: int, k: int) -> tuple[int, ...]:
 
     Uses Floyd's sampling, so the cost is O(eta2) independent of T.  The
     same set is shared across all prefixes and solution vectors within an
-    iteration.
+    iteration, and it is computed once per process for each (master_seed,
+    T, eta2, k), the values it reads, in a cache bounded at
+    ``_ALEPH_CACHE`` sets.  With eta2 = T every level of every seed shares
+    one tuple per T.
     """
     if k < 0:
         raise ParameterError("iteration index must be >= 0")
-    eta2 = config.eta2
-    if eta2 > T:
-        raise ParameterError(f"eta2 = {eta2} exceeds horizon T = {T}")
+    if config.eta2 > T:
+        raise ParameterError(f"eta2 = {config.eta2} exceeds horizon T = {T}")
+    if config.eta2 == T:
+        return _floyd_sample(0, T, T, 0)
+    return _floyd_sample(config.master_seed, T, config.eta2, k)
+
+
+@functools.lru_cache(maxsize=_ALEPH_CACHE)
+def _floyd_sample(master_seed: int, T: int, eta2: int,
+                  k: int) -> tuple[int, ...]:
     if eta2 == T:
         return tuple(range(1, T + 1))
-    gen = keys.generator(config.master_seed, "aleph", k)
+    gen = keys.generator(master_seed, "aleph", k)
     chosen: set[int] = set()
     for j in range(T - eta2 + 1, T + 1):
         t = int(gen.integers(1, j + 1))
@@ -121,9 +133,11 @@ class PathDraw:
     traj^t is the length-t head of ``traj``, one shared object per period,
     so readers take the prefixes from the terms: ``grad_component`` reads
     its values there, and ``recursive_R`` walks the same terms for an
-    entry's dependencies.  The engine keys a draw by the object (equal cuts
-    are one object within a table), never by ``traj``.  Draws index only
-    the sampled periods of their level: O(eta2) node lookups, not O(T).
+    entry's dependencies.  The cut and the heads are the ones the handle's
+    ``fixed_head`` gives, so on a tree they are the tree nodes' own
+    prefixes, not copies.  The engine keys a draw by the object (equal
+    cuts are one object within a table), never by ``traj``.  Draws index
+    only the sampled periods of their level: O(eta2) node lookups, not O(T).
     """
 
     __slots__ = ("traj", "terms")
@@ -154,21 +168,26 @@ class MemoTable:
     completions that agree through the cut and by levels whose period
     subsamples are equal, so a repeated draw is a repeated object and
     shares one derivative.  ``decisions`` caches decide_pen's averaged value
-    per prefix key.  ``sim_calls`` and ``writes`` (the entry count) count
-    the recursion's work for the complexity and horizon checks.
+    per prefix key.  ``_evals`` holds one evaluator of Y^k per level k,
+    built on first use.  ``sim_calls`` and ``writes`` (the entry count)
+    count the recursion's work for the complexity and horizon checks.
     Every entry is a pure function of (master seed, prefix, level), so one
-    table may serve any episodes of one (instance, SolverConfig).
+    table may serve any episodes of one (instance, SolverConfig).  The
+    table is bound to the first config it is used with, and the engine's
+    entry points refuse an unequal one (``MemoIntegrityError``): its
+    decisions and evaluators hold that config's K and betas.
     """
 
-    __slots__ = ("entries", "draws", "decisions", "_aleph", "_paths",
-                 "sim_calls")
+    __slots__ = ("entries", "draws", "decisions", "_paths", "_evals",
+                 "_config", "sim_calls")
 
     def __init__(self):
         self.entries: dict[tuple[bytes, int], float] = {}
         self.draws: dict[tuple[bytes, int], tuple[PathDraw, ...]] = {}
         self.decisions: dict[bytes, float] = {}
-        self._aleph: dict[int, tuple[int, ...]] = {}
         self._paths: dict[tuple[bytes, tuple[int, ...]], PathDraw] = {}
+        self._evals: dict[int, Callable[[Prefix], float]] = {}
+        self._config: SolverConfig | None = None
         self.sim_calls = 0
 
     @property
@@ -187,15 +206,24 @@ class MemoTable:
             raise MemoIntegrityError(f"iterate {value} escaped [0, 1]")
         self.entries[key] = value
 
-    def aleph(self, config: SolverConfig, T: int, k: int) -> tuple[int, ...]:
-        """The sorted period subsample of level k."""
-        cached = self._aleph.get(k)
-        if cached is None:
-            cached = self._aleph[k] = sample_index_set(config, T, k)
-        return cached
+    def _bind(self, config: SolverConfig) -> None:
+        """Tie the table to ``config`` on first use; refuse an unequal one.
+
+        Callers test ``memo._config is not config`` first, so a call with
+        the bound object itself costs one identity test.
+        """
+        if self._config is not None and self._config != config:
+            raise MemoIntegrityError(
+                f"memo table is bound to {self._config!r}, not {config!r}")
+        self._config = config
 
     def counters(self) -> dict[str, int]:
         return {"writes": self.writes, "sim_calls": self.sim_calls}
+
+
+def _head_missing(c: int) -> ContractViolationError:
+    return ContractViolationError(
+        f"fixed_head returned None for a head of length {c} <= |prefix|")
 
 
 def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
@@ -206,30 +234,45 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     hierarchically (a digest of the first four parts plus the counter j), so
     the multiset is a pure function of the master seed and is shared with
     the full-sweep method.  A draw is read only at its heads of length t in
-    aleph_k, so it is kept as its cut: its first c = max(aleph_k) rows.  If
-    the handle's ``fixed_head(prefix, c)`` knows that cut (always when c <=
-    |prefix|; on a tree also when the prefix has a single-child chain down
-    to c), the draw set is eta1 references to one ``PathDraw``, with no
-    simulator call.  Else each completion is simulated and cut at c.  Each
-    new cut is indexed once, at its heads ``cut.head(t)`` for t in aleph_k
-    through the handle's ``node`` lookup, and shared per (cut, aleph_k).
+    aleph_k, so it is kept as its cut: its first c = max(aleph_k) rows.
+    Every head is taken through the handle's ``fixed_head``.  If
+    ``fixed_head(prefix, c)`` knows the cut (always when c <= |prefix|; on
+    a tree also when the prefix has a single-child chain down to c), the
+    draw set is eta1 references to one ``PathDraw``, with no simulator
+    call.  Else each completion is simulated and its cut is
+    ``fixed_head(completion, c)``.  Each new cut is indexed once, at its
+    heads ``fixed_head(cut, t)`` for t in aleph_k through the handle's
+    ``node`` lookup, and shared per (cut, aleph_k).  On a tree every cut
+    and head is then a node's own prefix; on a generative handle it is a
+    slice, and a lazy completion simulates only its first c rows.  A
+    ``fixed_head`` that returns None for some c <= |prefix| breaks the
+    handle contract (``ContractViolationError``).
     """
     if k < 0:
         raise ParameterError("draw level must be >= 0")
+    if memo._config is not config:
+        memo._bind(config)
     cache_key = (prefix.key, k)
     cached = memo.draws.get(cache_key)
     if cached is not None:
         return cached
-    aleph = memo.aleph(config, sim.instance.T, k)
+    aleph = sample_index_set(config, sim.instance.T, k)
     c = aleph[-1]
-    cut = sim.fixed_head(prefix, c)
+    fixed_head = sim.fixed_head
+    cut = fixed_head(prefix, c)
     if cut is not None:
         # every draw has this head: one cut stands for all eta1 of them
         cuts = [cut]
+    elif c <= len(prefix):
+        raise _head_missing(c)
     else:
         base = keys.key_digest(config.master_seed, "traj", k, prefix.key)
-        cuts = [sim.complete(prefix, (base, j)).head(c)
-                for j in range(1, config.eta1 + 1)]
+        cuts = []
+        for j in range(1, config.eta1 + 1):
+            cut = fixed_head(sim.complete(prefix, (base, j)), c)
+            if cut is None:
+                raise _head_missing(c)
+            cuts.append(cut)
         memo.sim_calls += config.eta1
     node = sim.node
     paths = memo._paths
@@ -238,8 +281,13 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
         path_key = (cut.key, aleph)
         pd = paths.get(path_key)
         if pd is None:
-            pd = paths[path_key] = PathDraw(
-                cut, [(h, node(h)[1]) for h in map(cut.head, aleph)])
+            rcvs = []
+            for t in aleph:
+                head = fixed_head(cut, t)
+                if head is None:
+                    raise _head_missing(t)
+                rcvs.append((head, node(head)[1]))
+            pd = paths[path_key] = PathDraw(cut, rcvs)
         out.append(pd)
     memo.draws[cache_key] = drawn = tuple(out) * (config.eta1 // len(out))
     return drawn
@@ -324,7 +372,9 @@ def _extrapolation(memo: MemoTable, beta: float, k: int):
     so Y^k lies in [-beta, 1 + beta], inside [-1, 2].  With beta = 0 (every
     unaccelerated level, and accelerated k <= 1) Y^k is X^k bit for bit:
     (1 + 0.0) x - 0.0 y is x for iterates, which are never -0.0, so the
-    evaluator reads the one entry.
+    evaluator reads the one entry.  ``_compute_entry`` builds one per
+    level per table and keeps it in ``memo._evals``: it reads the table's
+    live ``entries``, and beta is fixed by the config the table is bound to.
     """
     entries = memo.entries
     if not beta and k > 0:
@@ -366,10 +416,14 @@ def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     X^k(S) = clip01(Y^(k-1)(S) + alpha * ghat), where one evaluator of
     Y^(k-1) gives the step's start and the values the gradient reads.
     Every dependency must already be present.  An empty draw set gives the
-    gradient Z(S) without an evaluator (see ``_entry_draws``).
+    gradient Z(S) without an evaluator (see ``_entry_draws``).  The
+    evaluator is the table's one for level k-1, built on first use.
     """
     z_s, a_s, draws = reads
-    y = _extrapolation(memo, config.beta(k - 1), k - 1)
+    y = memo._evals.get(k - 1)
+    if y is None:
+        y = memo._evals[k - 1] = _extrapolation(memo, config.beta(k - 1),
+                                                k - 1)
     ghat = z_s
     if draws:
         inst = sim.instance
@@ -394,8 +448,11 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
     second write).  A call costs eta1 sim calls per new entry (S, k) at
     level >= 2 whose node requests a resource and whose handle does not fix
     S's first max(aleph_(k-1)) rows (``SimulatorHandle.fixed_head``), and
-    none for any other entry.
+    none for any other entry.  The table must be bound to ``config`` or
+    fresh (``MemoTable``).
     """
+    if memo._config is not config:
+        memo._bind(config)
     if k <= 0:
         return 0.0
     entries = memo.entries
@@ -440,10 +497,13 @@ def decide_pen(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     """The penalty policy's fractional decision: the average of the K iterates.
 
     The average is cached per prefix in ``memo.decisions``, so a table that
-    serves several episodes computes each decision once.
+    serves several episodes computes each decision once; the table must be
+    bound to ``config`` or fresh (``MemoTable``).
     """
     if config.K < 1:
         raise ParameterError("decide_pen needs K >= 1")
+    if memo._config is not config:
+        memo._bind(config)
     x = memo.decisions.get(prefix.key)
     if x is None:
         recursive_R(sim, memo, prefix, config.K, config)
@@ -457,13 +517,16 @@ def run_algorithm1_explicit(tree: ExplicitScenarioTree, config: SolverConfig,
 
     Returns the list of iterate maps [X^1, ..., X^K] (prefix key to value).
     Shares the keyed sampling streams with ``recursive_R``; under the same
-    master seed the two produce identical values.
+    master seed the two produce identical values.  A given ``memo`` must be
+    bound to ``config`` or fresh.
     """
     if len(tree) > _ALG1_NODE_CAP:
         raise CapacityError(
             f"tree has {len(tree)} nodes; full sweep capped at {_ALG1_NODE_CAP}")
     sim = tree_as_simulator(tree)
     memo = memo if memo is not None else MemoTable()
+    if memo._config is not config:
+        memo._bind(config)
     # zero-mass prefixes have no conditional law and never affect the
     # objective or the policy; the sweep skips them, and the recursion
     # refuses them through the tree's node lookup

@@ -270,9 +270,13 @@ class SimulatorHandle:
     from ``r``.  ``fixed_head(prefix, c)`` returns the length-c head that
     every completion of ``prefix`` has, or None when that head is not
     known without simulating; it must agree with ``complete`` for every
-    key.  A handle built without it gets ``prefix.head(c)`` for c <=
-    |prefix| and None beyond.  ``dataclasses.replace`` keeps it, so a
-    replaced ``complete`` with another law needs ``fixed_head=None``.
+    key, and it must return the head for every c <= |prefix| of an
+    in-support prefix (the engine raises ``ContractViolationError`` on
+    None there).  The engine takes every draw's cut and sampled heads
+    through it, so a handle may answer with prefixes it already holds.  A
+    handle built without it gets ``prefix.head(c)`` for c <= |prefix| and
+    None beyond.  ``dataclasses.replace`` keeps it, so a replaced
+    ``complete`` with another law needs ``fixed_head=None``.
     Matching-style encodings attach ``partite_of`` (IS) or
     ``block_lookup`` (MMO block window and offline endpoints).
     """
@@ -515,7 +519,8 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
     longer head the node reached down a chain of single children below a
     positive-mass prefix (the is and mwm encodings reveal every scenario at
     period 1, an mmo block is revealed at its start; the test counts
-    zero-mass children).
+    zero-mass children).  It refuses a nonempty prefix outside the tree
+    (SupportError), as ``complete`` does.
     """
     cumdist: dict[bytes, tuple[tuple[Prefix, ...], list[float]]] = {}
 
@@ -552,8 +557,12 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
     def fixed_head(prefix: Prefix, c: int):
         nd = nodes.get(prefix.key)
         if nd is None:
+            if len(prefix):
+                raise SupportError("prefix not in the support of the tree")
             return None
         if c <= nd.depth:  # an ancestor is fixed, whatever the masses
+            if c < 1:
+                return prefix.head(c)  # c = 0: the empty prefix
             while nd.depth > c:
                 nd = nodes[nd.parent]
             return nd.prefix

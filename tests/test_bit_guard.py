@@ -503,7 +503,7 @@ def test_path_draw_terms_carry_trajectory_heads(nrm_tree, use_node):
     seen = 0
     for prefix in nrm_tree.prefixes()[:40]:
         for k in range(3):
-            aleph = memo.aleph(cfg, T, k)
+            aleph = sample_index_set(cfg, T, k)
             for d in conditional_draws(sim, memo, prefix, k, cfg):
                 expected: dict[int, list] = {}
                 for t in aleph:

@@ -87,6 +87,9 @@ class TestSampleIndexSet:
     def test_full_horizon(self):
         cfg = make_config(eta2=5)
         assert sample_index_set(cfg, 5, 0) == (1, 2, 3, 4, 5)
+        # every level of every seed shares one cached tuple
+        other = make_config(eta2=5, master_seed=cfg.master_seed + 1)
+        assert sample_index_set(other, 5, 7) is sample_index_set(cfg, 5, 0)
 
     def test_deterministic(self):
         cfg = make_config(eta2=2)
@@ -110,6 +113,33 @@ class TestSampleIndexSet:
                 counts[t - 1] += 1
         freqs = counts / n
         assert np.all(np.abs(freqs - 0.4) <= 0.02)
+
+    def test_built_once_per_process(self):
+        # the subsample is cached per (master_seed, T, eta2, k), so a second
+        # table with the same config builds no generator
+        tree = random_tree(seed=5, T=4, m=2)
+        sim = tree_as_simulator(tree)
+        cfg = make_config(K=4, eta1=2, eta2=2, master_seed=8101)
+        engine._floyd_sample.cache_clear()
+        calls = []
+        for _ in range(2):
+            with mock.patch.object(keys, "generator",
+                                   wraps=keys.generator) as spy:
+                memo = MemoTable()
+                for p in tree.prefixes():
+                    decide_pen(sim, memo, p, cfg)
+            calls.append(spy.call_count)
+        assert calls[0] > 0 and calls[1] == 0
+
+    def test_cache_is_bounded(self):
+        cfg = make_config(eta2=2, master_seed=8102)
+        first = sample_index_set(cfg, 5, 0)
+        for k in range(engine._ALEPH_CACHE + 10):
+            sample_index_set(cfg, 5, k)
+        info = engine._floyd_sample.cache_info()
+        assert info.maxsize == engine._ALEPH_CACHE
+        assert info.currsize == engine._ALEPH_CACHE
+        assert sample_index_set(cfg, 5, 0) == first  # evicted, then rebuilt
 
 
 class TestConditionalDraws:
@@ -237,6 +267,30 @@ class TestConditionalDraws:
         # all three branches ran: S's own rows, a chain, a simulation
         assert cuts == {(False, True), (True, True), (True, False)}
 
+    def test_missing_own_head_breaks_the_contract(self):
+        # fixed_head must return the head for every c <= |prefix|: a handle
+        # that returns None there is refused, whether the cut is the draw
+        # prefix's own (c <= |S|), a completion's, or a head below the cut
+        tree = random_tree(seed=21, T=4, m=2)
+        sim = tree_as_simulator(tree)
+        cfg = make_config(K=3, eta1=2, eta2=2)
+        never = dataclasses.replace(sim, fixed_head=lambda prefix, c: None)
+        only_whole = dataclasses.replace(
+            sim, fixed_head=lambda prefix, c: prefix if c == len(prefix)
+            else None)
+        cases = set()
+        for handle in (never, only_whole):
+            for p in tree.prefixes():
+                for k in range(3):
+                    c = sample_index_set(cfg, tree.instance.T, k)[-1]
+                    with pytest.raises(ContractViolationError):
+                        conditional_draws(handle, MemoTable(), p, k, cfg)
+                    cases.add(c <= len(p))
+            with pytest.raises(ContractViolationError):
+                for p in tree.prefixes():
+                    decide_pen(handle, MemoTable(), p, cfg)
+        assert cases == {False, True}
+
 
 class TestStochasticGradComponent:
     def test_empty_rcv_returns_reward(self):
@@ -299,6 +353,50 @@ class TestStochasticGradComponent:
                                           prefix, k, cfg)
             drawn = memo.draws[(prefix.key, k)][0].traj.key
             assert g == value_of[drawn]
+
+
+class TestMemoBinding:
+    """A table keeps one config's decisions and evaluators, so it is bound
+    to the first config it serves and refuses an unequal one."""
+
+    @staticmethod
+    def _demo(seed, K):
+        return make_config(theta=1.0, alpha=0.5, K=K, eta1=2, eta2=2,
+                           master_seed=seed)
+
+    def test_unequal_config_is_refused(self):
+        tree = demo_tree()
+        sim = tree_as_simulator(tree)
+        root = tree.prefixes()[0]
+        # a shared table used to answer K = 8 with its K = 2 decision
+        for seed, fresh in ((3, 0.34375), (7, 0.4625)):
+            memo = MemoTable()
+            assert decide_pen(sim, memo, root, self._demo(seed, 2)) == 0.375
+            assert decide_pen(sim, MemoTable(), root,
+                              self._demo(seed, 8)) == fresh
+            before = memo.counters(), dict(memo.decisions)
+            other = self._demo(seed, 8)
+            for call in (lambda: decide_pen(sim, memo, root, other),
+                         lambda: recursive_R(sim, memo, root, 3, other),
+                         lambda: conditional_draws(sim, memo, root, 0, other),
+                         lambda: run_algorithm1_explicit(tree, other, memo)):
+                with pytest.raises(MemoIntegrityError):
+                    call()
+            assert (memo.counters(), memo.decisions) == before
+            # an equal config is the same config, whatever the object
+            assert decide_pen(sim, memo, root, self._demo(seed, 2)) == 0.375
+
+    def test_config_checked_once_per_call(self):
+        tree = random_tree(seed=4, T=3, m=2)
+        sim = tree_as_simulator(tree)
+        memo = MemoTable()
+        with mock.patch.object(MemoTable, "_bind", autospec=True,
+                               side_effect=MemoTable._bind) as spy:
+            cfg = make_config(K=4)
+            decide_pen(sim, memo, tree.prefixes()[-1], cfg)
+            assert memo.writes > 1 and spy.call_count == 1
+            decide_pen(sim, memo, tree.prefixes()[0], make_config(K=4))
+            assert spy.call_count == 2
 
 
 class TestAlgorithm1:
@@ -765,6 +863,62 @@ class TestDrawCut:
             assert drawn[key] == c - len(prefix) > 0
             cuts.append(c)
         assert min(cuts) < T and len(completed) > 2
+
+
+@st.composite
+def _tree_draw_cases(draw):
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(["random-tree", "is", "mwm", "mmo"]))
+    if kind == "random-tree":
+        m = draw(st.integers(1, 3))
+        sim = tree_as_simulator(random_tree(
+            seed, T=draw(st.integers(1, 4)), m=m, L=draw(st.integers(1, m)),
+            max_children=draw(st.integers(1, 3)), zero_mass_prob=0.5))
+    elif kind == "is":
+        sim = encode_is(random_is_process(seed, draw(st.integers(2, 6)), 2))[1]
+    elif kind == "mwm":
+        sim = encode_mwm(random_mwm_process(seed, draw(st.integers(3, 5)),
+                                            2))[1]
+    else:
+        sim = encode_mmo(random_mmo_process(seed, 3, 2, 2))[1]
+    T = sim.instance.T
+    cfg = make_config(K=draw(st.integers(1, 4)), eta1=draw(st.integers(1, 3)),
+                      eta2=draw(st.integers(1, min(3, T))),
+                      momentum=draw(st.sampled_from(["unaccelerated",
+                                                     "accelerated"])),
+                      master_seed=draw(st.integers(0, 2**31)))
+    return sim, cfg
+
+
+class TestTreeDraws:
+    """On a tree, a draw's cut and every head it is read at are the tree
+    nodes' own prefixes, and the values equal those of a handle that
+    slices them from the completions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_tree_draw_cases())
+    def test_heads_are_tree_nodes_and_values_match_slices(self, case):
+        sim, cfg = case
+        tree = sim.tree
+        support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
+        runs = []
+        for handle in (sim, dataclasses.replace(sim, fixed_head=None)):
+            memo = MemoTable()
+            decisions = [decide_pen(handle, memo, p, cfg).hex()
+                         for p in support]
+            runs.append((decisions,
+                         {key: v.hex() for key, v in memo.entries.items()}))
+        memo = MemoTable()
+        for k in range(cfg.K):  # every level, the unread ones included
+            for p in support:
+                conditional_draws(sim, memo, p, k, cfg)
+        for drawn in memo.draws.values():
+            for d in drawn:
+                assert tree.node(d.traj).prefix is d.traj
+                for terms in d.terms.values():
+                    for head, _ in terms:
+                        assert tree.node(head).prefix is head
+        assert runs[0] == runs[1]
 
 
 class TestDerivedNode:

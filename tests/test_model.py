@@ -292,8 +292,8 @@ class TestFixedHead:
         leaf = tb.add(dead, (4.0,), 1.0, z=0.0, a={})  # the only child
         tree = tb.build()
         sim = tree_as_simulator(tree)
-        assert [sim.fixed_head(leaf, c) for c in (1, 2, 3)] == \
-            [root, dead, leaf]
+        assert [sim.fixed_head(leaf, c) for c in (0, 1, 2, 3)] == \
+            [EMPTY_PREFIX, root, dead, leaf]
         assert [sim.fixed_head(dead, c) for c in (1, 2, 3)] == \
             [root, dead, None]
         assert sim.fixed_head(live, 3) == live.extend((3.0,))
