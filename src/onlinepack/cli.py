@@ -29,9 +29,9 @@ from .policies import (mwm_scaled_epsilon, new_episode_context, policy_is,
 # the keys an experiment config may hold; any other is refused, not ignored
 _RUN_KEYS = ("schema_version", "instance", "policy", "solver", "n_episodes",
              "out")
-# policy name -> decision function; mwmlp is lp under mwm_scaled_epsilon
+# policy name -> decision function, one name each (verify's mwmlp is lp)
 _POLICIES = {"lp": policy_lp, "nrm": policy_nrm, "is": policy_is,
-             "mwmlp": policy_lp, "mmo-greedy": policy_mmo_greedy}
+             "mmo-greedy": policy_mmo_greedy}
 
 
 def _load(path: str) -> LoadedInstance:
@@ -52,19 +52,18 @@ def _check_writable(path: str) -> None:
 
 
 def _default_config(loaded: LoadedInstance, args,
-                    epsilon: float | None = None) -> SolverConfig:
-    """The solver config of ``verify``, whose instance is an explicit tree."""
+                    epsilon: float) -> SolverConfig:
+    """``verify``'s solver config on an explicit tree; epsilon sets theta's
+    default."""
     inst = loaded.sim.instance
     V = derive_structure_constants(loaded.sim.tree).V
-    epsilon = epsilon if epsilon is not None else args.epsilon
     theta = args.theta if args.theta is not None else \
         theta_default(epsilon, inst.T, inst.iota, V)
     eta2 = args.eta2 if args.eta2 is not None else inst.T
     return SolverConfig(
         epsilon=epsilon, theta=theta, alpha=args.alpha, K=args.K,
         eta1=args.eta1, eta2=eta2, master_seed=args.seed,
-        momentum=args.momentum, practical_override=True,
-    )
+        momentum=args.momentum)
 
 
 def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
@@ -190,6 +189,9 @@ def cmd_run(args) -> int:
             raise ConfigError(f"experiment config {key} must be a "
                               f"{'string' if kind is str else 'JSON object'}, "
                               f"got {exp[key]!r}")
+    if exp["policy"] == "mwmlp":
+        raise ConfigError("policy 'mwmlp' is 'lp' under run; use 'lp' "
+                          "(verify --policy mwmlp rescales its default theta)")
     if exp["policy"] not in _POLICIES:
         raise ConfigError(f"unknown policy {exp['policy']!r}")
     out = args.out or exp.get("out")
@@ -237,21 +239,27 @@ def cmd_verify(args) -> int:
     tree = loaded.sim.tree
     if tree is None:
         raise ConfigError("verify needs an explicit (oracle-solvable) instance")
-    if args.policy not in _POLICIES:
+    policy, epsilon = args.policy, args.epsilon
+    if policy == "mwmlp":
+        # lp, its default theta at the matching encoding's rescaled epsilon
+        encoding = loaded.payload.get("encoding", {})
+        if loaded.payload.get("kind") != "encoded" or \
+                encoding.get("family") not in ("mwm", "mmo"):
+            raise ConfigError("policy 'mwmlp' needs a matching (mwm or mmo) "
+                              "encoded instance")
+        policy = "lp"
+        epsilon = mwm_scaled_epsilon(epsilon, encoding["delta"])
+    if policy not in _POLICIES:
         raise ConfigError(f"unknown policy {args.policy!r}")
-    if args.policy == "mwmlp":
-        delta = loaded.payload.get("encoding", {}).get("delta", tree.instance.L)
-        config = _default_config(loaded, args,
-                                 epsilon=mwm_scaled_epsilon(args.epsilon, delta))
-    else:
-        config = _default_config(loaded, args)
+    config = _default_config(loaded, args, epsilon)
+    # built first: it refuses a policy unfit for the instance before any oracle
+    factory = _policy_factory(policy, loaded, config)
     opt_lp, _ = solve_lp_explicit(tree)
     opt_pen = solve_pen_lp(tree)
     try:
         opt_pack = solve_pack_dp(tree).value
     except OnlinePackError:
         opt_pack = None
-    factory = _policy_factory(args.policy, loaded, config)
     report = eval_policy_mc(loaded.sim, factory, args.episodes,
                             seed=config.master_seed)
     gap = opt_lp - report.mean_reward

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -43,8 +43,9 @@ class SolverConfig:
     "accelerated" uses beta_0 = 0 and beta_k = (k-1)/(k+2).  ``eta1`` is the
     number of conditional completions per gradient component, ``eta2`` the
     size of the period subsample (eta2 = T disables subsampling).
-    ``practical_override`` acknowledges that K and the etas are far below
-    the theory schedule; it changes nothing mechanically.
+    ``epsilon`` and ``practical_override`` are validated and read by
+    nothing (epsilon reaches a run only through theta); they stay because
+    the benchmark's solver dict passes both.
     """
 
     epsilon: float
@@ -593,7 +594,6 @@ class ParamBundle:
     K: int
     eta1: int
     eta2: int
-    alpha_exact: Fraction = field(repr=False)
 
 
 def _frac(x) -> Fraction:
@@ -647,7 +647,7 @@ def theory_params(mode: str, epsilon: float, L: int, iota: float, theta: float,
         K = math.ceil(288 * L * L / (eps * eps * io * io))
         eta1 = math.ceil(2304 * L * L / (io * io * eps * eps))
         eta2 = min(math.ceil(20736 * L * L * T * T / (io * io * th * th * eps * eps)), T)
-        return ParamBundle(float(alpha), K, eta1, eta2, alpha)
+        return ParamBundle(float(alpha), K, eta1, eta2)
     if mode == "accelerated":
         if U is None or W is None:
             raise ParameterError("accelerated schedule needs U and W")
@@ -658,5 +658,5 @@ def theory_params(mode: str, epsilon: float, L: int, iota: float, theta: float,
         K = 8 * q * _ceil_sqrt(1 / eps)
         eta1 = math.ceil(45696 * L * L / (io * io * eps * eps))
         eta2 = min(math.ceil(221184 * L * L * T * T / (io * io * th * th * eps * eps)), T)
-        return ParamBundle(float(alpha), K, eta1, eta2, alpha)
+        return ParamBundle(float(alpha), K, eta1, eta2)
     raise ParameterError(f"unknown schedule {mode!r}")

@@ -176,9 +176,9 @@ class InstanceSpec:
     any one arrival touches, and ``iota`` is the lower bound on nonzero
     consumption values.  ``V`` is the structure constant that sets the
     default smoothing level; it is supplied only on generative instances,
-    whose V cannot be derived, and defaults to the min(m, ceil(L/nu))
-    bound.  Explicit trees derive U, V, W and lambda from their paths
-    (``derive_structure_constants``).
+    whose V cannot be derived, must lie in [1, max(m, 1)], and defaults to
+    the min(m, ceil(L/nu)) bound (``v_or_default``).  Explicit trees derive
+    U, V, W and L from their paths (``derive_structure_constants``).
     """
 
     T: int
@@ -200,21 +200,23 @@ class InstanceSpec:
             raise InstanceError("iota must lie in (0, 1]")
         if self.L < 0:
             raise InstanceError("column sparsity bound L must be >= 0")
+        if self.V is not None and (type(self.V) is not int
+                                   or not 1 <= self.V <= max(self.m, 1)):
+            raise InstanceError(f"structure constant V must be an integer in "
+                                f"[1, max(m, 1)], got {self.V!r}")
 
     @property
     def nu(self) -> float:
         """The smallest budget per period, min(b)/T (0 without resources)."""
         return min(self.b) / self.T if self.b else 0.0
 
-    def v_bound(self) -> int:
-        """min(m, ceil(L/nu)) when nu > 0, else m."""
-        nu = self.nu
-        if nu > 0:
-            return min(self.m, math.ceil(self.L / nu))
-        return self.m
-
     def v_or_default(self) -> int:
-        return self.V if self.V is not None else max(1, self.v_bound())
+        """V if given, else max(1, min(m, ceil(L/nu))), with m for nu = 0."""
+        if self.V is not None:
+            return self.V
+        nu = self.nu
+        return max(1, min(self.m, math.ceil(self.L / nu)) if nu > 0
+                   else self.m)
 
 
 class Readout:
@@ -342,9 +344,6 @@ class ExplicitScenarioTree:
         self._validate()
 
     # -- accessors ---------------------------------------------------------
-
-    def __contains__(self, prefix: Prefix) -> bool:
-        return prefix.key in self._nodes
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -588,10 +587,6 @@ class StructureConstants:
     V: int
     W: int
     L: int
-    iota: float
-    nu: float
-    lam: float
-    V_bound: int
 
 
 def derive_structure_constants(tree: ExplicitScenarioTree) -> StructureConstants:
@@ -600,8 +595,9 @@ def derive_structure_constants(tree: ExplicitScenarioTree) -> StructureConstants
     U is the largest per-resource request count on any trajectory (clamped
     to >= 2), V the largest number of budget-saturating resources (clamped
     to >= 1), and W the largest total resource overlap between one arrival
-    and all arrivals on the same trajectory.  V_bound is min(m, ceil(L/nu)),
-    nu = min(b)/T, and lam = min(m, L T / min(b)) (m when a budget is 0).
+    and all arrivals on the same trajectory, and L the most resources one
+    arrival requests.  V sets the default theta; U, L and W set the step
+    size of ``oracle.solve_pen_explicit``.
     """
     inst = tree.instance
     if not tree.leaf_keys:
@@ -610,7 +606,6 @@ def derive_structure_constants(tree: ExplicitScenarioTree) -> StructureConstants
     V = 0
     W = 0
     L_seen = 0
-    iota_seen = 1.0
     for leaf_key in tree.leaf_keys:
         rcvs = [nd.a for nd in tree.path(leaf_key)]
         supports = [frozenset(i for i, _ in pairs) for pairs in rcvs]
@@ -621,7 +616,6 @@ def derive_structure_constants(tree: ExplicitScenarioTree) -> StructureConstants
             for i, v in pairs:
                 totals[i] = totals.get(i, 0.0) + v
                 counts[i] = counts.get(i, 0) + 1
-                iota_seen = min(iota_seen, v)
         if counts:
             U = max(U, max(counts.values()))
         V = max(V, sum(1 for i, tot in totals.items() if tot >= inst.b[i] - 1e-12))
@@ -630,12 +624,7 @@ def derive_structure_constants(tree: ExplicitScenarioTree) -> StructureConstants
                 continue
             overlap = sum(len(ref & s) for s in supports)
             W = max(W, overlap)
-    min_b = min(inst.b) if inst.b else 0.0
-    lam = min(inst.m, inst.L * inst.T / min_b) if min_b > 0 else float(inst.m)
-    return StructureConstants(
-        U=max(U, 2), V=max(V, 1), W=W, L=L_seen, iota=iota_seen,
-        nu=inst.nu, lam=lam, V_bound=inst.v_bound(),
-    )
+    return StructureConstants(U=max(U, 2), V=max(V, 1), W=W, L=L_seen)
 
 
 def demo_tree() -> ExplicitScenarioTree:

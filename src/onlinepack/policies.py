@@ -6,9 +6,9 @@ decision down whenever it would overdraw a budget.  ROUND converts a
 fractional decision to {0,1} by an independent keyed Bernoulli; FLOOR maps
 any residual fractional value to zero.  The application policies compose
 these pieces: lp = FEAS o pen, nrm = FLOOR o FEAS o ROUND o pen, is =
-threshold rounding of lp against one episode-level uniform, mwmlp = lp on
-the matching encoding with a rescaled accuracy target, and mmo-greedy picks
-the best fractional edge in each online node's block.
+threshold rounding of lp against one episode-level uniform, and mmo-greedy
+picks the best fractional edge in each online node's block.  (``verify``'s
+mwmlp is lp, its default theta taken at ``mwm_scaled_epsilon``.)
 
 Policies are streaming objects: one call per period, in period order,
 enforced by an epoch counter in the EpisodeContext.
@@ -190,8 +190,8 @@ def policy_is(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
 def mwm_scaled_epsilon(epsilon: float, delta: int) -> float:
     """Accuracy rescaling for matching encodings: eps' = 2 eps / Delta.
 
-    The ``mwmlp`` policy is ``policy_lp`` run with a config that carries
-    this rescaled accuracy target.
+    ``verify --policy mwmlp`` takes its default theta at this epsilon and
+    runs ``policy_lp``; the rescaling reaches nothing else.
     """
     if delta < 1:
         raise InstanceError("degree bound must be >= 1")

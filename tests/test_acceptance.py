@@ -513,7 +513,7 @@ def test_c11_parameter_formulas():
 
         fe, fi, fth = Fraction(eps), Fraction(iota), Fraction(theta)
         un = theory_params("unaccelerated", eps, L, iota, theta, T)
-        assert Fraction(un.alpha_exact) == fi * fi * fe / (24 * L * L)
+        assert un.alpha == float(fi * fi * fe / (24 * L * L))
         assert un.K == math.ceil(288 * L * L / (fe * fe * fi * fi))
         assert un.eta1 == math.ceil(2304 * L * L / (fi * fi * fe * fe))
         assert un.eta2 == min(
@@ -522,7 +522,7 @@ def test_c11_parameter_formulas():
         acc = theory_params("accelerated", eps, L, iota, theta, T, U=U, W=W)
         q_float = (U * L * W) ** 0.25 / math.sqrt(iota * theta)
         q = math.ceil(q_float - 1e-9)
-        assert acc.alpha_exact == Fraction(1, 4) / (q * q)
+        assert acc.alpha == float(Fraction(1, 4) / (q * q))
         assert acc.K == 8 * q * math.ceil(1.0 / math.sqrt(eps) - 1e-9)
         assert acc.eta1 == math.ceil(45696 * L * L / (fi * fi * fe * fe))
         assert acc.eta2 == min(

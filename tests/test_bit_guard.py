@@ -700,18 +700,18 @@ def test_golden_shared_table_write_order(golden):
 
 
 # OPT_lp, OPT_pen, the LP solution (digest in prefix order) and the
-# structure constants; they keep their bits however the LP rows and the
-# root-to-leaf paths are assembled
+# structure constants U, V, W and L; they keep their bits however the LP
+# rows and the root-to-leaf paths are assembled
 _GOLDEN_LP = {
     "m2": ("0x1.68173b9abcd48p+0", "0x1.68173b9abcd48p+0",
            "31825183b827feec23a61206",
-           (2, 2, 4, 2, 0.3122365357328976, 0.135675140604718, 2, 2)),
+           (2, 2, 4, 2)),
     "m4": ("0x1.1db4f235ae668p+0", "0x1.1db4f235ae668p+0",
            "c36ccc6b1664ef600341b423",
-           (4, 4, 10, 3, 0.3015031614671491, 0.08320903825170067, 4, 4)),
+           (4, 4, 10, 3)),
     "m5": ("0x1.59cc9b36be1e5p+0", "0x1.59cc9b36be1e5p+0",
            "6983b0ffdfdd85ad7432cd4b",
-           (2, 4, 6, 4, 0.3298885222533532, 0.13327844970221883, 5, 5)),
+           (2, 4, 6, 4)),
 }
 
 

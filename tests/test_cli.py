@@ -520,6 +520,34 @@ class TestVerify:
         assert code == 0
         assert report["violations"] == 0
 
+    @pytest.mark.parametrize("policy,gen,message", [
+        ("is", ("--kind", "nrm", "--seed", "7", "--T", "7", "--m", "3",
+                "--L", "2", "--iota", "0.3", "--rho", "0.5"),
+         "independent-set encoded"),
+        ("mmo-greedy", ("--kind", "demo2"), "online-node encoded"),
+        ("mwmlp", ("--kind", "demo2"), "matching (mwm or mmo) encoded"),
+        ("mwmlp", ("--kind", "is", "--seed", "2", "--n", "6", "--delta", "2"),
+         "matching (mwm or mmo) encoded"),
+        ("greedy", ("--kind", "demo2"), "unknown policy"),
+    ], ids=["is-on-nrm", "mmo-greedy-on-demo2", "mwmlp-on-demo2",
+            "mwmlp-on-is", "unknown"])
+    def test_unfit_policy_is_refused_before_the_oracles(
+            self, tmp_path, capsys, monkeypatch, policy, gen, message):
+        import onlinepack.cli as cli
+
+        def solved(*args, **kwargs):
+            pytest.fail("an oracle was solved for a refused policy")
+
+        monkeypatch.setattr(cli, "solve_lp_explicit", solved)
+        inst = tmp_path / "inst.json"
+        assert run_cli("gen", *gen, "--out", str(inst)) == 0
+        capsys.readouterr()
+        assert run_cli("verify", "--instance", str(inst),
+                       "--policy", policy) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_mmo_greedy_reported_not_gated(self, tmp_path, capsys):
         inst = tmp_path / "mmo.json"
         run_cli("gen", "--kind", "mmo", "--seed", "5", "--n-offline", "3",
@@ -623,8 +651,9 @@ class TestMatchingGoldenOutputs:
     """`run` CSV, `--trace` and `verify` JSON bytes on an mmo and an mwm file.
 
     ``mmo-greedy`` reads every period of a block through the handle's
-    ``block_lookup`` and ``mwmlp`` runs the LP policy on the matching
-    encoding; the trace pins every decision and its per-decision counts.
+    ``block_lookup``; ``run`` scores ``lp`` on the matching encoding, and
+    ``verify``'s ``mwmlp`` is ``lp`` with its default theta at the rescaled
+    epsilon.  The trace pins every decision and its per-decision counts.
     """
 
     SOLVER = dict(TestGoldenOutputs.SOLVER, eta2=3)
@@ -633,8 +662,8 @@ class TestMatchingGoldenOutputs:
             "mmo.json,mmo-greedy,9,300,2.2133333333333334,0.04911101190316036,0,0.0",
             1800,
             "1a5c71ba092dd55d9ea1739400ae17cdd965cdbc07edda9ff711890af3a03d33"),
-        "mwmlp": (
-            "mwm.json,mwmlp,9,300,0.5678291569261102,0.01610505602638137,0,0.0",
+        "lp": (
+            "mwm.json,lp,9,300,0.5678291569261102,0.01610505602638137,0,0.0",
             1500,
             "f2b0b65f3ec4dd7869e180a20a4dbb9b4cc0e8023f55e305aff37037d4159b4f"),
     }
@@ -662,9 +691,10 @@ class TestMatchingGoldenOutputs:
                 "--n-online", "3", "--delta", "2", "--out", "mmo.json")
         run_cli("gen", "--kind", "mwm", "--seed", "3", "--n", "5", "--delta",
                 "2", "--out", "mwm.json")
-        return {"mmo-greedy": "mmo.json", "mwmlp": "mwm.json"}
+        return {"mmo-greedy": "mmo.json", "lp": "mwm.json",
+                "mwmlp": "mwm.json"}
 
-    @pytest.mark.parametrize("policy", ["mmo-greedy", "mwmlp"])
+    @pytest.mark.parametrize("policy", ["mmo-greedy", "lp"])
     def test_run_csv_and_trace(self, instances, policy, capsys):
         with open("exp.json", "w", encoding="utf-8") as fh:
             json.dump({"instance": instances[policy], "policy": policy,
@@ -689,6 +719,29 @@ class TestMatchingGoldenOutputs:
         assert code == 0
         assert capsys.readouterr().out == \
             json.dumps(self.VERIFY[policy], indent=1, sort_keys=True) + "\n"
+
+    def test_epsilon_and_practical_override_change_no_output(
+            self, instances, capsys):
+        # both solver keys are validated and read by nothing; the four runs
+        # give the lp golden's CSV and trace bytes
+        outputs = set()
+        for epsilon in (0.2, 0.9):
+            for override in (True, False):
+                solver = dict(self.SOLVER, epsilon=epsilon,
+                              practical_override=override)
+                with open("exp.json", "w", encoding="utf-8") as fh:
+                    json.dump({"instance": instances["lp"], "policy": "lp",
+                               "solver": solver, "n_episodes": 300}, fh)
+                capsys.readouterr()
+                assert run_cli("run", "--config", "exp.json",
+                               "--trace", "trace.jsonl") == 0
+                outputs.add((capsys.readouterr().out,
+                             Path("trace.jsonl").read_bytes()))
+        assert len(outputs) == 1
+        (csv_text, trace), = outputs
+        row, _, digest = self.RUN["lp"]
+        assert csv_text.splitlines()[1] == row
+        assert hashlib.sha256(trace).hexdigest() == digest
 
 
 def test_tree_deeper_than_the_recursion_limit_runs_and_verifies(
@@ -717,10 +770,28 @@ _GEN = {
     "nrm": ("--kind", "nrm", "--mode", "generative", "--seed", "2",
             "--T", "4"),
     "is": ("--kind", "is", "--seed", "2", "--n", "6", "--delta", "2"),
-    "mwmlp": ("--kind", "mwm", "--seed", "3", "--n", "5", "--delta", "2"),
     "mmo-greedy": ("--kind", "mmo", "--seed", "4", "--n-offline", "3",
                    "--n-online", "3", "--delta", "2"),
 }
+
+
+def test_run_refuses_mwmlp_and_names_lp(tmp_path, capsys):
+    import onlinepack.cli as cli
+    # one name per decision function, and each is traced below
+    assert len(set(cli._POLICIES.values())) == len(cli._POLICIES) == len(_GEN)
+    # under run the solver config is given, so mwmlp would be lp itself
+    inst, exp, trace = (tmp_path / f for f in ("i.json", "e.json", "t.jsonl"))
+    assert run_cli("gen", "--kind", "mwm", "--seed", "3", "--n", "5",
+                   "--delta", "2", "--out", str(inst)) == 0
+    exp.write_text(json.dumps({
+        "instance": str(inst), "policy": "mwmlp", "n_episodes": 8,
+        "solver": dict(TestGoldenOutputs.SOLVER, K=4, eta1=2, eta2=2)}))
+    capsys.readouterr()
+    assert run_cli("run", "--config", str(exp), "--trace", str(trace)) == 2
+    captured = capsys.readouterr()
+    assert "use 'lp'" in captured.err
+    assert "verify --policy mwmlp" in captured.err
+    assert captured.out == "" and not trace.exists()
 
 
 @pytest.mark.parametrize("policy", list(_GEN))

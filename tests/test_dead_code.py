@@ -9,8 +9,10 @@ other than ``__slots__``) that nothing in the package reads, a function
 parameter (other than ``self`` or ``cls``) that its body never reads, and
 a defaulted parameter of a private function that no call in the package
 passes.
-A seventh check reads the benchmark harness too: a defaulted parameter of a
-public function that no call in the package or the harness passes.
+A seventh and an eighth check read the benchmark harness too: a defaulted
+parameter of a public function that no call in the package or the harness
+passes, and a dataclass field or property that no code in the package or
+the harness reads as an attribute.
 ``__init__.py`` only re-exports the public API, so its imports count as used.
 """
 
@@ -246,12 +248,18 @@ def _test_only_options(modules: dict[str, ast.Module]) -> list[str]:
     is a constant in disguise.  ``cli.main(argv)`` is exempt, because the
     console entry point calls ``main()`` with no argument.
     """
+    return [option for option in
+            _unset_options(modules, _with_harness(modules), public=True)
+            if not option.startswith("main(argv) (cli.py:")]
+
+
+def _with_harness(modules: dict[str, ast.Module]) -> dict[str, ast.Module]:
+    """``modules`` and the benchmark harness's modules."""
     callers = dict(modules)
     for path in sorted(PERFBENCH.glob("*.py")):
         callers[f"perfbench/{path.name}"] = ast.parse(
             path.read_text(encoding="utf-8"), str(path))
-    return [option for option in _unset_options(modules, callers, public=True)
-            if not option.startswith("main(argv) (cli.py:")]
+    return callers
 
 
 def test_no_test_only_options():
@@ -268,3 +276,64 @@ def test_test_only_option_is_caught():
                         "    return scaled(x, shift=by) + Meter().read(x, 'ms')\n")
     modules = dict(_modules(), planted=planted)
     assert _test_only_options(modules) == ["scaled(factor) (planted:1)"]
+
+
+# perfbench/workloads.py:120 passes practical_override in the solver dict it
+# builds, and its `run` configs copy that dict, so the field stays until the
+# next benchmark change (ROADMAP item 1 or 4) drops it there, as item 5 plans
+_UNREAD_FIELD_EXEMPT = {"SolverConfig.practical_override"}
+
+
+def _unread_fields(modules: dict[str, ast.Module]) -> list[str]:
+    """Dataclass fields and properties of the classes in ``modules`` whose
+    names no code in the package or the harness reads as an attribute.
+
+    Only a test reads such a field, so it carries a value that changes no
+    output.
+    """
+    reads = {sub.attr for module in _with_harness(modules).values()
+             for sub in ast.walk(module)
+             if isinstance(sub, ast.Attribute)
+             and not isinstance(sub.ctx, ast.Store)}
+    unread = []
+    for name, module in modules.items():
+        for cls in (n for n in ast.walk(module) if isinstance(n, ast.ClassDef)):
+            is_dataclass = any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                == "dataclass" for d in cls.decorator_list)
+            for stmt in cls.body:
+                if is_dataclass and isinstance(stmt, ast.AnnAssign):
+                    field = stmt.target.id
+                elif isinstance(stmt, ast.FunctionDef) and any(
+                        getattr(d, "id", None) == "property"
+                        for d in stmt.decorator_list):
+                    field = stmt.name
+                else:
+                    continue
+                if field not in reads and \
+                        f"{cls.name}.{field}" not in _UNREAD_FIELD_EXEMPT:
+                    unread.append(f"{cls.name}.{field} ({name}:{stmt.lineno})")
+    return sorted(unread)
+
+
+def test_no_unread_fields():
+    assert _unread_fields(_modules()) == []
+
+
+def test_unread_field_is_caught():
+    planted = ast.parse("from dataclasses import dataclass\n"
+                        "@dataclass(frozen=True)\n"
+                        "class Bounds:\n"
+                        "    low: float\n"
+                        "    slack_seen: float\n"
+                        "    @property\n"
+                        "    def width_hint(self):\n"
+                        "        return self.low\n"
+                        "class Plain:\n"
+                        "    count_hint: int = 0\n"
+                        "def span(b):\n"
+                        "    b.slack_seen = 0.0\n"
+                        "    return b.low\n")
+    modules = dict(_modules(), planted=planted)
+    assert _unread_fields(modules) == ["Bounds.slack_seen (planted:5)",
+                                       "Bounds.width_hint (planted:7)"]

@@ -1295,8 +1295,8 @@ class TestTheoryParams:
     def test_accelerated_roots_are_the_least_integers(self, args):
         eps, L, iota, theta, T, U, W = args
         pb = theory_params("accelerated", eps, L, iota, theta, T, U=U, W=W)
-        q = math.isqrt(int(1 / (4 * pb.alpha_exact)))
-        assert pb.alpha_exact == Fraction(1, 4) / (q * q)
+        q = math.isqrt(round(1 / (4 * pb.alpha)))
+        assert pb.alpha == float(Fraction(1, 4) / (q * q))
         s, rest = divmod(pb.K, 8 * q)
         assert rest == 0
         # q is the least with q^4 (iota theta)^2 >= ULW, s the least with
@@ -1311,7 +1311,7 @@ class TestTheoryParams:
     ], ids=["eps-just-below-quarter", "q4-just-above-16"])
     def test_reproducer_rows(self, eps, theta, U, q, K):
         pb = theory_params("accelerated", eps, 1, 1.0, theta, 4, U=U, W=1)
-        assert (pb.K, pb.alpha_exact) == (K, Fraction(1, 4 * q * q))
+        assert (pb.K, pb.alpha) == (K, float(Fraction(1, 4 * q * q)))
 
     def test_unaccelerated_known_row(self):
         pb = theory_params("unaccelerated", 1.0, 1, 1.0, 8.0, 8)

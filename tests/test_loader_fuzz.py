@@ -199,6 +199,11 @@ MALFORMED = {
     "encoded-structure": dict(_encoded(), structure={"V": 1}),
     "structure-U-and-W":
         dict(_generative(), structure={"U": 2, "V": 1, "W": 2}),
+    # V must lie in [1, max(m, 1)]; the generator has m = 2
+    "structure-V-negative": dict(_generative(), structure={"V": -5}),
+    "structure-V-zero": dict(_generative(), structure={"V": 0}),
+    "structure-V-above-m": dict(_generative(), structure={"V": 3}),
+    "structure-V-bool": dict(_generative(), structure={"V": True}),
     "iota-string": _explicit(iota="1.0"),       # float("1.0") would read 1.0
     "b-string": _explicit(b=["1.0"]),
     "node-prob-string": _with_node(prob="1.0"),
@@ -290,6 +295,20 @@ def test_run_refuses_a_horizon_above_the_cap(tmp_path, capsys):
     assert main(["run", "--config", str(exp), "--episodes", "1"]) == 2
     err = capsys.readouterr().err
     assert "T = 100000000 exceeds the instance size cap" in err
+    assert "Traceback" not in err
+
+
+def test_run_refuses_a_structure_V_out_of_range(tmp_path, capsys):
+    # it would set the default theta of anyone reading v_or_default()
+    inst, exp = tmp_path / "inst.json", tmp_path / "exp.json"
+    inst.write_text(json.dumps(dict(_generative(), structure={"V": -5})))
+    exp.write_text(json.dumps({
+        "instance": str(inst), "policy": "nrm",
+        "solver": {"epsilon": 0.2, "theta": 0.5, "alpha": 0.1, "K": 2,
+                   "eta1": 2, "eta2": 1, "master_seed": 3}}))
+    assert main(["run", "--config", str(exp), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "structure constant V must be an integer in [1, max(m, 1)]" in err
     assert "Traceback" not in err
 
 

@@ -50,14 +50,13 @@ class TestInstanceSpec:
     def test_derived_fields(self):
         spec = InstanceSpec(T=4, m=2, b=(2.0, 4.0), L=2, iota=0.5)
         assert spec.nu == 0.5
-        assert spec.v_bound() == min(2, math.ceil(2 / 0.5))
-        tb = TreeBuilder(T=4, m=2, b=(2.0, 4.0), L=2, iota=0.5)
-        node = None
-        for t in range(4):
-            node = tb.add(node, (float(t),), 1.0, z=0.0)
-        sc = derive_structure_constants(tb.build())
-        assert sc.lam == min(2, 2 * 4 / 2.0)
-        assert (sc.nu, sc.V_bound) == (spec.nu, spec.v_bound())
+        assert spec.v_or_default() == min(2, math.ceil(2 / 0.5))
+        # a zero budget (nu = 0) gives m; no resources clamps to 1
+        assert InstanceSpec(T=4, m=2, b=(0.0, 4.0), L=2,
+                            iota=0.5).v_or_default() == 2
+        assert InstanceSpec(T=4, m=0, b=(), L=0, iota=0.5).v_or_default() == 1
+        assert InstanceSpec(T=4, m=2, b=(2.0, 4.0), L=2, iota=0.5,
+                            V=1).v_or_default() == 1
 
     def test_validation(self):
         with pytest.raises(InstanceError):
@@ -66,6 +65,13 @@ class TestInstanceSpec:
             InstanceSpec(T=2, m=2, b=(1.0,), L=1, iota=1.0)
         with pytest.raises(InstanceError):
             InstanceSpec(T=2, m=1, b=(1.0,), L=1, iota=1.5)
+
+    @pytest.mark.parametrize("V", [0, -5, 3, True, 1.0])
+    def test_structure_constant_V_must_lie_in_one_to_m(self, V):
+        with pytest.raises(InstanceError, match="structure constant V"):
+            InstanceSpec(T=2, m=2, b=(1.0, 1.0), L=1, iota=1.0, V=V)
+        # without resources V = 1 is the one value accepted
+        assert InstanceSpec(T=2, m=0, b=(), L=0, iota=1.0, V=1).V == 1
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
     def test_budgets_must_be_finite_and_nonnegative(self, budget):
@@ -314,9 +320,8 @@ class TestFixedHead:
 class TestStructureConstants:
     def test_demo_tree_exact(self):
         sc = derive_structure_constants(demo_tree())
-        assert (sc.U, sc.V, sc.W, sc.L) == (2, 1, 2, 1)
-        assert sc.nu == 0.5
-        assert sc.V_bound == min(1, math.ceil(1 / 0.5)) == 1
+        assert dataclasses.astuple(sc) == (sc.U, sc.V, sc.W, sc.L) == \
+            (2, 1, 2, 1)
 
     def test_zero_consumption_clamps(self):
         tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
