@@ -155,23 +155,25 @@ class PathDraw:
 
 
 class MemoTable:
-    """Write-once iterate table plus the conditional-draw and decision caches.
+    """Write-once iterate table plus its draw store and decision cache.
 
     Entry (prefix, k) stores X^k(prefix) for k >= 1; levels k <= 0 are
     zero and not stored (see ``_extrapolation``).  Entries are never
-    reassigned, and the draw multiset for (prefix, k) is generated once.
-    The recursion simulates only for entries (S, k) at level >= 2 whose
-    node requests a resource (the others read no draw, see
-    ``_entry_draws``) and whose handle does not fix S's first
-    max(aleph_(k-1)) rows (see ``conditional_draws``), so ``sim_calls`` is
-    eta1 times the number of those entries.
-    ``_paths`` holds one ``PathDraw`` per (cut, sampled periods), shared by
-    completions that agree through the cut and by levels whose period
-    subsamples are equal, so a repeated draw is a repeated object and
-    shares one derivative.  ``decisions`` caches decide_pen's averaged value
-    per prefix key.  ``_evals`` holds one evaluator of Y^k per level k,
-    built on first use.  ``sim_calls`` and ``writes`` (the entry count)
-    count the recursion's work for the complexity and horizon checks.
+    reassigned.  Draw sets are not cached: the recursion asks for each
+    once, and a repeated ``conditional_draws`` call draws again and
+    returns the same ``PathDraw`` objects.  The recursion simulates only for
+    entries (S, k) at level >= 2 whose node requests a resource (the
+    others read no draw, see ``_entry_draws``) and whose handle does not
+    fix S's first max(aleph_(k-1)) rows (see ``conditional_draws``), so
+    ``sim_calls`` is eta1 times the number of those entries.
+    ``draws`` is the draw store: one ``PathDraw`` per (cut key, sampled
+    periods), shared by completions that agree through the cut and by
+    levels whose period subsamples are equal, so a repeated draw is a
+    repeated object and shares one derivative.  ``decisions`` caches
+    decide_pen's averaged value per prefix key.  ``_evals`` holds one
+    evaluator of Y^k per level k, built on first use.  ``sim_calls`` and
+    ``writes`` (the entry count) count the recursion's work for the
+    complexity and horizon checks.
     Every entry is a pure function of (master seed, prefix, level), so one
     table may serve any episodes of one (instance, SolverConfig).  The
     table is bound to the first config it is used with, and the engine's
@@ -179,14 +181,13 @@ class MemoTable:
     decisions and evaluators hold that config's K and betas.
     """
 
-    __slots__ = ("entries", "draws", "decisions", "_paths", "_evals",
-                 "_config", "sim_calls")
+    __slots__ = ("entries", "draws", "decisions", "_evals", "_config",
+                 "sim_calls")
 
     def __init__(self):
         self.entries: dict[tuple[bytes, int], float] = {}
-        self.draws: dict[tuple[bytes, int], tuple[PathDraw, ...]] = {}
+        self.draws: dict[tuple[bytes, tuple[int, ...]], PathDraw] = {}
         self.decisions: dict[bytes, float] = {}
-        self._paths: dict[tuple[bytes, tuple[int, ...]], PathDraw] = {}
         self._evals: dict[int, Callable[[Prefix], float]] = {}
         self._config: SolverConfig | None = None
         self.sim_calls = 0
@@ -229,7 +230,7 @@ def _head_missing(c: int) -> ContractViolationError:
 
 def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
                       k: int, config: SolverConfig) -> tuple[PathDraw, ...]:
-    """The multiset of eta1 completions for (prefix, k), drawn once and cached.
+    """The multiset of eta1 completions for (prefix, k).
 
     Draw j uses the key (master_seed, "traj", k, prefix_key, j), encoded
     hierarchically (a digest of the first four parts plus the counter j), so
@@ -243,20 +244,18 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     call.  Else each completion is simulated and its cut is
     ``fixed_head(completion, c)``.  Each new cut is indexed once, at its
     heads ``fixed_head(cut, t)`` for t in aleph_k through the handle's
-    ``node`` lookup, and shared per (cut, aleph_k).  On a tree every cut
-    and head is then a node's own prefix; on a generative handle it is a
-    slice, and a lazy completion simulates only its first c rows.  A
-    ``fixed_head`` that returns None for some c <= |prefix| breaks the
-    handle contract (``ContractViolationError``).
+    ``node`` lookup, and kept in ``memo.draws`` per (cut key, aleph_k).
+    On a tree every cut and head is then a node's own prefix; on a
+    generative handle it is a slice, and a lazy completion simulates only
+    its first c rows.  Nothing is kept per (prefix, k): a repeated call
+    draws again (eta1 sim calls unless the cut is fixed) and returns the
+    same ``PathDraw`` objects.  A ``fixed_head`` that returns None for some
+    c <= |prefix| breaks the handle contract (``ContractViolationError``).
     """
     if k < 0:
         raise ParameterError("draw level must be >= 0")
     if memo._config is not config:
         memo._bind(config)
-    cache_key = (prefix.key, k)
-    cached = memo.draws.get(cache_key)
-    if cached is not None:
-        return cached
     aleph = sample_index_set(config, sim.instance.T, k)
     c = aleph[-1]
     fixed_head = sim.fixed_head
@@ -276,11 +275,11 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
             cuts.append(cut)
         memo.sim_calls += config.eta1
     node = sim.node
-    paths = memo._paths
+    store = memo.draws
     out = []
     for cut in cuts:
         path_key = (cut.key, aleph)
-        pd = paths.get(path_key)
+        pd = store.get(path_key)
         if pd is None:
             rcvs = []
             for t in aleph:
@@ -288,10 +287,9 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
                 if head is None:
                     raise _head_missing(t)
                 rcvs.append((head, node(head)[1]))
-            pd = paths[path_key] = PathDraw(cut, rcvs)
+            pd = store[path_key] = PathDraw(cut, rcvs)
         out.append(pd)
-    memo.draws[cache_key] = drawn = tuple(out) * (config.eta1 // len(out))
-    return drawn
+    return tuple(out) * (config.eta1 // len(out))
 
 
 def _checked_eval(raw: Callable[[Prefix], float]) -> Callable[[Prefix], float]:
@@ -319,7 +317,7 @@ def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
     ``terms`` already range over aleph ^ T_i(S'), and each term carries the
     prefix S'^t that ``evalx`` reads.  A draw object repeated in ``draws``
     shares one derivative; within a table, equal cuts are one object
-    (``MemoTable._paths``), and distinct objects with equal terms give the
+    (``MemoTable.draws``), and distinct objects with equal terms give the
     same bits anyway.  The iteration order (resources ascending, draws in
     key order, periods ascending) is part of the bitwise-equivalence
     contract between the full-sweep and on-demand implementations.

@@ -687,32 +687,19 @@ class _NrmTables:
                      for row in 0.2 + gen.random((2, n_events))]
         self.shock_event = n_events - 1
         self.rows = tuple((float(e),) for e in range(n_events))
-        self._event_of_row = {row: e for e, row in enumerate(self.rows)}
-
-    def weight(self, regime: int, e: int, count: int) -> float:
-        """Unnormalized weight of event e after ``count`` occurrences of it."""
-        return self.base[regime][e] * (1.0 + _NRM_URN_BONUS * count)
-
-    def weights(self, counts: Sequence[int], regime: int) -> list[float]:
-        return [self.weight(regime, e, c) for e, c in enumerate(counts)]
 
     def law(self, counts: Sequence[int], regime: int) -> list[float]:
         """Next-event probabilities after a history with these event counts;
-        ``regime`` is the parity of the shock-event count."""
-        w = self.weights(counts, regime)
+        ``regime`` is the parity of the shock-event count.  Event e weighs
+        ``base[regime][e] * (1.0 + _NRM_URN_BONUS * count_e)``."""
+        w = [self.base[regime][e] * (1.0 + _NRM_URN_BONUS * c)
+             for e, c in enumerate(counts)]
         # plain left-to-right sum: sum() of floats is compensated on newer
         # Pythons, which would change the probabilities' bits
         total = 0.0
         for x in w:
             total += x
         return [x / total for x in w]
-
-    def events_of(self, rows: Iterable[Observation]) -> list[int]:
-        # prefix rows are canonical, so exactly the rows (float(e),) are valid
-        try:
-            return list(map(self._event_of_row.__getitem__, rows))
-        except KeyError:
-            raise SupportError("observation is not a valid event code") from None
 
     def counts_of(self, prefix: Prefix) -> tuple[list[int], int]:
         """(event counts, regime) of a prefix's history, validating its rows."""
@@ -745,7 +732,7 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
     The simulation kernel draws each event with the arithmetic of
     ``_NrmTables.law`` followed by one cumulative search, bit for bit.  The
     weight of event e is ``base[regime][e] * (1.0 + _NRM_URN_BONUS *
-    count_e)``, ``_NrmTables.weight``'s expression written inline; only the
+    count_e)``, ``_NrmTables.law``'s expression written inline; only the
     drawn event's weight is recomputed, or all of them on a regime flip.
     The total is a left-to-right float loop, never ``sum()``: from Python
     3.12 on ``sum()`` of floats is compensated, which would change the
@@ -833,13 +820,17 @@ def generate_nrm(seed: int, T: int, m: int, L: int, iota: float,
         return _Completion(
             T, lambda stop: simulate(prefix, counts, regime, key, stop))
 
-    def readout(prefix: Prefix) -> Readout:
-        events = tables.events_of(prefix.obs)
-        return Readout([tables.z[e] for e in events],
-                       [tables.a[e] for e in events])
-
+    # prefix rows are canonical, so exactly the rows (float(e),) are valid
     node_of_row = {row: (tables.z[e], tables.a[e])
                    for e, row in enumerate(tables.rows)}
+
+    def readout(prefix: Prefix) -> Readout:
+        try:
+            nodes = list(map(node_of_row.__getitem__, prefix.obs))
+        except KeyError:
+            raise SupportError("observation is not a valid event code") \
+                from None
+        return Readout([z for z, _ in nodes], [a for _, a in nodes])
 
     def node(prefix: Prefix):
         try:

@@ -126,7 +126,7 @@ def test_c03_stochastic_gradient_unbiasedness():
     for k in range(100):
         g = stochastic_grad_component(lambda q: x0[q.key], sim, memo,
                                       prefix0, k, cfg)
-        drawn = memo.draws[(prefix0.key, k)][0].traj.key
+        drawn = conditional_draws(sim, memo, prefix0, k, cfg)[0].traj.key
         assert g == value_of[drawn]
     # scale the statistics with the same integrand over exact cond. draws;
     # the 1e-9 slack covers zero-variance coordinates, where the sample is
@@ -293,7 +293,7 @@ def test_c06_node_lookups_per_draw_equal_eta2():
         for t in range(1, 4):
             for k in range(3):
                 conditional_draws(sim, memo, traj.head(t), k, cfg)
-        per_draw[T] = lookups[0] / len(memo._paths)
+        per_draw[T] = lookups[0] / len(memo.draws)
     report("criterion 6c (horizon-independent completion indexing)",
            per_draw[25] == per_draw[200] == 3,
            f"node lookups per indexed completion at T=25/200 = "

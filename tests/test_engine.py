@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import dataclasses
 import functools
 import math
@@ -27,6 +29,8 @@ from onlinepack.model import (EMPTY_PREFIX, Prefix, Readout, TreeBuilder,
                               generate_nrm, tree_as_simulator)
 from onlinepack.oracle import eval_policy_mc
 from onlinepack.penalty import exact_grad_f_theta
+from onlinepack.policies import (new_episode_context, policy_is, policy_lp,
+                                 policy_mmo_greedy, policy_nrm)
 
 
 def make_config(**kw):
@@ -143,7 +147,7 @@ class TestSampleIndexSet:
 
 
 class TestConditionalDraws:
-    def test_deterministic_process_cached(self):
+    def test_repeat_request_draws_again_into_the_stored_objects(self):
         # c = max(aleph_0) = 1 = |S|: the draws are the prefix's own rows
         tree = one_node_tree()
         sim = tree_as_simulator(tree)
@@ -151,13 +155,13 @@ class TestConditionalDraws:
         cfg = make_config(eta1=1, eta2=1)
         p = tree.prefixes()[0]
         d1 = conditional_draws(sim, memo, p, 0, cfg)
-        calls = memo.sim_calls
         d2 = conditional_draws(sim, memo, p, 0, cfg)
-        assert d1 is d2
-        assert memo.sim_calls == calls == 0
+        assert len(d1) == len(d2) and all(a is b for a, b in zip(d1, d2))
+        assert memo.sim_calls == 0
         # c = 2 > |S| = 1 below a single child: the tree fixes the cut, so
         # nothing is simulated; a handle without that knowledge simulates
-        # eta1 completions, drawn once.  Either way all draws share one
+        # eta1 completions on every request.  Either way all draws share one
+        # object, and a repeat returns it from the store
         tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
         root = tb.add(None, (0.0,), 1.0, z=0.5, a={0: 1.0})
         leaf = tb.add(root, (1.0,), 1.0, z=0.5, a={0: 1.0})
@@ -170,7 +174,8 @@ class TestConditionalDraws:
             d1 = conditional_draws(handle, memo, root, 0, cfg)
             assert memo.sim_calls == calls
             d2 = conditional_draws(handle, memo, root, 0, cfg)
-            assert d1 is d2 and memo.sim_calls == calls
+            assert memo.sim_calls == 2 * calls
+            assert len(d2) == len(d1) and all(a is b for a, b in zip(d1, d2))
             assert len(set(map(id, d1))) == 1 and len(d1) == cfg.eta1
             assert d1[0].traj == leaf
 
@@ -351,7 +356,7 @@ class TestStochasticGradComponent:
         for k in range(50):
             g = stochastic_grad_component(lambda q: x[q.key], sim, memo,
                                           prefix, k, cfg)
-            drawn = memo.draws[(prefix.key, k)][0].traj.key
+            drawn = conditional_draws(sim, memo, prefix, k, cfg)[0].traj.key
             assert g == value_of[drawn]
 
 
@@ -606,14 +611,30 @@ def _calls(cfg, sim, prefix, k):
     return 0 if sim.fixed_head(prefix, c) is not None else cfg.eta1
 
 
-def _count_law(memo, cfg, sim, nodes):
+@contextlib.contextmanager
+def _draw_requests():
+    """Spy on the engine's ``conditional_draws`` calls while the block runs;
+    ``_requested`` reads them after."""
+    with mock.patch.object(engine, "conditional_draws",
+                           wraps=engine.conditional_draws) as spy:
+        yield spy
+
+
+def _requested(spy, memo):
+    """(prefix key, k) of every draw set asked for with ``memo``, in order."""
+    return [(call.args[2].key, call.args[3]) for call in spy.call_args_list
+            if call.args[1] is memo]
+
+
+def _count_law(memo, cfg, sim, nodes, requested):
     """sim_calls == eta1 * #(entries (S, k) at level >= 2 whose node requests
     a resource and whose handle does not fix S's first max(aleph_(k-1))
-    rows), and no other entry has a draw set."""
+    rows), and no other entry asks for a draw set (``requested``, the
+    table's (prefix key, k) requests)."""
     assert memo.sim_calls == sum(
         _calls(cfg, sim, nodes[key][0], k - 1)
         for key, k in memo.entries if k >= 2 and nodes[key][1])
-    assert all(k >= 1 and nodes[key][1] for key, k in memo.draws)
+    assert all(k >= 1 and nodes[key][1] for key, k in requested)
 
 
 def _full_length_draws(sim, memo, prefix, k, config):
@@ -646,7 +667,7 @@ class TestDrawRule:
         sim = tree_as_simulator(tree)
         support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
         handles = (sim, dataclasses.replace(sim, fixed_head=None))
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, _draw_requests() as spy:
             if deriv is not None:
                 mp.setattr(engine, "huber_deriv", deriv)
             swept = MemoTable()
@@ -669,7 +690,8 @@ class TestDrawRule:
             for key, value in memo.entries.items():
                 assert value == swept.entries[key]
         for memo, handle in ((swept, sim), *zip(on_demand, handles)):
-            _count_law(memo, cfg, handle, _tree_nodes(tree))
+            _count_law(memo, cfg, handle, _tree_nodes(tree),
+                       _requested(spy, memo))
 
     def test_count_law_on_generative_nrm(self):
         sim, nodes = _recording(generate_nrm(
@@ -678,11 +700,12 @@ class TestDrawRule:
         for K, eta1 in ((1, 3), (2, 2), (3, 2)):
             cfg = make_config(K=K, eta1=eta1, eta2=3, master_seed=4)
             memo = MemoTable()
-            for e in range(3):
-                traj = sim.complete(EMPTY_PREFIX, (9, "episode", e))
-                for t in range(1, sim.instance.T + 1):
-                    decide_pen(sim, memo, traj.head(t), cfg)
-            _count_law(memo, cfg, sim, nodes)
+            with _draw_requests() as spy:
+                for e in range(3):
+                    traj = sim.complete(EMPTY_PREFIX, (9, "episode", e))
+                    for t in range(1, sim.instance.T + 1):
+                        decide_pen(sim, memo, traj.head(t), cfg)
+            _count_law(memo, cfg, sim, nodes, _requested(spy, memo))
             assert memo.writes == len(memo.entries) > 0
             assert (memo.sim_calls == 0) == (K == 1)
         # the law skipped entries for each reason: no resource, or a prefix
@@ -701,23 +724,27 @@ class TestDrawRule:
         cfg = make_config(K=3, eta1=2, eta2=2)
         support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
         kept = MemoTable()
-        for p in support:
-            decide_pen(sim, kept, p, cfg)
-        _count_law(kept, cfg, sim, _tree_nodes(tree))
+        with _draw_requests() as spy:
+            for p in support:
+                decide_pen(sim, kept, p, cfg)
+        _count_law(kept, cfg, sim, _tree_nodes(tree), _requested(spy, kept))
         rule = engine._entry_draws
 
         def drawing(sim, memo, prefix, k, config):
             z_s, a_s, draws = rule(sim, memo, prefix, k, config)
             if k >= 2 and not a_s:
-                draws = conditional_draws(sim, memo, prefix, k - 1, config)
+                draws = engine.conditional_draws(sim, memo, prefix, k - 1,
+                                                 config)
             return z_s, a_s, draws
         monkeypatch.setattr(engine, "_entry_draws", drawing)
         mutated = MemoTable()
-        for p in support:
-            decide_pen(sim, mutated, p, cfg)
+        with _draw_requests() as spy:
+            for p in support:
+                decide_pen(sim, mutated, p, cfg)
         assert mutated.entries == kept.entries
         with pytest.raises(AssertionError):
-            _count_law(mutated, cfg, sim, _tree_nodes(tree))
+            _count_law(mutated, cfg, sim, _tree_nodes(tree),
+                       _requested(spy, mutated))
 
     def test_count_law_fails_when_prefix_cuts_complete(self, monkeypatch):
         # mutation check: a draw set whose reads all lie inside S that
@@ -728,17 +755,20 @@ class TestDrawRule:
         cfg = make_config(K=4, eta1=2, eta2=2)
         support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
         kept = MemoTable()
-        for p in support:
-            decide_pen(sim, kept, p, cfg)
-        _count_law(kept, cfg, sim, _tree_nodes(tree))
+        with _draw_requests() as spy:
+            for p in support:
+                decide_pen(sim, kept, p, cfg)
+        _count_law(kept, cfg, sim, _tree_nodes(tree), _requested(spy, kept))
         monkeypatch.setattr(engine, "conditional_draws", _full_length_draws)
         mutated = MemoTable()
-        for p in support:
-            decide_pen(sim, mutated, p, cfg)
+        with _draw_requests() as spy:
+            for p in support:
+                decide_pen(sim, mutated, p, cfg)
         assert list(mutated.entries.items()) == list(kept.entries.items())
         assert mutated.sim_calls > kept.sim_calls
         with pytest.raises(AssertionError):
-            _count_law(mutated, cfg, sim, _tree_nodes(tree))
+            _count_law(mutated, cfg, sim, _tree_nodes(tree),
+                       _requested(spy, mutated))
 
     def test_k1_draws_no_completion(self):
         # with K = 1 the decision reads only level-0 draws, so the prefix is
@@ -766,11 +796,12 @@ class TestDrawRule:
         bad_row = Prefix([(9.0,), (1.0,)])  # 9 is not an event code
         memo = MemoTable()
         cfg = make_config(K=1, alpha=0.1)
-        x = decide_pen(nrm_sim, memo, bad_row, cfg)
+        with _draw_requests() as spy:
+            x = decide_pen(nrm_sim, memo, bad_row, cfg)
         z, _ = nrm_sim.node(bad_row)
         assert x == _clip01(0.1 * z)  # X^1 = alpha * Z(S): no load yet
         assert memo.sim_calls == 0
-        _count_law(memo, cfg, nrm_sim, nrm_nodes)
+        _count_law(memo, cfg, nrm_sim, nrm_nodes, _requested(spy, memo))
         with pytest.raises(SupportError):
             decide_pen(nrm_sim, MemoTable(), bad_row, make_config(K=2))
 
@@ -912,13 +943,88 @@ class TestTreeDraws:
         for k in range(cfg.K):  # every level, the unread ones included
             for p in support:
                 conditional_draws(sim, memo, p, k, cfg)
-        for drawn in memo.draws.values():
-            for d in drawn:
-                assert tree.node(d.traj).prefix is d.traj
-                for terms in d.terms.values():
-                    for head, _ in terms:
-                        assert tree.node(head).prefix is head
+        for d in memo.draws.values():
+            assert tree.node(d.traj).prefix is d.traj
+            for terms in d.terms.values():
+                for head, _ in terms:
+                    assert tree.node(head).prefix is head
         assert runs[0] == runs[1]
+
+
+@st.composite
+def _traffic_cases(draw):
+    """A handle, the policy that fits it, and a config: the tree draw cases
+    (random trees with zero-mass branches, is, mwm, mmo) or generative NRM."""
+    if draw(st.booleans()):
+        sim, cfg = draw(_tree_draw_cases())
+    else:
+        sim = generate_nrm(seed=draw(st.integers(0, 10_000)),
+                           T=draw(st.integers(1, 8)), m=3, L=2, iota=0.3,
+                           budget_ratio=0.5, mode="generative", n_events=4)
+        cfg = make_config(K=draw(st.integers(1, 4)),
+                          eta1=draw(st.integers(1, 3)),
+                          eta2=draw(st.integers(1, min(3, sim.instance.T))),
+                          master_seed=draw(st.integers(0, 2**31)))
+    if sim.partite_of is not None:
+        policy = policy_is
+    elif sim.block_lookup is not None:
+        policy = policy_mmo_greedy
+    else:
+        policy = draw(st.sampled_from([policy_lp, policy_nrm]))
+    return sim, policy, cfg
+
+
+def _play(sim, policy, cfg, shared, episodes=3):
+    """``episodes`` of ``policy``, on one shared table or a fresh one each."""
+    memo = MemoTable() if shared else None
+
+    def factory(episode):
+        ctx = new_episode_context(sim, cfg, episode, memo=memo)
+        return lambda prefix: policy(ctx, sim, prefix, cfg)
+    eval_policy_mc(sim, factory, episodes, seed=11)
+
+
+class TestDrawTraffic:
+    """Within one table each (prefix, k) draw set is asked for at most once:
+    the recursion expands each entry once, and entry (S, k) reads only the
+    draws of (S, k-1).  So the draw store keeps no per-(prefix, k) sets."""
+
+    @staticmethod
+    def _requests_per_set(spy):
+        return collections.Counter(
+            (id(call.args[1]), call.args[2].key, call.args[3])
+            for call in spy.call_args_list)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_traffic_cases(), shared=st.booleans())
+    def test_each_draw_set_is_requested_once_per_table(self, case, shared):
+        sim, policy, cfg = case
+        with _draw_requests() as spy:
+            _play(sim, policy, cfg, shared)
+            if sim.tree is not None:
+                run_algorithm1_explicit(sim.tree, cfg)
+        assert all(n == 1 for n in self._requests_per_set(spy).values())
+        tables = {id(call.args[1]): call.args[1]
+                  for call in spy.call_args_list}
+        for memo in tables.values():  # the store: one PathDraw per cut
+            for (cut_key, aleph), d in memo.draws.items():
+                assert type(d) is engine.PathDraw
+                assert d.traj.key == cut_key and len(d.traj) == aleph[-1]
+
+    def test_law_fails_when_an_entry_asks_twice(self, monkeypatch):
+        # mutation check: asking again for an entry's draws changes no
+        # value, so only the traffic law can catch it
+        sim = tree_as_simulator(random_tree(seed=4, T=3, m=2))
+        cfg = make_config(K=4, eta1=2, eta2=2)
+        rule = engine._entry_draws
+
+        def twice(sim, memo, prefix, k, config):
+            rule(sim, memo, prefix, k, config)
+            return rule(sim, memo, prefix, k, config)
+        monkeypatch.setattr(engine, "_entry_draws", twice)
+        with _draw_requests() as spy:
+            _play(sim, policy_lp, cfg, shared=True)
+        assert max(self._requests_per_set(spy).values()) == 2
 
 
 class TestDerivedNode:
@@ -935,8 +1041,8 @@ class TestDerivedNode:
             memo = MemoTable()
             decisions = [decide_pen(handle, memo, p, cfg)
                          for p in tree.prefixes()]
-            draws = [(key, [(d.traj, d.terms) for d in drawn])
-                     for key, drawn in memo.draws.items()]
+            draws = [(key, d.traj, d.terms)
+                     for key, d in memo.draws.items()]
             # entries are write-once, so their insertion order is the
             # order of the writes
             runs.append((decisions, draws, list(memo.entries.items()),

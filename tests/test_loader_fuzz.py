@@ -169,6 +169,20 @@ def _with_node(j=0, tree=None, **changes):
     return payload
 
 
+def _with_nodes(nodes):
+    """The demo tree's payload with its node records replaced by ``nodes``."""
+    payload = tree_to_payload(demo_tree())
+    payload["tree"]["nodes"] = nodes
+    return payload
+
+
+def _node(prefix_id, parent_id, obs, prob=1.0):
+    return {"prefix_id": prefix_id, "parent_id": parent_id, "prob": prob,
+            "Z": 0.5, "a": [], "obs": obs}
+
+
+_DEMO_NODES = tree_to_payload(demo_tree())["tree"]["nodes"]  # T = 2, m = 1
+
 # case name (the field it breaks) -> payload
 MALFORMED = {
     "payload-is-a-list": [],                    # AttributeError
@@ -226,6 +240,15 @@ MALFORMED = {
         "family": "mmo", "seed": 1, "n_offline": 10 ** 9,
         "n_online": 2 - 10 ** 9, "delta": 2}},
     "n_scenarios-x-T-above-cap": _encoded(n_scenarios=50_000),
+    # trees that parse but break the tree's own laws
+    "tree-without-nodes": _with_nodes([]),
+    "root-mass-half": _with_node(prob=0.5),
+    "node-Z-above-1": _with_node(Z=1.5),
+    "node-resource-id-above-m": _with_node(a=[[5, 1.0]]),
+    "leaf-with-child": _with_nodes(_DEMO_NODES + [_node(3, 1, [0.0])]),
+    "roots-of-two-widths": _with_nodes([
+        dict(_DEMO_NODES[0], prob=0.5), *_DEMO_NODES[1:],
+        _node(3, None, [0.0, 0.0], prob=0.5), _node(4, 3, [0.0, 0.0])]),
 }
 
 

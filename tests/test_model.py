@@ -273,6 +273,11 @@ class TestFixedHead:
                 else:
                     assert head is None
 
+    def test_prefix_off_the_tree_is_refused(self):
+        sim = tree_as_simulator(demo_tree())
+        with pytest.raises(SupportError):
+            sim.fixed_head(Prefix([(9.0,)]), 1)
+
     def test_default_knows_only_the_prefix_rows(self):
         sim = generate_nrm(seed=7, T=6, m=3, L=2, iota=0.3, budget_ratio=0.5,
                            mode="generative", n_events=4)

@@ -276,6 +276,17 @@ class TestEvalPolicyMc:
             eval_policy_mc(sim, factory, 50, seed=0)
         assert err.value.trace is not None
 
+    def test_audit_reports_an_excess_inside_the_tolerance(self):
+        # b = 1 on the demo tree, and both periods request the resource:
+        # 0.5 + 2.5e-10 then 0.5 overdraws it by about 2.5e-10 <= 1e-9
+        sim = tree_as_simulator(demo_tree())
+        factory = lambda e: (lambda p: 0.5 + 2.5e-10 if len(p) == 1 else 0.5)
+        report = eval_policy_mc(sim, factory, 3, seed=0)
+        assert 0.0 < report.max_violation <= 1e-9
+        assert report.violation_count == 0
+        row = reports_to_csv([report.csv_row()]).splitlines()[1]
+        assert row.split(",")[-1] == repr(report.max_violation)
+
 
 class TestReports:
     def test_csv_schema_stable(self):

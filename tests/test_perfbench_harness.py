@@ -2,7 +2,10 @@
 
 ``perfbench/`` reads library names (``MemoTable.draws``, the
 ``SolverConfig`` fields, the handle's ``readout``, the probe targets of
-``spans.PROBES``), and its own suite is not part of this one.  This test
+``spans.PROBES``), and its own suite is not part of this one.  The tracer
+counts a draw request as a hit when (prefix key, k) is a key of
+``MemoTable.draws``, the draw store, which is keyed by (cut key, sampled
+periods), so no request is a hit.  This test
 imports the harness unedited and plays one short round of every workload
 through ``workloads.Loop``, untraced and then under a ``spans.Tracer``,
 and runs the CLI on the experiment config the harness writes, so a library
@@ -42,6 +45,8 @@ def test_round_plays_untraced_and_traced(name):
     assert not any(checks.decision_out_of_range(x, w.integral)
                    for x in plain.decisions)
     assert tracer.skipped == []
+    # the tracer reached conditional_draws and could read memo.draws
+    assert tracer.draw_requests > 0 and tracer.draw_hits == 0
 
 
 def test_cli_reads_the_harness_config(monkeypatch, tmp_path):
