@@ -51,8 +51,8 @@ def _check_writable(path: str) -> None:
         raise ConfigError(f"cannot write {path}: not a writable file path")
 
 
-def _default_config(loaded: LoadedInstance, args,
-                    epsilon: float) -> SolverConfig:
+def _verify_solver(loaded: LoadedInstance, args,
+                   epsilon: float) -> SolverConfig:
     """``verify``'s solver config on an explicit tree; epsilon sets theta's
     default."""
     inst = loaded.sim.instance
@@ -79,7 +79,7 @@ def _policy_factory(name: str, loaded: LoadedInstance, config: SolverConfig,
     built here from the context the policy leaves behind.
     """
     sim = loaded.sim
-    memo = MemoTable() if sim.tree is not None else None
+    memo = MemoTable(config) if sim.tree is not None else None
     policy_fn = _POLICIES[name]
     if name == "is" and sim.partite_of is None:
         raise ConfigError("policy 'is' needs an independent-set encoded instance")
@@ -251,7 +251,7 @@ def cmd_verify(args) -> int:
         epsilon = mwm_scaled_epsilon(epsilon, encoding["delta"])
     if policy not in _POLICIES:
         raise ConfigError(f"unknown policy {args.policy!r}")
-    config = _default_config(loaded, args, epsilon)
+    config = _verify_solver(loaded, args, epsilon)
     # built first: it refuses a policy unfit for the instance before any oracle
     factory = _policy_factory(policy, loaded, config)
     opt_lp, _ = solve_lp_explicit(tree)

@@ -174,22 +174,21 @@ class MemoTable:
     evaluator of Y^k per level k, built on first use.  ``sim_calls`` and
     ``writes`` (the entry count) count the recursion's work for the
     complexity and horizon checks.
-    Every entry is a pure function of (master seed, prefix, level), so one
-    table may serve any episodes of one (instance, SolverConfig).  The
-    table is bound to the first config it is used with, and the engine's
-    entry points refuse an unequal one (``MemoIntegrityError``): its
-    decisions and evaluators hold that config's K and betas.
+    Every entry is a pure function of (master seed, prefix, level), so a
+    table is made for one ``config`` and may serve any episodes of one
+    (instance, config); the engine reads every solver parameter from
+    ``memo.config``, so no call can pass a second one.
     """
 
-    __slots__ = ("entries", "draws", "decisions", "_evals", "_config",
+    __slots__ = ("config", "entries", "draws", "decisions", "_evals",
                  "sim_calls")
 
-    def __init__(self):
+    def __init__(self, config: SolverConfig):
+        self.config = config
         self.entries: dict[tuple[bytes, int], float] = {}
         self.draws: dict[tuple[bytes, tuple[int, ...]], PathDraw] = {}
         self.decisions: dict[bytes, float] = {}
         self._evals: dict[int, Callable[[Prefix], float]] = {}
-        self._config: SolverConfig | None = None
         self.sim_calls = 0
 
     @property
@@ -208,17 +207,6 @@ class MemoTable:
             raise MemoIntegrityError(f"iterate {value} escaped [0, 1]")
         self.entries[key] = value
 
-    def _bind(self, config: SolverConfig) -> None:
-        """Tie the table to ``config`` on first use; refuse an unequal one.
-
-        Callers test ``memo._config is not config`` first, so a call with
-        the bound object itself costs one identity test.
-        """
-        if self._config is not None and self._config != config:
-            raise MemoIntegrityError(
-                f"memo table is bound to {self._config!r}, not {config!r}")
-        self._config = config
-
     def counters(self) -> dict[str, int]:
         return {"writes": self.writes, "sim_calls": self.sim_calls}
 
@@ -229,7 +217,7 @@ def _head_missing(c: int) -> ContractViolationError:
 
 
 def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
-                      k: int, config: SolverConfig) -> tuple[PathDraw, ...]:
+                      k: int) -> tuple[PathDraw, ...]:
     """The multiset of eta1 completions for (prefix, k).
 
     Draw j uses the key (master_seed, "traj", k, prefix_key, j), encoded
@@ -254,8 +242,7 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     """
     if k < 0:
         raise ParameterError("draw level must be >= 0")
-    if memo._config is not config:
-        memo._bind(config)
+    config = memo.config
     aleph = sample_index_set(config, sim.instance.T, k)
     c = aleph[-1]
     fixed_head = sim.fixed_head
@@ -344,15 +331,15 @@ def grad_component(z_s: float, a_s: Sequence[tuple[int, float]],
 
 def stochastic_grad_component(evalx: Callable[[Prefix], float],
                               sim: SimulatorHandle, memo: MemoTable,
-                              prefix: Prefix, k: int,
-                              config: SolverConfig) -> float:
+                              prefix: Prefix, k: int) -> float:
     """Evaluate the estimator's S-coordinate at iteration k.
 
     ``evalx`` supplies the (extrapolated) solution values at every prefix of
     the cached completions; values outside [-1, 2] are rejected.
     """
     inst = sim.instance
-    draws = conditional_draws(sim, memo, prefix, k, config)
+    config = memo.config
+    draws = conditional_draws(sim, memo, prefix, k)
     z_s, a_s = sim.node(prefix)
     return grad_component(z_s, a_s, draws, _checked_eval(evalx),
                           inst.b, inst.T, config.eta1, config.eta2,
@@ -373,7 +360,7 @@ def _extrapolation(memo: MemoTable, beta: float, k: int):
     (1 + 0.0) x - 0.0 y is x for iterates, which are never -0.0, so the
     evaluator reads the one entry.  ``_compute_entry`` builds one per
     level per table and keeps it in ``memo._evals``: it reads the table's
-    live ``entries``, and beta is fixed by the config the table is bound to.
+    live ``entries``, and beta is fixed by the table's config.
     """
     entries = memo.entries
     if not beta and k > 0:
@@ -391,7 +378,7 @@ def _extrapolation(memo: MemoTable, beta: float, k: int):
 
 
 def _entry_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
-                 k: int, config: SolverConfig):
+                 k: int):
     """(Z(S), a(S), draws): the node of entry (S, k) and the draws it reads.
 
     Entry (S, k) reads the level-(k-1) draws only if k >= 2 and S requests
@@ -405,12 +392,12 @@ def _entry_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     z_s, a_s = sim.node(prefix)
     if k < 2 or not a_s:
         return z_s, a_s, ()
-    return z_s, a_s, conditional_draws(sim, memo, prefix, k - 1, config)
+    return z_s, a_s, conditional_draws(sim, memo, prefix, k - 1)
 
 
 def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
-                   k: int, config: SolverConfig, reads) -> None:
-    """Fill memo[(prefix, k)] from ``reads = _entry_draws(..., prefix, k, ...)``.
+                   k: int, reads) -> None:
+    """Fill memo[(prefix, k)] from ``reads = _entry_draws(..., prefix, k)``.
 
     X^k(S) = clip01(Y^(k-1)(S) + alpha * ghat), where one evaluator of
     Y^(k-1) gives the step's start and the values the gradient reads.
@@ -419,6 +406,7 @@ def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     evaluator is the table's one for level k-1, built on first use.
     """
     z_s, a_s, draws = reads
+    config = memo.config
     y = memo._evals.get(k - 1)
     if y is None:
         y = memo._evals[k - 1] = _extrapolation(memo, config.beta(k - 1),
@@ -432,8 +420,8 @@ def _compute_entry(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     memo.put(prefix, k, _clip01(y(prefix) + config.alpha * ghat))
 
 
-def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
-                config: SolverConfig) -> float:
+def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
+                k: int) -> float:
     """On-demand computation of X^k(prefix) with memoization.
 
     Runs the recursion over an explicit work stack: computing (S, k) first
@@ -447,11 +435,8 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
     second write).  A call costs eta1 sim calls per new entry (S, k) at
     level >= 2 whose node requests a resource and whose handle does not fix
     S's first max(aleph_(k-1)) rows (``SimulatorHandle.fixed_head``), and
-    none for any other entry.  The table must be bound to ``config`` or
-    fresh (``MemoTable``).
+    none for any other entry.
     """
-    if memo._config is not config:
-        memo._bind(config)
     if k <= 0:
         return 0.0
     entries = memo.entries
@@ -464,7 +449,7 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
         frame = stack[-1]
         S, kk, reads = frame
         if reads is None:
-            _, a_s, draws = frame[2] = _entry_draws(sim, memo, S, kk, config)
+            _, a_s, draws = frame[2] = _entry_draws(sim, memo, S, kk)
             if kk > 1:  # level 0 is implicitly zero: nothing to compute
                 # S, then the heads the gradient reads, in its order
                 deps = {S.key: S}
@@ -478,7 +463,7 @@ def recursive_R(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix, k: int,
                     if (dep.key, kk - 1) not in entries:
                         stack.append([dep, kk - 1, None])
         else:
-            _compute_entry(sim, memo, S, kk, config, reads)
+            _compute_entry(sim, memo, S, kk, reads)
             stack.pop()
     return entries[key]
 
@@ -491,50 +476,42 @@ def _averaged(memo: MemoTable, prefix: Prefix, K: int) -> float:
     return _clip01(total / K)
 
 
-def decide_pen(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
-               config: SolverConfig) -> float:
+def decide_pen(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix) -> float:
     """The penalty policy's fractional decision: the average of the K iterates.
 
     The average is cached per prefix in ``memo.decisions``, so a table that
-    serves several episodes computes each decision once; the table must be
-    bound to ``config`` or fresh (``MemoTable``).
+    serves several episodes computes each decision once.
     """
-    if config.K < 1:
+    K = memo.config.K
+    if K < 1:
         raise ParameterError("decide_pen needs K >= 1")
-    if memo._config is not config:
-        memo._bind(config)
     x = memo.decisions.get(prefix.key)
     if x is None:
-        recursive_R(sim, memo, prefix, config.K, config)
-        x = memo.decisions[prefix.key] = _averaged(memo, prefix, config.K)
+        recursive_R(sim, memo, prefix, K)
+        x = memo.decisions[prefix.key] = _averaged(memo, prefix, K)
     return x
 
 
-def run_algorithm1_explicit(tree: ExplicitScenarioTree, config: SolverConfig,
-                            memo: MemoTable | None = None):
+def run_algorithm1_explicit(tree: ExplicitScenarioTree, memo: MemoTable):
     """Full-sweep reference run over every prefix of an explicit tree.
 
-    Returns the list of iterate maps [X^1, ..., X^K] (prefix key to value).
-    Shares the keyed sampling streams with ``recursive_R``; under the same
-    master seed the two produce identical values.  A given ``memo`` must be
-    bound to ``config`` or fresh.
+    Fills ``memo`` under its config and returns the list of iterate maps
+    [X^1, ..., X^K] (prefix key to value).  Shares the keyed sampling
+    streams with ``recursive_R``; under the same master seed the two
+    produce identical values.
     """
     if len(tree) > _ALG1_NODE_CAP:
         raise CapacityError(
             f"tree has {len(tree)} nodes; full sweep capped at {_ALG1_NODE_CAP}")
     sim = tree_as_simulator(tree)
-    memo = memo if memo is not None else MemoTable()
-    if memo._config is not config:
-        memo._bind(config)
     # zero-mass prefixes have no conditional law and never affect the
     # objective or the policy; the sweep skips them, and the recursion
     # refuses them through the tree's node lookup
     prefixes = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
     iterates = []
-    for k in range(1, config.K + 1):
+    for k in range(1, memo.config.K + 1):
         for S in prefixes:
-            _compute_entry(sim, memo, S, k, config,
-                           _entry_draws(sim, memo, S, k, config))
+            _compute_entry(sim, memo, S, k, _entry_draws(sim, memo, S, k))
         iterates.append({S.key: memo.value(S, k) for S in prefixes})
     return iterates
 
@@ -548,8 +525,8 @@ def averaged_solution(tree: ExplicitScenarioTree,
     the streaming decisions bit for bit.  Tests use it as the oracle for
     the recursion; the policies never read it.
     """
-    memo = MemoTable()
-    run_algorithm1_explicit(tree, config, memo)
+    memo = MemoTable(config)
+    run_algorithm1_explicit(tree, memo)
     return {S.key: _averaged(memo, S, config.K)
             for S in tree.prefixes() if tree.mu(S) > 0.0}
 

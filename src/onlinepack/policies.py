@@ -21,7 +21,7 @@ from typing import Mapping
 
 from . import keys
 from .engine import MemoTable, SolverConfig, decide_pen
-from .errors import InstanceError, SequencingError
+from .errors import InstanceError, MemoIntegrityError, SequencingError
 from .model import Prefix, SimulatorHandle
 
 _BUDGET_TOL = 1e-9
@@ -100,12 +100,12 @@ class EpisodeContext:
 
     ``shared_uniform`` is drawn exactly once at episode start and drives the
     independent-set threshold rounding.  ``memo`` is the table decide_pen
-    computes the fractional values in; since its entries are pure in
-    (master seed, prefix, level), episodes of one (instance, SolverConfig)
-    may share it.  ``fractional`` is the last call's value before its
-    decision: decide_pen's x for lp, nrm and is, and for mmo-greedy the
-    FEAS-patched value of the period's edge in its block (0.0 on an
-    unrealized period).
+    computes the fractional values in, made for one ``SolverConfig``; since
+    its entries are pure in (master seed, prefix, level), episodes of one
+    (instance, config) may share it.  ``fractional`` is the last call's
+    value before its decision: decide_pen's x for lp, nrm and is, and for
+    mmo-greedy the FEAS-patched value of the period's edge in its block
+    (0.0 on an unrealized period).
     """
 
     memo: MemoTable
@@ -121,21 +121,31 @@ class EpisodeContext:
 def new_episode_context(sim: SimulatorHandle, config: SolverConfig,
                         episode: int,
                         memo: MemoTable | None = None) -> EpisodeContext:
-    """A context for ``episode``; a fresh ``MemoTable`` unless one is given.
+    """A context for ``episode``; a fresh ``MemoTable(config)`` unless given.
 
     The context records no history: a caller that wants a per-decision
     record reads ``fractional``, ``feas.remaining`` and ``memo.counters()``
     after each call.
     """
     return EpisodeContext(
-        memo=memo if memo is not None else MemoTable(),
+        memo=memo if memo is not None else MemoTable(config),
         feas=FeasState(sim.instance.b),
         shared_uniform=keys.uniform(config.master_seed, "is-uniform", episode),
         episode=episode,
     )
 
 
-def _advance_epoch(ctx: EpisodeContext, prefix: Prefix) -> None:
+def _advance_epoch(ctx: EpisodeContext, prefix: Prefix,
+                   config: SolverConfig) -> None:
+    """Refuse a call out of order, or a config unequal to the table's.
+
+    The one config check: the table's decisions hold its config's K and
+    betas, and the engine reads no other config.
+    """
+    own = ctx.memo.config
+    if own is not config and own != config:
+        raise MemoIntegrityError(
+            f"memo table is made for {own!r}, not {config!r}")
     if len(prefix) != ctx.epoch + 1:
         raise SequencingError(
             f"policy called at period {len(prefix)}, expected {ctx.epoch + 1}")
@@ -145,8 +155,8 @@ def _advance_epoch(ctx: EpisodeContext, prefix: Prefix) -> None:
 def policy_lp(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
               config: SolverConfig) -> float:
     """Fractional admissible policy: FEAS applied to the penalty decision."""
-    _advance_epoch(ctx, prefix)
-    x = ctx.fractional = decide_pen(sim, ctx.memo, prefix, config)
+    _advance_epoch(ctx, prefix, config)
+    x = ctx.fractional = decide_pen(sim, ctx.memo, prefix)
     _, a = sim.node(prefix)
     return ctx.feas.step(a, x)
 
@@ -159,8 +169,8 @@ def policy_nrm(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
     near-optimality guarantee additionally needs a long-horizon regime
     (T of order iota^-2 eps^-2 m L), which is not enforced here.
     """
-    _advance_epoch(ctx, prefix)
-    x = ctx.fractional = decide_pen(sim, ctx.memo, prefix, config)
+    _advance_epoch(ctx, prefix, config)
+    x = ctx.fractional = decide_pen(sim, ctx.memo, prefix)
     r = round_bernoulli(x, (config.master_seed, "round", ctx.episode,
                             len(prefix)))
     _, a = sim.node(prefix)
@@ -210,7 +220,7 @@ def policy_mmo_greedy(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
     is a baseline; its measured ratio is reported, never asserted against
     any reference constant.
     """
-    _advance_epoch(ctx, prefix)
+    _advance_epoch(ctx, prefix, config)
     t = len(prefix)
     if t in ctx.pending_block:
         decision, ctx.fractional = ctx.pending_block.pop(t)
@@ -227,7 +237,7 @@ def policy_mmo_greedy(ctx: EpisodeContext, sim: SimulatorHandle, prefix: Prefix,
             f"block of period {t} starts at {t1}; pending decision missing")
     fracs: list[float] = []
     for ps in block_prefixes:
-        x = decide_pen(sim, ctx.memo, ps, config)
+        x = decide_pen(sim, ctx.memo, ps)
         _, a = sim.node(ps)
         fracs.append(ctx.feas.step(a, x))
     best = None

@@ -122,11 +122,11 @@ def test_c03_stochastic_gradient_unbiasedness():
     prefix0 = tree.prefixes()[0]
     leaf_keys, cond, values = leaf_grad_table(tree, prefix0, x0, cfg)
     value_of = dict(zip(leaf_keys, values))
-    memo = MemoTable()
+    memo = MemoTable(cfg)
     for k in range(100):
         g = stochastic_grad_component(lambda q: x0[q.key], sim, memo,
-                                      prefix0, k, cfg)
-        drawn = conditional_draws(sim, memo, prefix0, k, cfg)[0].traj.key
+                                      prefix0, k)
+        drawn = conditional_draws(sim, memo, prefix0, k)[0].traj.key
         assert g == value_of[drawn]
     # scale the statistics with the same integrand over exact cond. draws;
     # the 1e-9 slack covers zero-variance coordinates, where the sample is
@@ -161,11 +161,11 @@ def test_c04_recursion_equals_full_sweep():
                            K=2 + seed % 3, eta1=1 + seed % 2, eta2=2,
                            master_seed=seed, momentum=momentum,
                            practical_override=True)
-        sweep = run_algorithm1_explicit(tree, cfg)
+        sweep = run_algorithm1_explicit(tree, MemoTable(cfg))
         sim = tree_as_simulator(tree)
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         for p in tree.prefixes():
-            recursive_R(sim, memo, p, cfg.K, cfg)
+            recursive_R(sim, memo, p, cfg.K)
             for k in range(1, cfg.K + 1):
                 assert memo.value(p, k) == sweep[k - 1][p.key]
                 checked += 1
@@ -188,15 +188,15 @@ def test_c05_call_count_bound():
                 cfg = SolverConfig(epsilon=0.3, theta=0.5, alpha=0.1, K=k,
                                    eta1=eta1, eta2=eta2, master_seed=seed,
                                    practical_override=True)
-                memo = MemoTable()
-                recursive_R(sim, memo, tree.prefixes()[0], k, cfg)
+                memo = MemoTable(cfg)
+                recursive_R(sim, memo, tree.prefixes()[0], k)
                 ratios_general.append(
                     memo.writes / (eta1 * eta2 + 1) ** (k + 1))
             cfg = SolverConfig(epsilon=0.3, theta=0.5, alpha=0.1, K=k,
                                eta1=2, eta2=tree.instance.T,
                                master_seed=seed, practical_override=True)
-            memo = MemoTable()
-            recursive_R(sim, memo, tree.prefixes()[0], k, cfg)
+            memo = MemoTable(cfg)
+            recursive_R(sim, memo, tree.prefixes()[0], k)
             ratios_full.append(
                 memo.writes / (2 * consts.U * consts.L + 1) ** (k + 1))
     c_general = max(ratios_general)
@@ -221,9 +221,9 @@ def test_c06_horizon_independence():
             cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.1, K=K,
                                eta1=eta1, eta2=T, master_seed=7,
                                practical_override=True)
-            memo = MemoTable()
+            memo = MemoTable(cfg)
             prefix = tree.prefixes()[0].head(1)
-            decisions[T] = decide_pen(sim, memo, prefix, cfg)
+            decisions[T] = decide_pen(sim, memo, prefix)
             counts[T] = memo.sim_calls
             # the recursion must never leave the consumption window
             depths = {len(tree.node(key).prefix) for key, _ in memo.entries}
@@ -288,11 +288,11 @@ def test_c06_node_lookups_per_draw_equal_eta2():
         sim = dataclasses.replace(sim, node=node, readout=readout)
         cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.1, K=3, eta1=2,
                            eta2=3, master_seed=7, practical_override=True)
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         traj = sim.complete(EMPTY_PREFIX, (7, "episode", 0))
         for t in range(1, 4):
             for k in range(3):
-                conditional_draws(sim, memo, traj.head(t), k, cfg)
+                conditional_draws(sim, memo, traj.head(t), k)
         per_draw[T] = lookups[0] / len(memo.draws)
     report("criterion 6c (horizon-independent completion indexing)",
            per_draw[25] == per_draw[200] == 3,
@@ -304,7 +304,7 @@ def _gap_check(tree, seed):
     opt_lp, _ = solve_lp_explicit(tree)
     cfg = practical(tree, seed=seed)
     sim = tree_as_simulator(tree)
-    memo = MemoTable()
+    memo = MemoTable(cfg)
 
     def factory(e):
         ctx = new_episode_context(sim, cfg, e, memo=memo)
@@ -348,7 +348,7 @@ def test_c08_hard_feasibility():
     tree = generate_nrm(seed=12, T=4, m=3, L=2, iota=0.3, budget_ratio=0.5)
     sim = tree_as_simulator(tree)
     cfg = practical(tree, K=60, eta1=16, seed=5)
-    memo = MemoTable()  # lp and nrm share the fractional layer
+    memo = MemoTable(cfg)  # lp and nrm share the fractional layer
     for name, fn in (("lp", policy_lp), ("nrm", policy_nrm)):
         def factory(e, fn=fn):
             ctx = new_episode_context(sim, cfg, e, memo=memo)
@@ -359,7 +359,7 @@ def test_c08_hard_feasibility():
     # is / mwmlp / mmo-greedy on random encoded instances
     _, sim_is = encode_is(random_is_process(seed=41, n=6, delta=2))
     cfg_is = practical(sim_is.tree, K=40, eta1=8, seed=6)
-    memo_is = MemoTable()
+    memo_is = MemoTable(cfg_is)
 
     def factory_is(e):
         ctx = new_episode_context(sim_is, cfg_is, e, memo=memo_is)
@@ -370,7 +370,7 @@ def test_c08_hard_feasibility():
 
     _, sim_mwm = encode_mwm(random_mwm_process(seed=42, n=5, delta=2))
     cfg_mwm = practical(sim_mwm.tree, K=40, eta1=8, seed=7)
-    memo_mwm = MemoTable()
+    memo_mwm = MemoTable(cfg_mwm)
 
     def factory_mwm(e):
         ctx = new_episode_context(sim_mwm, cfg_mwm, e, memo=memo_mwm)
@@ -382,7 +382,7 @@ def test_c08_hard_feasibility():
     _, sim_mmo = encode_mmo(random_mmo_process(seed=43, n_offline=3,
                                                n_online=2, delta=2))
     cfg_mmo = practical(sim_mmo.tree, K=40, eta1=8, seed=8)
-    memo_mmo = MemoTable()
+    memo_mmo = MemoTable(cfg_mmo)
 
     def factory_mmo(e):
         ctx = new_episode_context(sim_mmo, cfg_mmo, e, memo=memo_mmo)
@@ -479,7 +479,7 @@ def test_c10_rounding_preservation():
     _, sim_is = encode_is(random_is_process(seed=2200, n=6, delta=2))
     tree_is = sim_is.tree
     cfg = practical(tree_is, K=40, eta1=8, seed=9)
-    memo = MemoTable()
+    memo = MemoTable(cfg)
 
     def frac_factory(e):
         ctx = new_episode_context(sim_is, cfg, e, memo=memo)

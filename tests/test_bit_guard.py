@@ -375,6 +375,14 @@ class _Int(int):
     pass
 
 
+class _Str(str):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
 @pytest.mark.parametrize("parts, digest", [
     ((0,), "76f48c88ad3457b8d0fbf732a5583e64"),
     ((-1,), "9d90b58a4b41f7c283c776ad71c69bd8"),
@@ -390,6 +398,8 @@ class _Int(int):
     ((_Int(5),), "794d12e026556ad88fd7f051119fd1fd"),
     ((5,), "794d12e026556ad88fd7f051119fd1fd"),
     ((1, "traj", 3, b"", -4, "\u00e9"), "6bf5c6198137edb34062db30f7b1c1e1"),
+    ((_Str("traj"),), "552c5cf653e8b7892e482e38b3815acd"),
+    ((_Bytes(b""),), "1916a86a7a659dae7bd3cc01b33b50ee"),
 ])
 def test_key_digest_golden(parts, digest):
     assert keys.key_digest(*parts).hex() == digest
@@ -499,12 +509,12 @@ def test_path_draw_terms_carry_trajectory_heads(nrm_tree, use_node):
     T = nrm_tree.instance.T
     cfg = SolverConfig(epsilon=0.1, theta=0.5, alpha=0.1, K=3, eta1=4,
                        eta2=3, master_seed=1, practical_override=True)
-    memo = MemoTable()
+    memo = MemoTable(cfg)
     seen = 0
     for prefix in nrm_tree.prefixes()[:40]:
         for k in range(3):
             aleph = sample_index_set(cfg, T, k)
-            for d in conditional_draws(sim, memo, prefix, k, cfg):
+            for d in conditional_draws(sim, memo, prefix, k):
                 expected: dict[int, list] = {}
                 for t in aleph:
                     for i, v in nrm_tree.node(d.traj.head(t)).a:
@@ -681,11 +691,11 @@ def test_golden_shared_table_write_order(golden):
     cfg = SolverConfig(epsilon=0.2, theta=0.5, alpha=0.3, K=4, eta1=4,
                        eta2=2, master_seed=5, momentum="accelerated",
                        practical_override=True)
-    memo = MemoTable()
+    memo = MemoTable(cfg)
     for e in range(6):
         traj = sim.complete(EMPTY_PREFIX, (5, "episode", e))
         for t in range(1, tree.instance.T + 1):
-            decide_pen(sim, memo, traj.head(t), cfg)
+            decide_pen(sim, memo, traj.head(t))
     text = " ".join(f"{keys.key_digest(key).hex()}:{k}:{v.hex()}"
                     for (key, k), v in memo.entries.items())
     digest = hashlib.blake2b(text.encode(), digest_size=12).hexdigest()

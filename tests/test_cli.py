@@ -272,7 +272,7 @@ class TestRun:
         spec = json.loads(exp.read_text())
         sim = load_instance(spec["instance"]).sim
         config = SolverConfig(**spec["solver"])
-        memo = MemoTable()
+        memo = MemoTable(config)
         for e in range(10):
             traj = sim.complete(EMPTY_PREFIX, (5, "episode", e))
             ctx = new_episode_context(sim, config, e, memo=memo)
@@ -428,6 +428,17 @@ class TestRun:
         exp = tmp_path / "exp.json"
         exp.write_text(json.dumps(cfg))
         assert run_cli("run", "--config", str(exp), "--episodes", "2") == 0
+
+    def test_readme_library_quick_start_runs(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md")
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("## Library quick start")[1]
+        code = block.split("```python")[1].split("```")[0]
+        scope = {}
+        exec(compile(code, "README.md", "exec"), scope)
+        assert 0.0 <= scope["x1"] <= 1.0
+        assert scope["memo"].config is scope["cfg"]
+        assert scope["memo"].writes > 0
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 2

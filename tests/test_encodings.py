@@ -178,8 +178,8 @@ def test_encoded_decisions_simulate_nothing(encoding):
     traj = sim.complete(EMPTY_PREFIX, (5, "episode", 0))
     runs = []
     for handle in (sim, dataclasses.replace(sim, fixed_head=None)):
-        memo = MemoTable()
-        decisions = [decide_pen(handle, memo, traj.head(t), cfg)
+        memo = MemoTable(cfg)
+        decisions = [decide_pen(handle, memo, traj.head(t))
                      for t in range(1, sim.instance.T + 1)]
         runs.append((decisions, list(memo.entries.items()), memo.sim_calls))
     (fixed, fixed_writes, fixed_calls), (drawn, drawn_writes, drawn_calls) = runs
@@ -201,3 +201,45 @@ def test_random_process_golden(make, args, digest):
     # partite labels, scenario probabilities, edges and weights
     process = make(*args)
     assert hashlib.sha256(repr(process).encode()).hexdigest() == digest
+
+
+def _is(partite=("L", "R"), edges=((0, 1),), weights=(0.5, 0.5), mass=1.0):
+    return encode_is(BipartiteNodeProcess(
+        n=2, delta=1, partite=partite, scenarios=((mass, edges, weights),)))
+
+
+def _mwm(edges=((0, 1, 0.5),), mass=1.0):
+    return encode_mwm(EdgeArrivalProcess(n=2, delta=1,
+                                         scenarios=((mass, edges),)))
+
+
+def _mmo(neighbors=((0,),), n_offline=1, mass=1.0):
+    return encode_mmo(OnlineNodeProcess(n_offline=n_offline, n_online=1,
+                                        delta=1,
+                                        scenarios=((mass, neighbors),)))
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: _is(partite=("L",)), "partite labels must cover every node"),
+    (lambda: _is(partite=("L", "X")), "partite labels must be 'L' or 'R'"),
+    (lambda: _is(mass=0.9), "scenario probabilities must sum to 1"),
+    (lambda: _mwm(mass=0.5), "scenario probabilities must sum to 1"),
+    (lambda: _mmo(mass=0.5), "scenario probabilities must sum to 1"),
+    (lambda: _is(edges=((0, 0),)), "bad edge (0, 0)"),
+    (lambda: _is(partite=("L", "L")), "edge (0, 1) is not bipartite"),
+    (lambda: _is(edges=((0, 1), (1, 0))), "duplicate edge (0, 1)"),
+    (lambda: _is(weights=(0.5, 1.5)), "node weights must lie in [0, 1]"),
+    (lambda: _mmo(neighbors=()), "each online node needs a neighbor tuple"),
+    (lambda: _mmo(neighbors=((0, 1),), n_offline=2),
+     "online node degree bound violated"),
+    (lambda: _mmo(neighbors=((0, 0),)), "online node degree bound violated"),
+    (lambda: _mmo(neighbors=((3,),)), "offline id 3 out of range"),
+    (lambda: _mwm(edges=((0, 1, 0.5), (0, 1, 0.5))),
+     "more realized edges than floor(Delta n / 2)"),
+], ids=["labels-short", "label-X", "is-mass", "mwm-mass", "mmo-mass",
+        "self-loop", "same-side", "duplicate", "weight", "mmo-missing",
+        "mmo-degree", "mmo-repeat", "mmo-offline-id", "mwm-too-many"])
+def test_encoder_refusals(build, fragment):
+    with pytest.raises(InstanceError) as err:
+        build()
+    assert fragment in str(err.value)

@@ -129,9 +129,9 @@ class TestSampleIndexSet:
         for _ in range(2):
             with mock.patch.object(keys, "generator",
                                    wraps=keys.generator) as spy:
-                memo = MemoTable()
+                memo = MemoTable(cfg)
                 for p in tree.prefixes():
-                    decide_pen(sim, memo, p, cfg)
+                    decide_pen(sim, memo, p)
             calls.append(spy.call_count)
         assert calls[0] > 0 and calls[1] == 0
 
@@ -151,11 +151,11 @@ class TestConditionalDraws:
         # c = max(aleph_0) = 1 = |S|: the draws are the prefix's own rows
         tree = one_node_tree()
         sim = tree_as_simulator(tree)
-        memo = MemoTable()
         cfg = make_config(eta1=1, eta2=1)
+        memo = MemoTable(cfg)
         p = tree.prefixes()[0]
-        d1 = conditional_draws(sim, memo, p, 0, cfg)
-        d2 = conditional_draws(sim, memo, p, 0, cfg)
+        d1 = conditional_draws(sim, memo, p, 0)
+        d2 = conditional_draws(sim, memo, p, 0)
         assert len(d1) == len(d2) and all(a is b for a, b in zip(d1, d2))
         assert memo.sim_calls == 0
         # c = 2 > |S| = 1 below a single child: the tree fixes the cut, so
@@ -170,10 +170,10 @@ class TestConditionalDraws:
         for handle, calls in ((sim, 0),
                               (dataclasses.replace(sim, fixed_head=None),
                                cfg.eta1)):
-            memo = MemoTable()
-            d1 = conditional_draws(handle, memo, root, 0, cfg)
+            memo = MemoTable(cfg)
+            d1 = conditional_draws(handle, memo, root, 0)
             assert memo.sim_calls == calls
-            d2 = conditional_draws(handle, memo, root, 0, cfg)
+            d2 = conditional_draws(handle, memo, root, 0)
             assert memo.sim_calls == 2 * calls
             assert len(d2) == len(d1) and all(a is b for a, b in zip(d1, d2))
             assert len(set(map(id, d1))) == 1 and len(d1) == cfg.eta1
@@ -188,8 +188,8 @@ class TestConditionalDraws:
         ups = 0
         n = 4000
         for k in range(n):
-            memo = MemoTable()
-            d = conditional_draws(sim, memo, root, k, cfg)
+            memo = MemoTable(cfg)
+            d = conditional_draws(sim, memo, root, k)
             ups += d[0].traj.last[0] == 1.0
         assert abs(ups / n - 0.5) <= 3 * math.sqrt(0.25 / n)
 
@@ -211,8 +211,8 @@ class TestConditionalDraws:
         sim = tree_as_simulator(tree)
         cfg = make_config(eta1=1, eta2=2, master_seed=31)
         for k in range(n):
-            memo = MemoTable()
-            ups = [conditional_draws(sim, memo, r, k, cfg)[0].traj.last[0] == 1.0
+            memo = MemoTable(cfg)
+            ups = [conditional_draws(sim, memo, r, k)[0].traj.last[0] == 1.0
                    for r in roots]
             joint += ups[0] and ups[1]
             singles[0] += ups[0]
@@ -230,8 +230,8 @@ class TestConditionalDraws:
                            mode="generative", n_events=4)
         cfg = make_config(eta1=3, eta2=6)
         traj = sim.complete(EMPTY_PREFIX, (5, "episode", 0))
-        memo = MemoTable()
-        draws = conditional_draws(sim, memo, traj, 0, cfg)
+        memo = MemoTable(cfg)
+        draws = conditional_draws(sim, memo, traj, 0)
         assert memo.sim_calls == 0
         assert len(set(map(id, draws))) == 1
         d = draws[0]
@@ -247,14 +247,14 @@ class TestConditionalDraws:
         tree = random_tree(seed=21, T=4, m=2)
         sim = tree_as_simulator(tree)
         T = tree.instance.T
-        memo = MemoTable()
         cfg = make_config(eta1=3, eta2=2)
+        memo = MemoTable(cfg)
         cuts = set()
         for p in tree.prefixes():
             for k in range(4):
                 c = sample_index_set(cfg, T, k)[-1]
                 calls = memo.sim_calls
-                draws = conditional_draws(sim, memo, p, k, cfg)
+                draws = conditional_draws(sim, memo, p, k)
                 assert len(draws) == cfg.eta1
                 fixed = sim.fixed_head(p, c) is not None
                 if c > len(p):
@@ -289,11 +289,11 @@ class TestConditionalDraws:
                 for k in range(3):
                     c = sample_index_set(cfg, tree.instance.T, k)[-1]
                     with pytest.raises(ContractViolationError):
-                        conditional_draws(handle, MemoTable(), p, k, cfg)
+                        conditional_draws(handle, MemoTable(cfg), p, k)
                     cases.add(c <= len(p))
             with pytest.raises(ContractViolationError):
                 for p in tree.prefixes():
-                    decide_pen(handle, MemoTable(), p, cfg)
+                    decide_pen(handle, MemoTable(cfg), p)
         assert cases == {False, True}
 
 
@@ -301,19 +301,19 @@ class TestStochasticGradComponent:
     def test_empty_rcv_returns_reward(self):
         tree = one_node_tree(z=0.7, a=0.0, b=1.0)
         sim = tree_as_simulator(tree)
-        memo = MemoTable()
         cfg = make_config(eta1=1, eta2=1)
+        memo = MemoTable(cfg)
         p = tree.prefixes()[0]
-        g = stochastic_grad_component(lambda q: 0.0, sim, memo, p, 0, cfg)
+        g = stochastic_grad_component(lambda q: 0.0, sim, memo, p, 0)
         assert g == 0.7
 
     def test_one_node_hand_value(self):
         tree = one_node_tree(z=0.5, a=1.0, b=0.5)
         sim = tree_as_simulator(tree)
-        memo = MemoTable()
         cfg = make_config(theta=1.0, eta1=1, eta2=1)
+        memo = MemoTable(cfg)
         p = tree.prefixes()[0]
-        g = stochastic_grad_component(lambda q: 0.0, sim, memo, p, 0, cfg)
+        g = stochastic_grad_component(lambda q: 0.0, sim, memo, p, 0)
         assert g == 0.5  # 0.5 - 2 phi'(-0.5) and phi'(-0.5) = 0
 
     def test_eval_contract_enforced(self):
@@ -322,7 +322,7 @@ class TestStochasticGradComponent:
         cfg = make_config(eta1=1, eta2=1)
         p = tree.prefixes()[0]
         with pytest.raises(ContractViolationError):
-            stochastic_grad_component(lambda q: 2.5, sim, MemoTable(), p, 0, cfg)
+            stochastic_grad_component(lambda q: 2.5, sim, MemoTable(cfg), p, 0)
 
     def test_unbiased_against_exact_gradient(self):
         # eta2 = T: the estimator is unbiased for the exact gradient
@@ -334,12 +334,12 @@ class TestStochasticGradComponent:
         x = {p.key: 0.3 + 0.4 * ((hash(p.key) % 97) / 97) for p in tree.prefixes()}
         exact = exact_grad_f_theta(tree, x, cfg.theta)
         prefix = tree.prefixes()[0]
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         n = 3000
         vals = np.empty(n)
         for k in range(n):
             vals[k] = stochastic_grad_component(lambda q: x[q.key], sim, memo,
-                                                prefix, k, cfg)
+                                                prefix, k)
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - exact[prefix.key]) <= 3 * se + 1e-12
 
@@ -352,68 +352,78 @@ class TestStochasticGradComponent:
         prefix = tree.prefixes()[0]
         leaf_keys, cond, values = leaf_grad_table(tree, prefix, x, cfg)
         value_of = dict(zip(leaf_keys, values))
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         for k in range(50):
             g = stochastic_grad_component(lambda q: x[q.key], sim, memo,
-                                          prefix, k, cfg)
-            drawn = conditional_draws(sim, memo, prefix, k, cfg)[0].traj.key
+                                          prefix, k)
+            drawn = conditional_draws(sim, memo, prefix, k)[0].traj.key
             assert g == value_of[drawn]
 
 
 class TestMemoBinding:
-    """A table keeps one config's decisions and evaluators, so it is bound
-    to the first config it serves and refuses an unequal one."""
+    """A table is made for one config and keeps that config's decisions and
+    evaluators; the engine reads the config from the table, and a policy
+    called with an unequal config is refused before it touches the table."""
 
     @staticmethod
     def _demo(seed, K):
         return make_config(theta=1.0, alpha=0.5, K=K, eta1=2, eta2=2,
                            master_seed=seed)
 
-    def test_unequal_config_is_refused(self):
+    def test_table_answers_for_its_own_config(self):
         tree = demo_tree()
         sim = tree_as_simulator(tree)
         root = tree.prefixes()[0]
         # a shared table used to answer K = 8 with its K = 2 decision
         for seed, fresh in ((3, 0.34375), (7, 0.4625)):
-            memo = MemoTable()
-            assert decide_pen(sim, memo, root, self._demo(seed, 2)) == 0.375
-            assert decide_pen(sim, MemoTable(), root,
-                              self._demo(seed, 8)) == fresh
-            before = memo.counters(), dict(memo.decisions)
-            other = self._demo(seed, 8)
-            for call in (lambda: decide_pen(sim, memo, root, other),
-                         lambda: recursive_R(sim, memo, root, 3, other),
-                         lambda: conditional_draws(sim, memo, root, 0, other),
-                         lambda: run_algorithm1_explicit(tree, other, memo)):
-                with pytest.raises(MemoIntegrityError):
-                    call()
-            assert (memo.counters(), memo.decisions) == before
+            memo = MemoTable(self._demo(seed, 2))
+            assert decide_pen(sim, memo, root) == 0.375
+            assert decide_pen(sim, MemoTable(self._demo(seed, 8)),
+                              root) == fresh
             # an equal config is the same config, whatever the object
-            assert decide_pen(sim, memo, root, self._demo(seed, 2)) == 0.375
+            ctx = new_episode_context(sim, self._demo(seed, 2), 0, memo=memo)
+            policy_lp(ctx, sim, root, self._demo(seed, 2))
+            assert ctx.fractional == 0.375
 
-    def test_config_checked_once_per_call(self):
-        tree = random_tree(seed=4, T=3, m=2)
-        sim = tree_as_simulator(tree)
-        memo = MemoTable()
-        with mock.patch.object(MemoTable, "_bind", autospec=True,
-                               side_effect=MemoTable._bind) as spy:
-            cfg = make_config(K=4)
-            decide_pen(sim, memo, tree.prefixes()[-1], cfg)
-            assert memo.writes > 1 and spy.call_count == 1
-            decide_pen(sim, memo, tree.prefixes()[0], make_config(K=4))
-            assert spy.call_count == 2
+    @pytest.mark.parametrize("policy", [policy_lp, policy_nrm, policy_is,
+                                        policy_mmo_greedy])
+    def test_policy_refuses_an_unequal_config(self, policy):
+        if policy is policy_is:
+            _, sim = encode_is(random_is_process(seed=41, n=6, delta=2))
+        elif policy is policy_mmo_greedy:
+            _, sim = encode_mmo(random_mmo_process(seed=43, n_offline=3,
+                                                   n_online=2, delta=2))
+        else:
+            sim = tree_as_simulator(demo_tree())
+        traj = sim.complete(EMPTY_PREFIX, (3, "episode", 0))
+        cfg = self._demo(3, 2)
+        memo = MemoTable(cfg)
+        for t in range(1, sim.instance.T + 1):
+            decide_pen(sim, memo, traj.head(t))
+        assert memo.writes > 0
+        ctx = new_episode_context(sim, cfg, 0, memo=memo)
+        before = memo.counters(), dict(memo.decisions)
+        for other in (self._demo(3, 8), self._demo(4, 2)):
+            with pytest.raises(MemoIntegrityError):
+                policy(ctx, sim, traj.head(1), other)
+            assert (memo.counters(), memo.decisions) == before
+            assert ctx.epoch == 0
+        # an equal config built as another object is accepted
+        for t in range(1, sim.instance.T + 1):
+            policy(ctx, sim, traj.head(t), self._demo(3, 2))
+        assert (memo.counters(), memo.decisions) == before
 
 
 class TestAlgorithm1:
     def test_zero_iterations(self):
         tree = one_node_tree()
         cfg = make_config(K=0)
-        assert run_algorithm1_explicit(tree, cfg) == []
+        assert run_algorithm1_explicit(tree, MemoTable(cfg)) == []
 
     def test_one_node_hand_iterate(self):
         tree = one_node_tree(z=0.5, a=1.0, b=0.5)
         cfg = make_config(theta=1.0, alpha=0.1, K=1, eta1=1, eta2=1)
-        its = run_algorithm1_explicit(tree, cfg)
+        its = run_algorithm1_explicit(tree, MemoTable(cfg))
         key = tree.prefixes()[0].key
         assert its[0][key] == pytest.approx(0.05, abs=1e-15)
 
@@ -421,7 +431,7 @@ class TestAlgorithm1:
         tree = random_tree(seed=40, T=3, m=2)
         cfg = make_config(K=6, alpha=0.5, eta1=2, eta2=3,
                           momentum="accelerated")
-        for it in run_algorithm1_explicit(tree, cfg):
+        for it in run_algorithm1_explicit(tree, MemoTable(cfg)):
             for v in it.values():
                 assert 0.0 <= v <= 1.0
 
@@ -430,19 +440,19 @@ class TestRecursiveR:
     def test_levels_at_or_below_zero_are_zero(self):
         tree = one_node_tree()
         sim = tree_as_simulator(tree)
-        memo = MemoTable()
         cfg = make_config()
+        memo = MemoTable(cfg)
         p = tree.prefixes()[0]
-        assert recursive_R(sim, memo, p, 0, cfg) == 0.0
-        assert recursive_R(sim, memo, p, -1, cfg) == 0.0
+        assert recursive_R(sim, memo, p, 0) == 0.0
+        assert recursive_R(sim, memo, p, -1) == 0.0
         assert memo.writes == 0
 
     def test_one_node_matches_full_sweep(self):
         tree = one_node_tree(z=0.5, a=1.0, b=0.5)
         sim = tree_as_simulator(tree)
         cfg = make_config(theta=1.0, alpha=0.1, K=1, eta1=1, eta2=1)
-        memo = MemoTable()
-        val = recursive_R(sim, memo, tree.prefixes()[0], 1, cfg)
+        memo = MemoTable(cfg)
+        val = recursive_R(sim, memo, tree.prefixes()[0], 1)
         assert val == pytest.approx(0.05, abs=1e-15)
 
     @pytest.mark.parametrize("momentum", ["unaccelerated", "accelerated"])
@@ -452,10 +462,10 @@ class TestRecursiveR:
             sim = tree_as_simulator(tree)
             cfg = make_config(K=4, eta1=2, eta2=2, momentum=momentum,
                               master_seed=seed + 1)
-            sweep = run_algorithm1_explicit(tree, cfg)
-            memo = MemoTable()
+            sweep = run_algorithm1_explicit(tree, MemoTable(cfg))
+            memo = MemoTable(cfg)
             for p in tree.prefixes():
-                recursive_R(sim, memo, p, cfg.K, cfg)
+                recursive_R(sim, memo, p, cfg.K)
                 for k in range(1, cfg.K + 1):
                     assert memo.value(p, k) == sweep[k - 1][p.key]
 
@@ -471,15 +481,15 @@ class TestRecursiveR:
             sim = tree_as_simulator(tree)
             cfg = make_config(K=3, eta1=2, eta2=min(2, tree.instance.T),
                               master_seed=23, momentum="accelerated")
-            sweep = run_algorithm1_explicit(tree, cfg)
-            memo = MemoTable()
+            sweep = run_algorithm1_explicit(tree, MemoTable(cfg))
+            memo = MemoTable(cfg)
             for p in tree.prefixes():
-                recursive_R(sim, memo, p, cfg.K, cfg)
+                recursive_R(sim, memo, p, cfg.K)
                 for k in range(1, cfg.K + 1):
                     assert memo.value(p, k) == sweep[k - 1][p.key]
 
     def test_memo_write_once(self):
-        memo = MemoTable()
+        memo = MemoTable(make_config())
         tree = one_node_tree()
         p = tree.prefixes()[0]
         memo.put(p, 1, 0.5)
@@ -490,13 +500,13 @@ class TestRecursiveR:
         tree = random_tree(seed=3, T=3, m=2)
         sim = tree_as_simulator(tree)
         cfg = make_config(K=4, eta1=2, eta2=2)
-        memo = MemoTable()
-        recursive_R(sim, memo, tree.prefixes()[-1], cfg.K, cfg)
+        memo = MemoTable(cfg)
+        recursive_R(sim, memo, tree.prefixes()[-1], cfg.K)
         entries, draws = list(memo.entries.items()), dict(memo.draws)
         before = memo.counters()
         prefixes = {p.key: p for p in tree.prefixes()}
         for (key, k), value in entries:
-            assert recursive_R(sim, memo, prefixes[key], k, cfg) == value
+            assert recursive_R(sim, memo, prefixes[key], k) == value
         assert list(memo.entries.items()) == entries
         assert memo.draws == draws
         assert memo.counters() == before
@@ -505,8 +515,8 @@ class TestRecursiveR:
         tree = random_tree(seed=3, T=4, m=2, max_children=3)
         sim = tree_as_simulator(tree)
         cfg = make_config(K=3, eta1=1, eta2=1)
-        memo = MemoTable()
-        recursive_R(sim, memo, tree.prefixes()[0], cfg.K, cfg)
+        memo = MemoTable(cfg)
+        recursive_R(sim, memo, tree.prefixes()[0], cfg.K)
         assert memo.writes < len(tree) * cfg.K
 
 
@@ -515,7 +525,7 @@ class TestDecidePen:
         tree = one_node_tree(z=0.5, a=1.0, b=0.5)
         sim = tree_as_simulator(tree)
         cfg = make_config(theta=1.0, alpha=0.1, K=1, eta1=1, eta2=1)
-        assert decide_pen(sim, MemoTable(), tree.prefixes()[0], cfg) == \
+        assert decide_pen(sim, MemoTable(cfg), tree.prefixes()[0]) == \
             pytest.approx(0.05, abs=1e-15)
 
     def test_two_iteration_hand_average(self):
@@ -524,7 +534,7 @@ class TestDecidePen:
         cfg = make_config(theta=1.0, alpha=0.1, K=2, eta1=1, eta2=1)
         # X^1 = 0.05; at X^1 the load is 0.05 - 0.5 < 0, so ghat stays 0.5
         # and X^2 = 0.05 + 0.05 = 0.1
-        val = decide_pen(sim, MemoTable(), tree.prefixes()[0], cfg)
+        val = decide_pen(sim, MemoTable(cfg), tree.prefixes()[0])
         assert val == pytest.approx((0.05 + 0.1) / 2, abs=1e-15)
 
     def test_output_in_unit_interval(self):
@@ -532,28 +542,28 @@ class TestDecidePen:
         sim = tree_as_simulator(tree)
         cfg = make_config(K=4, eta1=2, eta2=3, alpha=0.7)
         for p in tree.prefixes()[:6]:
-            assert 0.0 <= decide_pen(sim, MemoTable(), p, cfg) <= 1.0
+            assert 0.0 <= decide_pen(sim, MemoTable(cfg), p) <= 1.0
 
     def test_decision_cached_per_prefix(self):
         tree = random_tree(seed=10, T=3, m=2)
         sim = tree_as_simulator(tree)
         cfg = make_config(K=4, eta1=2, eta2=2, master_seed=55)
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         p = tree.prefixes()[-1]
-        first = decide_pen(sim, memo, p, cfg)
+        first = decide_pen(sim, memo, p)
         assert memo.decisions == {p.key: first}
         before = memo.counters()
-        assert decide_pen(sim, memo, p, cfg) == first
+        assert decide_pen(sim, memo, p) == first
         assert memo.counters() == before  # no recursion on a warm decision
 
     def test_prefilled_decision_is_returned(self):
         tree = random_tree(seed=10, T=3, m=2)
         sim = tree_as_simulator(tree)
         cfg = make_config(K=4, eta1=2, eta2=2)
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         p = tree.prefixes()[0]
         memo.decisions[p.key] = 0.25
-        assert decide_pen(sim, memo, p, cfg) == 0.25
+        assert decide_pen(sim, memo, p) == 0.25
         assert memo.counters() == {"writes": 0, "sim_calls": 0}
 
     def test_matches_averaged_solution(self):
@@ -562,7 +572,7 @@ class TestDecidePen:
         cfg = make_config(K=4, eta1=2, eta2=2, master_seed=55)
         table = averaged_solution(tree, cfg)
         for p in tree.prefixes():
-            assert decide_pen(sim, MemoTable(), p, cfg) == table[p.key]
+            assert decide_pen(sim, MemoTable(cfg), p) == table[p.key]
 
 
 def _leaky_deriv(x, theta):
@@ -637,9 +647,10 @@ def _count_law(memo, cfg, sim, nodes, requested):
     assert all(k >= 1 and nodes[key][1] for key, k in requested)
 
 
-def _full_length_draws(sim, memo, prefix, k, config):
+def _full_length_draws(sim, memo, prefix, k):
     """Reference draw set: eta1 full-length completions, always simulated
     and never cut, each indexed at aleph_k."""
+    config = memo.config
     base = keys.key_digest(config.master_seed, "traj", k, prefix.key)
     aleph = sample_index_set(config, sim.instance.T, k)
     out = []
@@ -670,17 +681,16 @@ class TestDrawRule:
         with pytest.MonkeyPatch.context() as mp, _draw_requests() as spy:
             if deriv is not None:
                 mp.setattr(engine, "huber_deriv", deriv)
-            swept = MemoTable()
-            run_algorithm1_explicit(tree, cfg, swept)
-            on_demand = [MemoTable() for _ in handles]
+            swept = MemoTable(cfg)
+            run_algorithm1_explicit(tree, swept)
+            on_demand = [MemoTable(cfg) for _ in handles]
             for handle, memo in zip(handles, on_demand):
                 for p in support:
-                    decide_pen(handle, memo, p, cfg)
+                    decide_pen(handle, memo, p)
         if deriv is None:  # the real derivative is 0.0 at every level-1 load
-            drawn = MemoTable()  # real level-0 draws, apart from the others
+            drawn = MemoTable(cfg)  # real level-0 draws, apart from the others
             for p in support:
-                g = stochastic_grad_component(lambda q: 0.0, sim, drawn, p, 0,
-                                              cfg)
+                g = stochastic_grad_component(lambda q: 0.0, sim, drawn, p, 0)
                 assert swept.value(p, 1) == _clip01(cfg.alpha * g)
             assert drawn.sim_calls == sum(_calls(cfg, sim, p, 0)
                                           for p in support)
@@ -699,12 +709,12 @@ class TestDrawRule:
             mode="generative", n_events=4))
         for K, eta1 in ((1, 3), (2, 2), (3, 2)):
             cfg = make_config(K=K, eta1=eta1, eta2=3, master_seed=4)
-            memo = MemoTable()
+            memo = MemoTable(cfg)
             with _draw_requests() as spy:
                 for e in range(3):
                     traj = sim.complete(EMPTY_PREFIX, (9, "episode", e))
                     for t in range(1, sim.instance.T + 1):
-                        decide_pen(sim, memo, traj.head(t), cfg)
+                        decide_pen(sim, memo, traj.head(t))
             _count_law(memo, cfg, sim, nodes, _requested(spy, memo))
             assert memo.writes == len(memo.entries) > 0
             assert (memo.sim_calls == 0) == (K == 1)
@@ -723,24 +733,23 @@ class TestDrawRule:
         sim = dataclasses.replace(tree_as_simulator(tree), fixed_head=None)
         cfg = make_config(K=3, eta1=2, eta2=2)
         support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
-        kept = MemoTable()
+        kept = MemoTable(cfg)
         with _draw_requests() as spy:
             for p in support:
-                decide_pen(sim, kept, p, cfg)
+                decide_pen(sim, kept, p)
         _count_law(kept, cfg, sim, _tree_nodes(tree), _requested(spy, kept))
         rule = engine._entry_draws
 
-        def drawing(sim, memo, prefix, k, config):
-            z_s, a_s, draws = rule(sim, memo, prefix, k, config)
+        def drawing(sim, memo, prefix, k):
+            z_s, a_s, draws = rule(sim, memo, prefix, k)
             if k >= 2 and not a_s:
-                draws = engine.conditional_draws(sim, memo, prefix, k - 1,
-                                                 config)
+                draws = engine.conditional_draws(sim, memo, prefix, k - 1)
             return z_s, a_s, draws
         monkeypatch.setattr(engine, "_entry_draws", drawing)
-        mutated = MemoTable()
+        mutated = MemoTable(cfg)
         with _draw_requests() as spy:
             for p in support:
-                decide_pen(sim, mutated, p, cfg)
+                decide_pen(sim, mutated, p)
         assert mutated.entries == kept.entries
         with pytest.raises(AssertionError):
             _count_law(mutated, cfg, sim, _tree_nodes(tree),
@@ -754,16 +763,16 @@ class TestDrawRule:
         sim = tree_as_simulator(tree)
         cfg = make_config(K=4, eta1=2, eta2=2)
         support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
-        kept = MemoTable()
+        kept = MemoTable(cfg)
         with _draw_requests() as spy:
             for p in support:
-                decide_pen(sim, kept, p, cfg)
+                decide_pen(sim, kept, p)
         _count_law(kept, cfg, sim, _tree_nodes(tree), _requested(spy, kept))
         monkeypatch.setattr(engine, "conditional_draws", _full_length_draws)
-        mutated = MemoTable()
+        mutated = MemoTable(cfg)
         with _draw_requests() as spy:
             for p in support:
-                decide_pen(sim, mutated, p, cfg)
+                decide_pen(sim, mutated, p)
         assert list(mutated.entries.items()) == list(kept.entries.items())
         assert mutated.sim_calls > kept.sim_calls
         with pytest.raises(AssertionError):
@@ -786,24 +795,24 @@ class TestDrawRule:
         tree_sim = tree_as_simulator(tree)
         for prefix in (dead, idle, dead.extend((0.0,))):
             for K in (1, 2, 4):
-                memo = MemoTable()
+                memo = MemoTable(make_config(K=K))
                 with pytest.raises(SupportError):
-                    decide_pen(tree_sim, memo, prefix, make_config(K=K))
+                    decide_pen(tree_sim, memo, prefix)
                 assert memo.sim_calls == memo.writes == 0
         nrm_sim, nrm_nodes = _recording(generate_nrm(
             seed=7, T=6, m=3, L=2, iota=0.3, budget_ratio=0.5,
             mode="generative", n_events=4))
         bad_row = Prefix([(9.0,), (1.0,)])  # 9 is not an event code
-        memo = MemoTable()
         cfg = make_config(K=1, alpha=0.1)
+        memo = MemoTable(cfg)
         with _draw_requests() as spy:
-            x = decide_pen(nrm_sim, memo, bad_row, cfg)
+            x = decide_pen(nrm_sim, memo, bad_row)
         z, _ = nrm_sim.node(bad_row)
         assert x == _clip01(0.1 * z)  # X^1 = alpha * Z(S): no load yet
         assert memo.sim_calls == 0
         _count_law(memo, cfg, nrm_sim, nrm_nodes, _requested(spy, memo))
         with pytest.raises(SupportError):
-            decide_pen(nrm_sim, MemoTable(), bad_row, make_config(K=2))
+            decide_pen(nrm_sim, MemoTable(make_config(K=2)), bad_row)
 
 
 @st.composite
@@ -834,7 +843,8 @@ class TestDrawCut:
 
         def evalx(p):  # an arbitrary keyed evaluator in [-1, 2]
             return -1.0 + 3.0 * keys.uniform(eval_seed, p.key)
-        memo, full = MemoTable(), MemoTable()  # one table: cuts are shared
+        # one table: cuts are shared
+        memo, full = MemoTable(cfg), MemoTable(cfg)
         with pytest.MonkeyPatch.context() as mp:
             if deriv is not None:
                 mp.setattr(engine, "huber_deriv", deriv)
@@ -842,16 +852,15 @@ class TestDrawCut:
                 for p in tree.prefixes():
                     if tree.mu(p) == 0.0:
                         with pytest.raises(SupportError):
-                            stochastic_grad_component(evalx, sim, memo, p, k,
-                                                      cfg)
+                            stochastic_grad_component(evalx, sim, memo, p, k)
                         continue
                     z, a = sim.node(p)
                     want = engine.grad_component(
-                        z, a, _full_length_draws(sim, full, p, k, cfg), evalx,
+                        z, a, _full_length_draws(sim, full, p, k), evalx,
                         inst.b, inst.T, cfg.eta1, cfg.eta2, cfg.theta,
                         inst.iota)
-                    assert stochastic_grad_component(evalx, sim, memo, p, k,
-                                                     cfg) == want
+                    assert stochastic_grad_component(evalx, sim, memo, p,
+                                                     k) == want
         assert memo.sim_calls <= full.sim_calls
 
     def test_generative_draws_simulate_only_their_cut(self):
@@ -869,10 +878,10 @@ class TestDrawCut:
         sim = dataclasses.replace(raw, complete=complete)
 
         def factory(_):
-            memo = MemoTable()
+            memo = MemoTable(cfg)
 
             def policy(prefix):
-                decide_pen(sim, memo, prefix, cfg)
+                decide_pen(sim, memo, prefix)
                 return 0.0  # within every budget
             return policy
         with mock.patch.object(keys, "uniforms", wraps=keys.uniforms) as spy:
@@ -934,15 +943,15 @@ class TestTreeDraws:
         support = [p for p in tree.prefixes() if tree.mu(p) > 0.0]
         runs = []
         for handle in (sim, dataclasses.replace(sim, fixed_head=None)):
-            memo = MemoTable()
-            decisions = [decide_pen(handle, memo, p, cfg).hex()
+            memo = MemoTable(cfg)
+            decisions = [decide_pen(handle, memo, p).hex()
                          for p in support]
             runs.append((decisions,
                          {key: v.hex() for key, v in memo.entries.items()}))
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         for k in range(cfg.K):  # every level, the unread ones included
             for p in support:
-                conditional_draws(sim, memo, p, k, cfg)
+                conditional_draws(sim, memo, p, k)
         for d in memo.draws.values():
             assert tree.node(d.traj).prefix is d.traj
             for terms in d.terms.values():
@@ -976,7 +985,7 @@ def _traffic_cases(draw):
 
 def _play(sim, policy, cfg, shared, episodes=3):
     """``episodes`` of ``policy``, on one shared table or a fresh one each."""
-    memo = MemoTable() if shared else None
+    memo = MemoTable(cfg) if shared else None
 
     def factory(episode):
         ctx = new_episode_context(sim, cfg, episode, memo=memo)
@@ -1002,7 +1011,7 @@ class TestDrawTraffic:
         with _draw_requests() as spy:
             _play(sim, policy, cfg, shared)
             if sim.tree is not None:
-                run_algorithm1_explicit(sim.tree, cfg)
+                run_algorithm1_explicit(sim.tree, MemoTable(cfg))
         assert all(n == 1 for n in self._requests_per_set(spy).values())
         tables = {id(call.args[1]): call.args[1]
                   for call in spy.call_args_list}
@@ -1018,9 +1027,9 @@ class TestDrawTraffic:
         cfg = make_config(K=4, eta1=2, eta2=2)
         rule = engine._entry_draws
 
-        def twice(sim, memo, prefix, k, config):
-            rule(sim, memo, prefix, k, config)
-            return rule(sim, memo, prefix, k, config)
+        def twice(sim, memo, prefix, k):
+            rule(sim, memo, prefix, k)
+            return rule(sim, memo, prefix, k)
         monkeypatch.setattr(engine, "_entry_draws", twice)
         with _draw_requests() as spy:
             _play(sim, policy_lp, cfg, shared=True)
@@ -1038,8 +1047,8 @@ class TestDerivedNode:
         sim = tree_as_simulator(tree)
         runs = []
         for handle in (sim, dataclasses.replace(sim, node=None)):
-            memo = MemoTable()
-            decisions = [decide_pen(handle, memo, p, cfg)
+            memo = MemoTable(cfg)
+            decisions = [decide_pen(handle, memo, p)
                          for p in tree.prefixes()]
             draws = [(key, d.traj, d.terms)
                      for key, d in memo.draws.items()]
@@ -1098,10 +1107,10 @@ class TestExtrapolationRange:
     def test_every_entry_extrapolates_inside_the_range(self, case):
         tree, cfg = case
         sim = tree_as_simulator(tree)
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         for p in tree.prefixes():
             if tree.mu(p) > 0.0:
-                decide_pen(sim, memo, p, cfg)
+                decide_pen(sim, memo, p)
         prefixes = {p.key: p for p in tree.prefixes()}
         for key, k in memo.entries:
             beta = cfg.beta(k)
@@ -1130,8 +1139,9 @@ class TestExtrapolationLaw:
            values=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                            min_size=1, max_size=4))
     def test_evaluator_is_the_formula(self, k, momentum, values):
-        beta = make_config(momentum=momentum).beta(k)
-        memo = MemoTable()
+        cfg = make_config(momentum=momentum)
+        beta = cfg.beta(k)
+        memo = MemoTable(cfg)
         rows = [Prefix([(float(j),)]) for j in range(len(values))]
         for p, (x_k, x_prev) in zip(rows, values):
             if k >= 1:
@@ -1149,10 +1159,10 @@ class TestExtrapolationLaw:
         # the one-entry read rests on iterates never being -0.0
         tree, cfg = case
         sim = tree_as_simulator(tree)
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         for p in tree.prefixes():
             if tree.mu(p) > 0.0:
-                decide_pen(sim, memo, p, cfg)
+                decide_pen(sim, memo, p)
         assert all(math.copysign(1.0, v) == 1.0 for v in memo.entries.values())
         prefixes = {p.key: p for p in tree.prefixes()}
         for key, k in memo.entries:
@@ -1230,16 +1240,16 @@ class TestCostTheorem:
         cfg = make_config(K=K, eta1=eta1, eta2=min(eta2, T),
                           momentum=momentum, master_seed=seed)
         calls_bound, writes_bound = _cost_bounds(cfg)
-        shared = MemoTable()
+        shared = MemoTable(cfg)
         for e in range(2):
             traj = sim.complete(EMPTY_PREFIX, (seed, "episode", e))
             for t in sorted({p % T + 1 for p in periods}):
-                fresh = MemoTable()
-                decide_pen(sim, fresh, traj.head(t), cfg)
+                fresh = MemoTable(cfg)
+                decide_pen(sim, fresh, traj.head(t))
                 assert fresh.sim_calls <= calls_bound
                 assert fresh.writes <= writes_bound
                 before = shared.counters()
-                decide_pen(sim, shared, traj.head(t), cfg)
+                decide_pen(sim, shared, traj.head(t))
                 assert shared.sim_calls - before["sim_calls"] <= calls_bound
                 assert shared.writes - before["writes"] <= writes_bound
 
@@ -1249,19 +1259,19 @@ class TestCostTheorem:
         # on simulator calls can catch the extra draws
         rule = engine._entry_draws
 
-        def drawing(sim, memo, prefix, k, config):
-            z_s, a_s, draws = rule(sim, memo, prefix, k, config)
+        def drawing(sim, memo, prefix, k):
+            z_s, a_s, draws = rule(sim, memo, prefix, k)
             if k == 1 and a_s:
-                draws = conditional_draws(sim, memo, prefix, 0, config)
+                draws = conditional_draws(sim, memo, prefix, 0)
             return z_s, a_s, draws
         sim = _nrm_handle(400)
         cfg = make_config(K=4, eta1=3, eta2=3, master_seed=7)
         traj = sim.complete(EMPTY_PREFIX, (7, "episode", 0))
-        kept = MemoTable()
-        decide_pen(sim, kept, traj.head(1), cfg)
+        kept = MemoTable(cfg)
+        decide_pen(sim, kept, traj.head(1))
         monkeypatch.setattr(engine, "_entry_draws", drawing)
-        mutated = MemoTable()
-        decide_pen(sim, mutated, traj.head(1), cfg)
+        mutated = MemoTable(cfg)
+        decide_pen(sim, mutated, traj.head(1))
         assert mutated.entries == kept.entries
         assert kept.sim_calls <= _cost_bounds(cfg)[0] < mutated.sim_calls
 
@@ -1299,7 +1309,7 @@ def _dependency_closure(sim, prefix, cfg):
     with draws from a table of its own: (S, k) needs (S, k-1) and, if k >= 2
     and S requests resources, (h, k-1) for every head h in d.terms[i] of
     its level-(k-1) draws d, for each resource i that S requests."""
-    drawn = MemoTable()
+    drawn = MemoTable(cfg)
     need, todo = set(), [(prefix, cfg.K)]
     while todo:
         S, k = todo.pop()
@@ -1309,7 +1319,7 @@ def _dependency_closure(sim, prefix, cfg):
         todo.append((S, k - 1))
         a_s = sim.node(S)[1]
         if k >= 2 and a_s:
-            for d in conditional_draws(sim, drawn, S, k - 1, cfg):
+            for d in conditional_draws(sim, drawn, S, k - 1):
                 todo += [(h, k - 1) for i, _ in a_s for h, _ in d.terms.get(i, ())]
     return need
 
@@ -1322,8 +1332,8 @@ class TestDependencyClosure:
     @given(case=_closure_cases())
     def test_written_entries_are_the_closure(self, case):
         sim, cfg, prefix = case
-        memo = MemoTable()
-        decide_pen(sim, memo, prefix, cfg)
+        memo = MemoTable(cfg)
+        decide_pen(sim, memo, prefix)
         assert set(memo.entries) == _dependency_closure(sim, prefix, cfg)
 
 
@@ -1367,7 +1377,7 @@ class TestTheorySchedule:
         dead = tb.add(None, (1.0,), 0.0, z=1.0, a={0: 1.0})
         tree = tb.build()
         cfg = make_config(K=2, eta1=1, eta2=1)
-        its = run_algorithm1_explicit(tree, cfg)
+        its = run_algorithm1_explicit(tree, MemoTable(cfg))
         assert live.key in its[0]
         assert dead.key not in its[0]
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +45,40 @@ class TestPrefix:
     def test_ragged_rejected(self):
         with pytest.raises(InstanceError):
             Prefix(((1.0,), (1.0, 2.0)))
+
+
+class TestRefusals:
+    def test_head_out_of_range(self):
+        p = Prefix(((1.0,), (2.0,)))
+        for t in (-1, 3):
+            with pytest.raises(InstanceError, match=f"head length {t} out"):
+                p.head(t)
+
+    def test_empty_prefix_has_no_last(self):
+        with pytest.raises(InstanceError, match="empty prefix has no last"):
+            EMPTY_PREFIX.last
+
+    def test_unread_completion_refuses_unknown_attribute(self):
+        sim = generate_nrm(seed=7, T=6, m=3, L=2, iota=0.3, budget_ratio=0.5,
+                           mode="generative", n_events=4)
+        traj = sim.complete(EMPTY_PREFIX, (5, "episode", 0))
+        with mock.patch.object(keys, "uniforms", wraps=keys.uniforms) as spy:
+            with pytest.raises(AttributeError, match="nope"):
+                traj.nope
+            assert spy.call_count == 0  # nothing was simulated
+            assert len(traj.obs) == 6 and spy.call_count > 0
+
+    def test_generative_node_refuses_an_unknown_event_code(self):
+        sim = generate_nrm(seed=7, T=6, m=3, L=2, iota=0.3, budget_ratio=0.5,
+                           mode="generative", n_events=4)
+        with pytest.raises(SupportError, match="not a valid event code"):
+            sim.node(Prefix(((7.0,),)))
+
+    def test_add_under_a_parent_not_in_the_tree(self):
+        tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
+        tb.add(None, (0.0,), 1.0, z=0.5)
+        with pytest.raises(InstanceError, match="parent prefix not in tree"):
+            tb.add(Prefix(((5.0,),)), (0.0,), 1.0, z=0.5)
 
 
 class TestInstanceSpec:

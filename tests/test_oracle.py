@@ -88,6 +88,45 @@ class TestSolvePackDp:
         assert solve_pack_dp(tree).value == \
             pytest.approx(enumerate_pack(tree), abs=1e-12)
 
+    @staticmethod
+    def _zero_mass_tree(c_prob):
+        """A positive root whose child C has mass ``c_prob``, beside a root
+        of mass 0; both zero-mass branches pay 1 at every node."""
+        tb = TreeBuilder(T=3, m=1, b=(1.0,), L=1, iota=1.0)
+        a = tb.add(None, (0.0,), 1.0, z=0.6, a={0: 1.0})
+        b = tb.add(a, (1.0,), 1.0 - c_prob, z=1.0, a={0: 1.0})
+        tb.add(b, (1.0,), 1.0, z=0.0)
+        c = tb.add(a, (2.0,), c_prob, z=1.0)
+        tb.add(c, (1.0,), 1.0, z=1.0, a={0: 1.0})
+        r0 = tb.add(None, (9.0,), 0.0, z=1.0, a={0: 1.0})
+        d = tb.add(r0, (1.0,), 1.0, z=1.0)
+        tb.add(d, (1.0,), 1.0, z=1.0)
+        return tb.build()
+
+    def test_zero_mass_branches_are_skipped(self):
+        # mass-weighted, the zero-mass branches add nothing: skip A, take B
+        tree = self._zero_mass_tree(0.0)
+        dp, brute = solve_pack_dp(tree).value, enumerate_pack(tree)
+        assert dp == brute == 1.0
+        assert dp <= solve_lp_explicit(tree)[0] + 1e-9
+        # the same tree with C at mass 1/2 has another optimum, so an
+        # oracle that counted the zero-mass branch would answer otherwise
+        counted = self._zero_mass_tree(0.5)
+        assert solve_pack_dp(counted).value == enumerate_pack(counted) == 1.5
+
+    def test_matches_enumeration_with_zero_mass_children(self):
+        zero_mass = 0
+        for seed in range(12):
+            tree = random_tree(seed=seed, T=3, m=2, integral_a=True,
+                               max_children=2, zero_mass_prob=1.0)
+            if len(tree) > 12:
+                continue
+            zero_mass += sum(tree.mu(p) == 0.0 for p in tree.prefixes())
+            dp = solve_pack_dp(tree).value
+            assert dp == pytest.approx(enumerate_pack(tree), abs=1e-12)
+            assert dp <= solve_lp_explicit(tree)[0] + 1e-9
+        assert zero_mass > 0
+
     def test_fractional_grid_still_exact(self):
         tb = TreeBuilder(T=2, m=1, b=(0.75,), L=1, iota=0.25)
         r = tb.add(None, (0.0,), 1.0, z=0.6, a={0: 0.5})
@@ -210,7 +249,7 @@ class TestEvalPolicyMc:
         sim = tree_as_simulator(tree)
         cfg = SolverConfig(epsilon=0.2, theta=0.2, alpha=0.1, K=10, eta1=4,
                            eta2=2, master_seed=3, practical_override=True)
-        memo = MemoTable()
+        memo = MemoTable(cfg)
 
         def factory(e):
             ctx = new_episode_context(sim, cfg, e, memo=memo)

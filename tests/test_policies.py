@@ -9,7 +9,7 @@ from helpers import random_tree
 from onlinepack.encodings import (BipartiteNodeProcess, OnlineNodeProcess,
                                   encode_is, encode_mmo, random_is_process)
 from onlinepack.engine import MemoTable, SolverConfig, averaged_solution
-from onlinepack.errors import InstanceError, SequencingError
+from onlinepack.errors import InstanceError, SequencingError, SupportError
 from onlinepack.model import (EMPTY_PREFIX, TreeBuilder, demo_tree,
                               tree_as_simulator)
 from onlinepack.policies import (FeasState, feas_table, floor_policy,
@@ -25,9 +25,9 @@ def practical_config(**kw):
     return SolverConfig(**base)
 
 
-def pinned(values):
-    """A table whose decide_pen returns ``values`` (prefix key to fraction)."""
-    memo = MemoTable()
+def pinned(values, cfg):
+    """A ``cfg`` table whose decide_pen returns ``values`` by prefix key."""
+    memo = MemoTable(cfg)
     memo.decisions.update(values)
     return memo
 
@@ -179,7 +179,7 @@ class TestPolicyLp:
         sim = tree_as_simulator(tree)
         cfg = practical_config()
         ones = {p.key: 1.0 for p in tree.prefixes()}
-        ctx = new_episode_context(sim, cfg, 0, memo=pinned(ones))
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(ones, cfg))
         outs = [policy_lp(ctx, sim, p, cfg) for p in (p1, p2, p3)]
         assert outs == [1.0, 0.0, 0.0]
 
@@ -198,7 +198,7 @@ class TestPolicyLp:
         tree = random_tree(seed=6, T=3, m=2)
         sim = tree_as_simulator(tree)
         cfg = practical_config(K=6, eta1=2, eta2=2)
-        frozen_memo = pinned(averaged_solution(tree, cfg))
+        frozen_memo = pinned(averaged_solution(tree, cfg), cfg)
         for e in range(4):
             traj = sim.complete(EMPTY_PREFIX, (3, e))
             frozen = new_episode_context(sim, cfg, e, memo=frozen_memo)
@@ -216,14 +216,14 @@ class TestPolicyNrm:
         cfg = practical_config()
         zeros = {p.key: 0.0 for p in tree.prefixes()}
         traj = sim.complete(EMPTY_PREFIX, (7,))
-        ctx = new_episode_context(sim, cfg, 0, memo=pinned(zeros))
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(zeros, cfg))
         assert [policy_nrm(ctx, sim, traj.head(t), cfg) for t in (1, 2)] == [0, 0]
 
     def test_integral_and_feasible(self):
         tree = random_tree(seed=12, T=4, m=2, L=2, iota=1.0, integral_a=True)
         sim = tree_as_simulator(tree)
         cfg = practical_config(K=10, eta1=4)
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         for e in range(200):
             traj = sim.complete(EMPTY_PREFIX, (11, e))
             r = sim.readout(traj)
@@ -248,7 +248,7 @@ class TestPolicyNrmManyInstances:
             sim = tree_as_simulator(tree)
             cfg = practical_config(K=12, eta1=4, eta2=tree.instance.T,
                                    master_seed=seed)
-            memo = MemoTable()
+            memo = MemoTable(cfg)
 
             def factory(e):
                 ctx = new_episode_context(sim, cfg, e, memo=memo)
@@ -271,7 +271,7 @@ class TestPolicyIs:
         cfg = practical_config()
         traj = sim.complete(EMPTY_PREFIX, (0,))
         table = {traj.head(1).key: 0.6, traj.head(2).key: 0.3}
-        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table))
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table, cfg))
         ctx.shared_uniform = 0.5
         # skip FEAS interference: budgets are 1 and the values are feasible
         left = policy_is(ctx, sim, traj.head(1), cfg)
@@ -285,7 +285,7 @@ class TestPolicyIs:
         inst, sim = encode_is(proc)
         cfg = practical_config()
         traj = sim.complete(EMPTY_PREFIX, (0,))
-        memo = pinned({traj.head(1).key: 1.0})
+        memo = pinned({traj.head(1).key: 1.0}, cfg)
         for e in range(50):
             ctx = new_episode_context(sim, cfg, e, memo=memo)
             assert policy_is(ctx, sim, traj.head(1), cfg) == 1
@@ -294,7 +294,7 @@ class TestPolicyIs:
         proc = random_is_process(seed=77, n=6, delta=2)
         inst, sim = encode_is(proc)
         cfg = practical_config(K=12, eta1=4)
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         for e in range(300):
             traj = sim.complete(EMPTY_PREFIX, (13, e))
             r = sim.readout(traj)
@@ -316,7 +316,7 @@ class TestPolicyMmoGreedy:
         cfg = practical_config()
         traj = sim.complete(EMPTY_PREFIX, (0,))
         table = {p.key: 0.9 for p in sim.tree.prefixes()}
-        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table))
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table, cfg))
         assert policy_mmo_greedy(ctx, sim, traj.head(1), cfg) == 1
 
     def test_unrealized_periods_zero(self):
@@ -326,7 +326,7 @@ class TestPolicyMmoGreedy:
         cfg = practical_config()
         traj = sim.complete(EMPTY_PREFIX, (0,))
         table = {p.key: 0.5 for p in sim.tree.prefixes()}
-        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table))
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table, cfg))
         decisions = [policy_mmo_greedy(ctx, sim, traj.head(t), cfg)
                      for t in range(1, inst.T + 1)]
         assert decisions[0] == 1
@@ -339,7 +339,7 @@ class TestPolicyMmoGreedy:
         cfg = practical_config()
         traj = sim.complete(EMPTY_PREFIX, (0,))
         table = {p.key: 0.4 for p in sim.tree.prefixes()}
-        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table))
+        ctx = new_episode_context(sim, cfg, 0, memo=pinned(table, cfg))
         first = policy_mmo_greedy(ctx, sim, traj.head(1), cfg)
         second = policy_mmo_greedy(ctx, sim, traj.head(2), cfg)
         assert (first, second) == (1, 0)  # edge to offline node 0 wins
@@ -349,7 +349,7 @@ class TestPolicyMmoGreedy:
         proc = random_mmo_process(seed=21, n_offline=3, n_online=3, delta=2)
         inst, sim = encode_mmo(proc)
         cfg = practical_config(K=8, eta1=4)
-        memo = MemoTable()
+        memo = MemoTable(cfg)
         for e in range(300):
             traj = sim.complete(EMPTY_PREFIX, (15, e))
             r = sim.readout(traj)
@@ -386,6 +386,37 @@ class TestPolicyMmoGreedy:
             decided.update(runs[0])
             unrealized += sum(not nd.a for nd in sim.tree.path(traj))
         assert decided == {0, 1} and unrealized > 0
+
+
+class TestBoundaryRefusals:
+    def test_is_policy_needs_a_partite_lookup(self):
+        tree = demo_tree()
+        sim = tree_as_simulator(tree)
+        cfg = practical_config()
+        ctx = new_episode_context(sim, cfg, 0)
+        with pytest.raises(InstanceError, match="needs a partite lookup"):
+            policy_is(ctx, sim, tree.prefixes()[0], cfg)
+        assert ctx.epoch == 0 and ctx.memo.writes == 0
+
+    def test_partite_lookup_needs_a_nonempty_prefix(self):
+        _, sim = encode_is(random_is_process(seed=5, n=4, delta=2))
+        with pytest.raises(SupportError, match="needs a nonempty prefix"):
+            sim.partite_of(EMPTY_PREFIX)
+
+    def test_online_node_policy_and_block_lookup(self):
+        # one online node with one neighbour: period 1 is realized, 2 and 3
+        # are not
+        _, sim = encode_mmo(OnlineNodeProcess(
+            n_offline=2, n_online=1, delta=2, scenarios=((1.0, ((0,),)),)))
+        traj = sim.complete(EMPTY_PREFIX, (0,))
+        assert sim.block_lookup(traj.head(1))[:3] == (1, 1, (0,))
+        with pytest.raises(SupportError, match="on an unrealized period"):
+            sim.block_lookup(traj.head(2))
+        cfg = practical_config()
+        blind = dataclasses.replace(sim, block_lookup=None)
+        ctx = new_episode_context(blind, cfg, 0)
+        with pytest.raises(InstanceError, match="needs a block lookup"):
+            policy_mmo_greedy(ctx, blind, traj.head(1), cfg)
 
 
 class TestScaledEpsilon:
@@ -428,7 +459,8 @@ class TestOneTablePerRun:
         sim = tree_as_simulator(tree)
         cfg = practical_config(K=4, eta1=3, eta2=min(2, T),
                                master_seed=master_seed, momentum=momentum)
-        shared, sweep = MemoTable(), pinned(averaged_solution(tree, cfg))
+        shared = MemoTable(cfg)
+        sweep = pinned(averaged_solution(tree, cfg), cfg)
         for policy in (policy_lp, policy_nrm):
             for e in range(4):
                 traj = sim.complete(EMPTY_PREFIX, (master_seed, "episode", e))
