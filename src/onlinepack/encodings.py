@@ -150,9 +150,7 @@ def encode_is(process: BipartiteNodeProcess):
     scenarios = []
     for prob, edges, weights in process.scenarios:
         _check_graph(n, delta, process.partite, edges, weights)
-        edge_id, rows = _is_rows(process, edges, weights)
-        if len(edge_id) > m:
-            raise InstanceError("more potential edges than floor(Delta n / 2)")
+        _, rows = _is_rows(process, edges, weights)
         periods = [(obs, float(weights[t]), tuple((j, 1.0) for j in ids))
                    for t, (obs, ids) in enumerate(rows)]
         scenarios.append((prob, periods))
@@ -269,8 +267,6 @@ def encode_mmo(process: OnlineNodeProcess):
                        *([float(x) for x in nbrs] + [_PAD] * (delta - deg)))
                 a = ((v, 1.0), (n_off + o, 1.0))
                 periods.append((obs, 1.0, a))
-        if len(periods) > T:
-            raise InstanceError("more realized edges than floor(Delta n / 2)")
         for _ in range(len(periods), T):
             periods.append(((0.0, _PAD, _PAD, _PAD, 0.0,
                              *([_PAD] * delta)), 0.0, ()))

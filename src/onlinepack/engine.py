@@ -240,8 +240,6 @@ def conditional_draws(sim: SimulatorHandle, memo: MemoTable, prefix: Prefix,
     same ``PathDraw`` objects.  A ``fixed_head`` that returns None for some
     c <= |prefix| breaks the handle contract (``ContractViolationError``).
     """
-    if k < 0:
-        raise ParameterError("draw level must be >= 0")
     config = memo.config
     aleph = sample_index_set(config, sim.instance.T, k)
     c = aleph[-1]

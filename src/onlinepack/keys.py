@@ -1,12 +1,17 @@
 """Keyed, replayable randomness.
 
-Every stochastic quantity in the library is drawn from a generator derived
-from a structured draw key: a tuple of ints, strings, and byte strings such
-as ``(master_seed, "traj", k, prefix_key, j)``.  The key is hashed into the
-128-bit key of a counter-based Philox generator, so the same key always
-yields the same stream regardless of call order.  This makes every sampling
-decision a pure function of its key, which is what lets the on-demand
-recursion and the full-sweep reference method share randomness exactly.
+Every stochastic quantity in the library is derived from a structured draw
+key: a tuple of ints, strings, and byte strings such as
+``(master_seed, "traj", k, prefix_key, j)``.  The key is hashed into a
+16-byte blake2b digest, so the same key always yields the same values
+regardless of call order.  Hot paths (tree draws, rounding, generative
+rows) expand the digest into U[0,1) words with ``uniform`` and
+``uniforms``, which equal the first values of the reference
+``UniformStream``; cold paths that want the numpy Generator API seed a
+counter-based Philox generator with it (``generator``).  This makes every
+sampling decision a pure function of its key, which is what lets the
+on-demand recursion and the full-sweep reference method share randomness
+exactly.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ def generator(*parts: KeyPart) -> np.random.Generator:
 
     Convenient for cold paths that want the full numpy Generator API
     (choice, permutation); construction costs tens of microseconds, so hot
-    paths use ``UniformStream`` instead.
+    paths use ``uniform`` and ``uniforms`` instead.
     """
     digest = key_digest(*parts)
     words = np.frombuffer(digest, dtype=np.uint64)

@@ -266,19 +266,20 @@ class SimulatorHandle:
     prefix's final period only -- exactly ``readout(prefix).reward(t)``
     and ``.rcv(t)`` with t = len(prefix).  The engine reads the process
     through ``node`` alone, at the eta2 sampled periods of each
-    completion, so a lookup in time independent of t keeps that O(eta2).  A handle built without
-    ``node`` gets one derived from ``readout`` (one full readout per
-    lookup); ``dataclasses.replace(sim, node=None, readout=r)`` derives it
-    from ``r``.  ``fixed_head(prefix, c)`` returns the length-c head that
-    every completion of ``prefix`` has, or None when that head is not
-    known without simulating; it must agree with ``complete`` for every
-    key, and it must return the head for every c <= |prefix| of an
-    in-support prefix (the engine raises ``ContractViolationError`` on
-    None there).  The engine takes every draw's cut and sampled heads
-    through it, so a handle may answer with prefixes it already holds.  A
-    handle built without it gets ``prefix.head(c)`` for c <= |prefix| and
-    None beyond.  ``dataclasses.replace`` keeps it, so a replaced
-    ``complete`` with another law needs ``fixed_head=None``.
+    completion, so a lookup in time independent of t keeps that O(eta2).
+    A handle built without ``node`` gets one derived from ``readout`` (one
+    full readout per lookup); ``dataclasses.replace(sim, node=None,
+    readout=r)`` derives it from ``r``.  ``fixed_head(prefix, c)`` returns
+    the length-c head that every completion of ``prefix`` has, or None
+    when that head is not known without simulating; it must agree with
+    ``complete`` for every key, and it must return the head for every
+    c <= |prefix| of an in-support prefix (the engine raises
+    ``ContractViolationError`` on None there).  The engine takes every
+    draw's cut and sampled heads through it, so a handle may answer with
+    prefixes it already holds.  A handle built without it gets
+    ``prefix.head(c)`` for c <= |prefix| and None beyond.
+    ``dataclasses.replace`` keeps it, so a replaced ``complete`` with
+    another law needs ``fixed_head=None``.
     Matching-style encodings attach ``partite_of`` (IS) or
     ``block_lookup`` (MMO block window and offline endpoints).
     """
@@ -328,9 +329,16 @@ class ExplicitScenarioTree:
 
     Nodes cover every in-support prefix; each carries its absolute
     probability mu(S), reward Z(S), and sparse r.c.v.  Leaves sit exactly at
-    depth T.  Construction validates probability consistency (children sum
-    to their parent, level sums equal 1, total mass equals T) and the
-    normalization assumptions on Z and a.
+    depth T.  Construction validates probability consistency (every mass
+    >= 0; the roots sum to 1, each node's children to its mass and all
+    masses to T, within a relative 1e-9) and the normalization assumptions
+    on Z and a.
+
+    The support is the leaves of positive mass, listed once, in leaf
+    order, as ``support_leaf_keys``.  The LP rows, the penalty sums, the
+    enumerating oracle, ``leaves_under`` and the simulator's draws range
+    over it.  A leaf of mass 0.0 (or -0.0) is in the tree but not in the
+    support; a negative mass is refused, however small.
     """
 
     def __init__(self, instance: InstanceSpec, nodes: dict[bytes, TreeNode],
@@ -340,8 +348,9 @@ class ExplicitScenarioTree:
         self.root_keys = tuple(roots)
         self.order = tuple(order)  # insertion (BFS-compatible) order over all prefixes
         self.leaf_keys = tuple(k for k in order if nodes[k].depth == instance.T)
-        self._leaves_under: dict[bytes, tuple[tuple[bytes, ...], np.ndarray]] = {}
         self._validate()
+        self.support_leaf_keys = tuple(k for k in self.leaf_keys
+                                       if nodes[k].mu > 0.0)
 
     # -- accessors ---------------------------------------------------------
 
@@ -388,29 +397,24 @@ class ExplicitScenarioTree:
         return Readout([nd.z for nd in chain], [nd.a for nd in chain])
 
     def leaves_under(self, ref):
-        """(leaf keys, conditional probabilities) of the subtree below ref."""
-        key = ref.key if isinstance(ref, Prefix) else ref
-        cached = self._leaves_under.get(key)
-        if cached is not None:
-            return cached
-        node = self.node(key)
+        """(support leaf keys, conditional probabilities) below ref, depth
+        first; uncached (the tree simulator keeps its draw tables)."""
+        node = self.node(ref)
         leaf_keys: list[bytes] = []
         probs: list[float] = []
-        stack = [key]
+        stack = [node.prefix.key]
         while stack:
             k = stack.pop()
             nd = self._nodes[k]
-            if nd.depth == self.instance.T:
+            if nd.depth < self.instance.T:
+                stack.extend(reversed(nd.children))
+            elif nd.mu > 0.0:
                 leaf_keys.append(k)
                 probs.append(nd.mu)
-            else:
-                stack.extend(reversed(nd.children))
         arr = np.asarray(probs, dtype=float)
         if node.mu > 0:
             arr = arr / node.mu
-        out = (tuple(leaf_keys), arr)
-        self._leaves_under[key] = out
-        return out
+        return tuple(leaf_keys), arr
 
     # -- validation --------------------------------------------------------
 
@@ -428,7 +432,7 @@ class ExplicitScenarioTree:
         for k in self.order:
             n = self._nodes[k]
             total += n.mu
-            if not n.mu >= -_MU_TOL:  # NaN would pass every mass check
+            if not n.mu >= 0.0:  # NaN would pass every mass check
                 raise InstanceError(f"node probability {n.mu} is not >= 0")
             if not -_RANGE_TOL <= n.z <= 1 + _RANGE_TOL:
                 raise InstanceError(f"reward {n.z} outside [0, 1]")
@@ -525,14 +529,14 @@ def tree_as_simulator(tree: ExplicitScenarioTree) -> SimulatorHandle:
 
     def _cumulative(prefix: Prefix):
         if len(prefix) == 0:
-            leaf_keys = tree.leaf_keys
-            probs = np.array([tree.node(k).mu for k in leaf_keys])
+            leaf_keys = tree.support_leaf_keys
+            probs = [tree.node(k).mu for k in leaf_keys]
         else:
             leaf_keys, probs = tree.leaves_under(prefix.key)
-        cum = np.cumsum(probs)
-        if not len(cum) or cum[-1] <= 0.0:
+        if not leaf_keys:
             raise SupportError("no positive-probability continuation")
-        return tuple(tree.node(k).prefix for k in leaf_keys), cum.tolist()
+        return (tuple(tree.node(k).prefix for k in leaf_keys),
+                np.cumsum(probs).tolist())
 
     def complete(prefix: Prefix, key: tuple) -> Prefix:
         cached = cumdist.get(prefix.key)

@@ -78,7 +78,7 @@ def solve_pack_dp(tree: ExplicitScenarioTree) -> PackSolution:
             if node.children:
                 mu = node.mu
                 for child in tree.children(node_key):
-                    if child.mu == 0.0 or mu == 0.0:
+                    if child.mu == 0.0:
                         continue
                     future += (child.mu / mu) * best(child.prefix.key, rem_after)
             options.append((d * node.z + future, d))
@@ -111,10 +111,8 @@ def enumerate_pack(tree: ExplicitScenarioTree) -> float:
     inst = tree.instance
     index = {k: j for j, k in enumerate(tree.order)}
     leaf_rows = []
-    for leaf_key in tree.leaf_keys:
+    for leaf_key in tree.support_leaf_keys:
         chain = tree.path(leaf_key)
-        if chain[-1].mu == 0.0:  # constraints run over the support only
-            continue
         leaf_rows.append(([index[nd.prefix.key] for nd in chain],
                           [nd.a for nd in chain]))
     mu_z = [tree.mu(p) * tree.node(p).z for p in prefixes]
@@ -159,11 +157,9 @@ def _lp_arrays(tree: ExplicitScenarioTree):
     indptr = [0]
     rhs: list[float] = []
     row_mu: list[float] = []
-    for leaf_key in tree.leaf_keys:
+    for leaf_key in tree.support_leaf_keys:
         chain = tree.path(leaf_key)
         mu = chain[-1].mu
-        if mu == 0.0:  # constraints run over the support only
-            continue
         per_resource: dict[int, list[tuple[int, float]]] = {}
         for nd in chain:
             col = index[nd.prefix.key]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from .errors import ParameterError
-from .model import ExplicitScenarioTree, Prefix
+from .model import ExplicitScenarioTree
 
 SolutionVector = Mapping[bytes, float]
 
@@ -50,7 +50,7 @@ def huber_deriv(x: float, theta: float) -> float:
     return min(x / theta, 1.0)
 
 
-def _leaf_loads(tree: ExplicitScenarioTree, leaf: Prefix, x: SolutionVector):
+def _leaf_loads(tree: ExplicitScenarioTree, leaf: bytes, x: SolutionVector):
     """Per-resource loads sum_t a_i(S^t) X(S^t) along one trajectory."""
     loads: dict[int, float] = {}
     for nd in tree.path(leaf):
@@ -74,12 +74,10 @@ def _penalty(tree: ExplicitScenarioTree, x: SolutionVector,
     """sum over support leaves of mu * sum_i pen(load_i - b_i), resources ascending."""
     b = tree.instance.b
     total = 0.0
-    for leaf in tree.leaves():
-        mu = tree.mu(leaf)
-        if mu == 0.0:
-            continue
+    for leaf in tree.support_leaf_keys:
         loads = _leaf_loads(tree, leaf, x)
-        total += mu * sum(pen(load - b[i]) for i, load in sorted(loads.items()))
+        total += tree.mu(leaf) * sum(pen(load - b[i])
+                                     for i, load in sorted(loads.items()))
     return total
 
 
@@ -113,9 +111,9 @@ def exact_grad_f_theta(tree: ExplicitScenarioTree, x: SolutionVector,
     inst = tree.instance
     # Per-leaf penalty derivatives are shared by every prefix of the leaf.
     leaf_derivs: dict[bytes, dict[int, float]] = {}
-    for leaf in tree.leaves():
+    for leaf in tree.support_leaf_keys:
         loads = _leaf_loads(tree, leaf, x)
-        leaf_derivs[leaf.key] = {
+        leaf_derivs[leaf] = {
             i: huber_deriv(load - inst.b[i], t0) for i, load in loads.items()
         }
     grad: dict[bytes, float] = {}
@@ -127,8 +125,6 @@ def exact_grad_f_theta(tree: ExplicitScenarioTree, x: SolutionVector,
         leaf_keys, cond = tree.leaves_under(p.key)
         acc = 0.0
         for lk, w in zip(leaf_keys, cond):
-            if w == 0.0:
-                continue
             derivs = leaf_derivs[lk]
             acc += w * sum(ai * derivs.get(i, 0.0) for i, ai in node.a)
         grad[p.key] = node.z - 2.0 / inst.iota * acc

@@ -586,7 +586,7 @@ _GOLDEN = {
            "feas": "4d54df916976aecce27b25e0",
            "feas_ones": "6c3030cae1b6d3bd0a056d5e",
            "feas_counters": "24f191c9ed2dcff8d76c3a5f",
-           "leaf_grad": "4ed41a7c147769ccffb77fcc",
+           "leaf_grad": "11eb92364295c7089f5bac2a",
            "averaged": "bb13f303f2b02458eb60b8d1",
            "shared_writes": ("243b734641a32ba904dd5ddc", 38, 152, 31)},
     "m4": {"eval_f": "-0x1.6f054fdcca875p+2",
@@ -597,7 +597,7 @@ _GOLDEN = {
            "feas": "a5af4a164e685bab1a0ca3ff",
            "feas_ones": "3fcc4d3bae34c62dbd2d9405",
            "feas_counters": "65683b2dfb26806bad4987b5",
-           "leaf_grad": "1d121d6d70f594925fe06bf7",
+           "leaf_grad": "cdb10b66ae3c382d8cd1f263",
            "averaged": "88c09a233a6b3a21cf6d808e",
            "shared_writes": ("e3bbb3640a04288889f0dbf7", 92, 368, 69)},
     "m5": {"eval_f": "-0x1.94293340a8ee9p+1",
@@ -608,7 +608,7 @@ _GOLDEN = {
            "feas": "128f08539e1d8ca480541e22",
            "feas_ones": "26103b6f1692a24e07eee09a",
            "feas_counters": "69996009729c5d8f017a91bd",
-           "leaf_grad": "afde02db1cb400a6df62ed9e",
+           "leaf_grad": "c3c6357799de44e45d232648",
            "averaged": "f6a47517af60869c03360709",
            "shared_writes": ("3b7020214411df6d46863c1e", 24, 96, 24)},
 }
@@ -655,6 +655,7 @@ def test_golden_leaf_grad_table(golden):
     flat = []
     for p in tree.prefixes():
         _, cond, values = leaf_grad_table(tree, p, x, cfg)
+        assert all(cond > 0.0)  # support leaves only
         flat += list(cond) + list(values)
     assert _table_digest(flat) == _GOLDEN[name]["leaf_grad"]
 

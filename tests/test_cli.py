@@ -12,7 +12,8 @@ from onlinepack import keys, load_instance
 from onlinepack.cli import main
 from onlinepack.encodings import encode_is, random_is_process
 from onlinepack.engine import MemoTable, SolverConfig
-from onlinepack.model import EMPTY_PREFIX, SCHEMA_VERSION, tree_to_payload
+from onlinepack.model import (EMPTY_PREFIX, SCHEMA_VERSION, demo_tree,
+                              tree_to_payload)
 from onlinepack.oracle import eval_policy_mc, reports_to_csv
 from onlinepack.policies import new_episode_context, policy_lp, policy_nrm
 
@@ -572,6 +573,41 @@ class TestVerify:
         assert report["gate_applied"] is False
         assert report["violations"] == 0
 
+
+
+@pytest.mark.parametrize("iota", [0.01, 1.0])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_negative_node_mass_exits_2_before_any_oracle(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      iota):
+    # a leaf of mass -1e-9 lies within the 1e-9 sum tolerance; the penalty
+    # LP would give it a row of negative weight (unbounded at iota 0.01)
+    import onlinepack.cli as cli
+    called = []
+    for name in ("eval_policy_mc", "solve_lp_explicit", "solve_pen_lp",
+                 "solve_pack_dp"):
+        monkeypatch.setattr(cli, name,
+                            lambda *a, _name=name, **k: called.append(_name))
+    payload = tree_to_payload(demo_tree())  # a root and two leaves
+    nodes = payload["tree"]["nodes"]
+    nodes[1]["prob"], nodes[2]["prob"] = 1.0 + 1e-9, -1e-9
+    inst = tmp_path / "negative.json"
+    inst.write_text(json.dumps(dict(payload, iota=iota)))
+    if command == "run":
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps({
+            "schema_version": 1, "instance": str(inst), "policy": "lp",
+            "solver": {"epsilon": 0.2, "theta": 0.1, "alpha": 0.1, "K": 20,
+                       "eta1": 8, "eta2": 2, "master_seed": 5},
+            "n_episodes": 5}))
+        argv = ("run", "--config", str(exp))
+    else:
+        argv = ("verify", "--instance", str(inst))
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert "node probability -1e-09 is not >= 0" in captured.err
+    assert captured.out == "" and called == []
 
 class TestGoldenOutputs:
     """`run` CSV and `verify` JSON bytes pinned on an NRM tree and an is file.

@@ -9,10 +9,12 @@ other than ``__slots__``) that nothing in the package reads, a function
 parameter (other than ``self`` or ``cls``) that its body never reads, and
 a defaulted parameter of a private function that no call in the package
 passes.
-A seventh and an eighth check read the benchmark harness too: a defaulted
-parameter of a public function that no call in the package or the harness
-passes, and a dataclass field or property that no code in the package or
-the harness reads as an attribute.
+A seventh, an eighth and a ninth check read the benchmark harness too: a
+defaulted parameter of a public function that no call in the package or the
+harness passes, a dataclass field or property that no code in the package
+or the harness reads as an attribute, and a public top-level name that no
+code in the package or the harness reads, unless it is listed as reference
+API that the tests check the library against.
 ``__init__.py`` only re-exports the public API, so its imports count as used.
 """
 
@@ -337,3 +339,70 @@ def test_unread_field_is_caught():
     modules = dict(_modules(), planted=planted)
     assert _unread_fields(modules) == ["Bounds.slack_seen (planted:5)",
                                        "Bounds.width_hint (planted:7)"]
+
+
+# Public names that nothing in the package, the CLI or the harness reads:
+# the reference oracles and exact evaluators that the tests check the
+# library against, and the reference stream that keys.uniform and
+# keys.uniforms equal.  This list stands in for moving them out of the
+# package (ROADMAP item 8); any other such name fails the check.
+_TEST_REFERENCE_API = {
+    "UniformStream", "averaged_solution", "enumerate_pack", "eval_f",
+    "eval_policy_exact", "feas_table", "is_traditional_reveal_ok",
+    "leaf_grad_table", "solve_pen_explicit", "stochastic_grad_component",
+}
+
+
+def _unreferenced_public_names(modules: dict[str, ast.Module]) -> list[str]:
+    """Public top-level functions, classes and assignments in ``modules``
+    that no code in the package or the harness reads outside the name's
+    own definition.
+
+    ``__init__.py``'s re-exports do not count as reads.
+    """
+    callers = {name: module for name, module in _with_harness(modules).items()
+               if name != "__init__.py"}
+    reads = _reads(callers)
+    unread = []
+    for name, module in callers.items():
+        if name not in modules:
+            continue
+        for stmt in module.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [(stmt.name, _reads({name: stmt})[stmt.name])]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                names = [(sub.id, 0) for t in targets for sub in ast.walk(t)
+                         if isinstance(sub, ast.Name)]
+            else:
+                continue
+            unread += [f"{public} ({name}:{stmt.lineno})"
+                       for public, own in names
+                       if not public.startswith("_")
+                       and public not in _TEST_REFERENCE_API
+                       and reads[public] - own <= 0]
+    return sorted(unread)
+
+
+def test_no_unreferenced_public_names():
+    modules = _modules()
+    assert _unreferenced_public_names(modules) == []
+    defined = {stmt.name for module in modules.values() for stmt in module.body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    assert _TEST_REFERENCE_API <= defined  # no stale entry
+
+
+def test_unreferenced_public_name_is_caught():
+    planted = ast.parse("def countdown(x):\n"
+                        "    return countdown(x - 1) if x else 0\n"
+                        "def scaled(x):\n"
+                        "    return 2 * x\n"
+                        "class Ledger:\n"
+                        "    pass\n"
+                        "LIMIT = 3\n"
+                        "_CAP = scaled(LIMIT)\n")
+    modules = dict(_modules(), planted=planted)
+    assert _unreferenced_public_names(modules) == ["Ledger (planted:5)",
+                                                   "countdown (planted:1)"]

@@ -145,6 +145,28 @@ class TestTreeValidation:
         with pytest.raises(InstanceError):
             tb.build()
 
+    @pytest.mark.parametrize("mass", [-1e-9, -5e-324])
+    def test_negative_mass_refused_however_small(self, mass):
+        # within the 1e-9 sum tolerance, so only the sign check refuses it
+        tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
+        r = tb.add(None, (0.0,), 1.0, z=0.5, a={0: 1.0})
+        tb.add(r, (1.0,), 1.0 - mass, z=1.0, a={0: 1.0})
+        tb.add(r, (2.0,), mass, z=1.0, a={0: 1.0})
+        with pytest.raises(InstanceError, match="is not >= 0"):
+            tb.build()
+
+    @pytest.mark.parametrize("mass", [0.0, -0.0])
+    def test_zero_mass_leaf_loads_outside_the_support(self, mass):
+        tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=1.0)
+        r = tb.add(None, (0.0,), 1.0, z=0.5, a={0: 1.0})
+        kept = tb.add(r, (1.0,), 1.0, z=1.0, a={0: 1.0})
+        zero = tb.add(r, (2.0,), mass, z=1.0, a={0: 1.0})
+        tree = tb.build()
+        assert tree.leaf_keys == (kept.key, zero.key)
+        assert tree.support_leaf_keys == (kept.key,)
+        leaf_keys, cond = tree.leaves_under(r)
+        assert leaf_keys == (kept.key,) and list(cond) == [1.0]
+
 
 class TestSimulateCompletion:
     """``complete`` returns a full-horizon trajectory that extends the prefix."""
@@ -486,6 +508,14 @@ class TestInstanceIO:
                                        + nodes[1:]})
         with pytest.raises(InstanceError, match="probability nan"):
             payload_to_tree(nan_root)
+
+    @pytest.mark.parametrize("mass", [-1e-9, -1e-300])
+    def test_payload_negative_mass_refused(self, mass):
+        payload = tree_to_payload(demo_tree())  # a root and two leaves
+        nodes = payload["tree"]["nodes"]
+        nodes[1]["prob"], nodes[2]["prob"] = 1.0 - mass, mass
+        with pytest.raises(InstanceError, match="is not >= 0"):
+            load_instance_payload(payload)
 
     def test_generative_payload_round_trip(self):
         from onlinepack.model import generative_payload

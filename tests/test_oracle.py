@@ -1,20 +1,23 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_node_tree, random_tree
+from onlinepack import keys, oracle
 from onlinepack.engine import MemoTable, SolverConfig
 from onlinepack.errors import (FeasibilityAuditError, InstanceError,
                                ParameterError)
-from onlinepack.model import (TreeBuilder, demo_tree, generate_nrm,
-                              tree_as_simulator)
+from onlinepack.model import (EMPTY_PREFIX, TreeBuilder, demo_tree,
+                              generate_nrm, tree_as_simulator)
 from onlinepack.oracle import (EvalReport, enumerate_pack, eval_policy_exact,
                                eval_policy_mc, reports_to_csv,
                                solve_lp_explicit, solve_pack_dp,
                                solve_pen_explicit, solve_pen_lp)
-from onlinepack.penalty import eval_f_theta
+from onlinepack.penalty import eval_f, eval_f_theta, exact_grad_f_theta
 from onlinepack.policies import new_episode_context, policy_lp, policy_nrm
 
 
@@ -192,6 +195,93 @@ class TestSolvePen:
         val, _ = solve_pen_explicit(tree, 0.1)
         assert val >= eval_f_theta(tree, xlp, 0.1) - 1e-9
 
+
+
+def _paths_walked(tree, run):
+    """The leaf keys whose root-to-leaf path ``run(tree)`` walks, in order."""
+    walked = []
+    walk = tree.path
+
+    def recording(ref):
+        walked.append(ref)
+        return walk(ref)
+
+    with mock.patch.object(tree, "path", recording):
+        run(tree)
+    return walked
+
+
+@st.composite
+def _zero_mass_trees(draw):
+    return random_tree(draw(st.integers(0, 10_000)), T=draw(st.integers(1, 3)),
+                       m=draw(st.integers(1, 2)), L=1,
+                       max_children=draw(st.integers(1, 3)),
+                       zero_mass_prob=draw(st.sampled_from([0.5, 1.0])))
+
+
+class TestSupport:
+    """One support rule: the positive-mass leaves, listed once by the tree,
+    are what every leaf loop, ``leaves_under`` and the draws range over."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=_zero_mass_trees())
+    def test_every_consumer_ranges_over_the_support(self, tree):
+        support = tree.support_leaf_keys
+        assert support == tuple(k for k in tree.leaf_keys if tree.mu(k) > 0.0)
+        assert all(tree.mu(k) == 0.0 for k in tree.leaf_keys
+                   if k not in support)
+        *_, row_mu = oracle._lp_arrays(tree)
+        assert all(row_mu > 0.0)
+        assert _paths_walked(tree, oracle._lp_arrays) == list(support)
+        x = {p.key: 1.0 for p in tree.prefixes()}
+        for run in (lambda t: eval_f(t, x),
+                    lambda t: exact_grad_f_theta(t, x, 0.5)):
+            assert _paths_walked(tree, run) == list(support)
+        if len(tree) <= 10:
+            assert _paths_walked(tree, enumerate_pack) == list(support)
+        for S in tree.prefixes():
+            leaf_keys, cond = tree.leaves_under(S)
+            below = [k for k in support if tree.node(k).prefix.startswith(S)]
+            assert sorted(leaf_keys) == sorted(below) and len(cond) == len(below)
+            if tree.mu(S) > 0.0:
+                assert math.isclose(float(np.sum(cond)), 1.0, abs_tol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=_zero_mass_trees())
+    def test_complete_draws_each_support_leaf_and_nothing_else(self, tree):
+        sim = tree_as_simulator(tree)
+        support = set(tree.support_leaf_keys)
+        starts = [EMPTY_PREFIX] + [S for S in tree.prefixes()
+                                   if tree.mu(S) > 0.0]
+        # keys.uniform(*key) reads the first key part as the uniform itself
+        with mock.patch.object(keys, "uniform", lambda u: u):
+            for S in starts:
+                if len(S) == 0:
+                    leaf_keys = tree.support_leaf_keys
+                    weights = [tree.mu(k) for k in leaf_keys]
+                else:
+                    leaf_keys, weights = tree.leaves_under(S)
+                cum = np.cumsum(weights)
+                # the midpoint of each leaf's cumulative interval draws it
+                lows = np.concatenate(([0.0], cum[:-1]))
+                for k, lo, hi in zip(leaf_keys, lows, cum):
+                    assert sim.complete(S, ((lo + hi) / 2 / cum[-1],)).key == k
+                for u in (0.0, 0.5, 1.0 - 2.0 ** -53):
+                    assert sim.complete(S, (u,)).key in support
+
+
+    @pytest.mark.parametrize("mass", [0.0, -0.0])
+    def test_zero_mass_leaf_adds_no_lp_row(self, mass):
+        # a row of negative leaf mass would make the penalty LP unbounded
+        # at iota 0.01; a zero-mass leaf adds no row at all
+        tb = TreeBuilder(T=2, m=1, b=(1.0,), L=1, iota=0.01)
+        r = tb.add(None, (0.0,), 1.0, z=0.5, a={0: 1.0})
+        tb.add(r, (1.0,), 1.0, z=1.0, a={0: 1.0})
+        tb.add(r, (2.0,), mass, z=1.0, a={0: 1.0})
+        tree = tb.build()
+        assert list(oracle._lp_arrays(tree)[3]) == [1.0]
+        assert solve_lp_explicit(tree)[0] == pytest.approx(1.0, abs=1e-9)
+        assert solve_pen_lp(tree) == pytest.approx(1.0, abs=1e-9)
 
 class TestEvalPolicyExact:
     def test_all_ones_ignores_feasibility(self):
